@@ -27,9 +27,10 @@ def _wrap_deg(offset_deg):
 def _gaussian_wrapped_power(distance_deg, rms_deg):
     """Wrapped Gaussian power lobe versus circular distance from boresight."""
     d = np.asarray(distance_deg, dtype=float)
-    out = np.zeros_like(d)
-    for k in range(-4, 5):
-        out += np.exp(-0.5 * ((d + 360.0 * k) / rms_deg) ** 2)
+    out, term = np.zeros_like(d), np.empty_like(d)
+    for k in range(-4, 5):  # in place: large temporaries make the heap churn
+        np.square(np.divide(np.add(d, 360.0 * k, out=term), rms_deg, out=term), out=term)
+        out += np.exp(np.multiply(term, -0.5, out=term), out=term)
     return out
 
 
@@ -116,7 +117,7 @@ class AntennaPattern:
 
 def _normalize(grid: AzimuthGrid, raw_power_on_grid: np.ndarray) -> float:
     total = float(np.sum(raw_power_on_grid) * grid.delta_phi_rad)
-    if total <= 0.0:
+    if not total > 0.0:  # also rejects NaN
         raise ValueError("pattern has no power to normalize")
     return 1.0 / total
 
@@ -155,6 +156,8 @@ def tabulated(azimuth_deg, gain_db, grid: AzimuthGrid) -> AntennaPattern:
     gain = np.asarray(gain_db, dtype=float)
     if az.ndim != 1 or az.size < 2 or gain.shape != az.shape:
         raise ValueError("need matching 1-D azimuth and gain arrays with >= 2 samples")
+    if not (np.all(np.isfinite(az)) and np.all(np.isfinite(gain))):
+        raise ValueError("azimuth and gain samples must be finite")
     if np.any(np.diff(az) <= 0) or az[0] < 0 or az[-1] >= 360.0:
         raise ValueError("azimuth samples must be strictly increasing in [0, 360)")
     p = AntennaPattern(

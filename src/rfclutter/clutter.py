@@ -2,9 +2,11 @@
 
 Instantiates the stochastic backscatter channel: complex arrival amplitudes
 on an azimuth grid (optionally extended over delay with a reverberant decay
-envelope), the spun-antenna response obtained by circularly convolving the
-channel with the antenna field patterns, and band-limited probing of the
-delay-azimuth map.
+envelope), the spun-antenna response, and band-limited probing of the
+delay-azimuth map.  Every spin is one linear operator, :func:`spin_operator`:
+Y(p) = dphi * sum_i h_i f_R(phi_i - p) f_T(phi_i - tx_pointing) over the last
+axis of the amplitudes, computed as a circular FFT convolution when every
+pointing is a grid center and as one weight matrix otherwise.
 
 Discretization normalization
 ----------------------------
@@ -19,6 +21,7 @@ synthesized spectra to the closed-form room average.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -161,19 +164,62 @@ def gen_azimuth_channel(
     )
 
 
-def _spin_weights(
+def spin_operator(
     grid: AzimuthGrid,
     rx: AntennaPattern,
-    pointings_deg: np.ndarray,
-    chunk: int = 512,
+    tx: AntennaPattern,
+    pointings_deg,
+    tx_pointing_deg: float = 0.0,
 ):
-    """Yield (slice, weight-matrix) blocks W[k, i] = f_R(phi_i - pointing_k)."""
+    """The spin as a function from (..., n_bins) amplitudes on ``grid`` to
+    (..., n_pointings) complex spun amplitudes (see the module docstring).
+
+    Patterns are evaluated analytically at the grid; the latest operator is
+    kept.  Off the grid the error is relative rounding; on it the FFT's error
+    is about machine epsilon times the largest spun amplitude, so pointings
+    where both beams miss the clutter read as that rounding noise.
+    """
+    pointings = np.asarray(pointings_deg, dtype=float).ravel()
+    if pointings.size == 0:
+        raise ValueError("at least one pointing angle is required")
+    return _build_spin_operator(grid, rx, tx, pointings.tobytes(), float(tx_pointing_deg))
+
+
+@functools.lru_cache(maxsize=1)
+def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
+    pointings = np.frombuffer(pointings_bytes)
     centers = grid.centers_deg
-    for start in range(0, pointings_deg.size, chunk):
-        block = pointings_deg[start : start + chunk]
-        yield slice(start, start + block.size), rx.field_at(
-            centers[None, :] - block[:, None]
-        )
+    txf = tx.field_at(centers - tx_pointing_deg)
+    idx = np.rint(pointings / grid.delta_phi_deg).astype(int) % grid.n_bins
+    mismatch = (pointings - centers[idx] + 180.0) % 360.0 - 180.0
+    if np.all(np.abs(mismatch) < 1e-9):
+        # every pointing is a bin center: a circular convolution with
+        # dphi f_R(-phi_j), read at the pointed bins
+        kernel = np.fft.fft(np.roll(rx.field_at(centers)[::-1], 1) * grid.delta_phi_rad)
+        def spin(amplitudes):
+            return np.fft.ifft(np.fft.fft(amplitudes * txf, axis=-1) * kernel, axis=-1)[..., idx]
+        return spin
+
+    # one row dphi f_R(phi_i - p) per distinct pointing p (to 1e-9 deg), built
+    # in blocks of 128 rows, held up to 32 MB and rebuilt per call beyond that
+    _, first, inverse = np.unique(np.round(pointings, 9), return_index=True, return_inverse=True)
+    rows = pointings[first]
+    blocks = [slice(s, s + 128) for s in range(0, rows.size, 128)]
+    def weights(block):
+        return rx.field_at(centers[None, :] - rows[block, None]) * grid.delta_phi_rad
+    held = None
+    if rows.size * grid.n_bins <= 1 << 22:
+        held = np.empty((rows.size, grid.n_bins))
+        for block in blocks:
+            held[block] = weights(block)
+    def spin(amplitudes):
+        weighted = amplitudes * txf  # two real products: no complex copy of w
+        out = np.empty(weighted.shape[:-1] + (rows.size,), dtype=complex)
+        for block in blocks:
+            w = weights(block) if held is None else held[block]
+            out[..., block] = weighted.real @ w.T + 1j * (weighted.imag @ w.T)
+        return out[..., inverse]
+    return spin
 
 
 def spin_amplitudes(
@@ -183,20 +229,8 @@ def spin_amplitudes(
     pointings_deg,
     tx_pointing_deg: float = 0.0,
 ) -> np.ndarray:
-    """Complex spun response Y at each receive pointing.
-
-    Y(p) = dphi * sum_i h_i f_R(phi_i - p) f_T(phi_i - tx_pointing); the
-    patterns are evaluated analytically at the field grid, so mismatched
-    pattern grids need no resampling.
-    """
-    pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
-    if pointings.size == 0:
-        raise ValueError("at least one pointing angle is required")
-    weighted = field.amplitudes * tx.field_at(field.grid.centers_deg - tx_pointing_deg)
-    out = np.empty(pointings.size, dtype=complex)
-    for sl, w in _spin_weights(field.grid, rx, pointings):
-        out[sl] = w @ weighted
-    return out * field.grid.delta_phi_rad
+    """Complex spun response Y at each receive pointing; see :func:`spin_operator`."""
+    return spin_operator(field.grid, rx, tx, pointings_deg, tx_pointing_deg)(field.amplitudes)
 
 
 def spin_response(
@@ -424,32 +458,9 @@ def band_limit(
     The delay convolution is computed directly (not by FFT) so bins before
     the onset stay exactly zero.
     """
-    agrid = field.agrid
-    centers = agrid.centers_deg
-    if pointings_deg is None:
-        pointings = centers
-    else:
-        pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
-        if pointings.size == 0:
-            raise ValueError("at least one pointing angle is required")
-
-    weighted = field.amplitudes * tx.field_at(centers - tx_pointing_deg)[None, :]
-    # angle response on the field grid via circular convolution, then select
-    fr = rx.field_at(centers)
-    fr_rev = np.roll(fr[::-1], 1)  # fr_rev[j] = f_R(phi_{-j})
-    y_grid = np.fft.ifft(
-        np.fft.fft(weighted, axis=1) * np.fft.fft(fr_rev)[None, :], axis=1
-    ) * agrid.delta_phi_rad
-
-    idx = np.rint(pointings / agrid.delta_phi_deg).astype(int) % agrid.n_bins
-    mismatch = (pointings - centers[idx] + 180.0) % 360.0 - 180.0
-    if np.all(np.abs(mismatch) < 1e-9):
-        y_sel = y_grid[:, idx]
-    else:  # off-grid pointings: exact direct evaluation
-        y_sel = np.empty((field.dgrid.n_bins, pointings.size), dtype=complex)
-        for sl, w in _spin_weights(agrid, rx, pointings):
-            y_sel[:, sl] = weighted @ w.T
-        y_sel *= agrid.delta_phi_rad
+    pointings = field.agrid.centers_deg if pointings_deg is None else pointings_deg
+    pointings = np.atleast_1d(np.asarray(pointings, dtype=float))
+    y_sel = spin_operator(field.agrid, rx, tx, pointings, tx_pointing_deg)(field.amplitudes)
 
     x = _resample_waveform(waveform, field.dgrid.delta_tau_s)
     n_out = field.dgrid.n_bins + x.size - 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,14 +95,20 @@ def load_config_tree(path=None) -> dict:
     return _merge(DEFAULT_CONFIG, tree, "")
 
 
+def _require_count(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"config {path}: expected a positive integer, got {value!r}")
+    return value
+
+
 def _require_number(tree, path: str, allow_none=False):
     node = tree
     for part in path.split("."):
         node = node[part]
     if node is None and allow_none:
         return None
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigurationError(f"config {path}: expected a number, got {node!r}")
+    if isinstance(node, bool) or not isinstance(node, (int, float)) or not math.isfinite(node):
+        raise ConfigurationError(f"config {path}: expected a finite number, got {node!r}")
     return float(node)
 
 
@@ -218,9 +225,6 @@ def resolve_config(tree: dict) -> RunConfig:
         seed = tree["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ConfigurationError("config seed: expected a 64-bit unsigned integer")
-        ensemble = tree["ensemble"]
-        if isinstance(ensemble, bool) or not isinstance(ensemble, int) or ensemble < 1:
-            raise ConfigurationError("config ensemble: expected a positive integer")
         return RunConfig(
             tree=tree,
             room=room,
@@ -234,9 +238,11 @@ def resolve_config(tree: dict) -> RunConfig:
             probe=probe,
             spin_period_s=_require_number(tree, "spin.period_s"),
             sample_rate_hz=_require_number(tree, "spin.sample_rate_hz"),
-            pointings_per_rotation=int(_require_number(tree, "spin.pointings_per_rotation")),
+            pointings_per_rotation=_require_count(
+                tree["spin"]["pointings_per_rotation"], "spin.pointings_per_rotation"
+            ),
             seed=seed,
-            ensemble=ensemble,
+            ensemble=_require_count(tree["ensemble"], "ensemble"),
         )
     except (ValueError, KeyError, TypeError) as exc:
         if isinstance(exc, ConfigurationError):

@@ -20,7 +20,7 @@ from .clutter import (
     DEFAULT_SPIN_PERIOD_S,
     ClutterParams,
     gen_azimuth_channel,
-    spin_amplitudes,
+    spin_operator,
 )
 from .core import CarrierSpec, RoomSpec, to_db
 from .randomfields import AzimuthGrid, RandomStream, complex_gaussian_series
@@ -200,25 +200,17 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
 
     grid = AzimuthGrid.default_for(spec.clutter.phi_rms_deg)
     clutter_stream = stream.child("clutter")
-    if spec.regenerate_clutter_per_rotation:
-        spr = int(round(spec.spin_period_s * spec.sample_rate_hz))
-        y_clut = np.empty(n, dtype=complex)
-        for rot, start in enumerate(range(0, n, spr)):
-            fld = gen_azimuth_channel(
-                spec.room, spec.clutter, grid, (0.0, 0.0),
-                clutter_stream.child(f"rotation/{rot}"),
-            )
-            sl = slice(start, min(start + spr, n))
-            y_clut[sl] = spin_amplitudes(
-                fld, spec.rx, spec.tx, pointings[sl], spec.tx_pointing_deg
-            )
-    else:
-        fld = gen_azimuth_channel(
-            spec.room, spec.clutter, grid, (0.0, 0.0), clutter_stream
-        )
-        y_clut = spin_amplitudes(
-            fld, spec.rx, spec.tx, pointings, spec.tx_pointing_deg
-        )
+    # static clutter is one draw spun over the whole scene
+    regenerate = spec.regenerate_clutter_per_rotation
+    spr = int(round(spec.spin_period_s * spec.sample_rate_hz)) if regenerate else n
+    y_clut = np.empty(n, dtype=complex)
+    for rot, start in enumerate(range(0, n, spr)):
+        sub = clutter_stream.child(f"rotation/{rot}") if regenerate else clutter_stream
+        fld = gen_azimuth_channel(spec.room, spec.clutter, grid, (0.0, 0.0), sub)
+        sl = slice(start, start + spr)
+        y_clut[sl] = spin_operator(
+            grid, spec.rx, spec.tx, pointings[sl], spec.tx_pointing_deg
+        )(fld.amplitudes)
 
     # target fluctuation is always drawn so that stream consumption does not
     # depend on the fluctuation model or the cross-section

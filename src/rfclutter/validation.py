@@ -28,6 +28,7 @@ from .clutter import (
     gen_delay_azimuth_channel,
     make_probe_waveform,
     spin_amplitudes,
+    spin_operator,
     uniform_pointings,
 )
 from .config import load_config_tree, resolve_config
@@ -116,12 +117,24 @@ def _default_params() -> ClutterParams:
     return ClutterParams(carrier=_default_carrier())
 
 
-def _pointing_weights(grid, rx, tx, pointings_deg, tx_pointing_deg=0.0):
-    """Precomputed spin weights: Y = (W @ (amplitudes * txf))."""
-    centers = grid.centers_deg
-    w = rx.field_at(centers[None, :] - pointings_deg[:, None]) * grid.delta_phi_rad
-    txf = tx.field_at(centers - tx_pointing_deg)
-    return w, txf
+def _default_spin(pointings):
+    """The 10 deg horn / omni spin over ``pointings`` on the default grid."""
+    grid = AzimuthGrid.default_for(_default_params().phi_rms_deg)
+    return spin_operator(grid, gaussian_horn(10.0, grid), omni(grid), pointings)
+
+
+def _channel_blocks(seed: int, label: str, n_draws: int, block: int = 250):
+    """Default-room azimuth channels, draw i from stream ``{label}/{i}``,
+    yielded as lists of at most ``block`` fields to bound memory."""
+    room, params = _default_room(), _default_params()
+    grid = AzimuthGrid.default_for(params.phi_rms_deg)
+    for start in range(0, n_draws, block):
+        yield [
+            gen_azimuth_channel(
+                room, params, grid, (0.0, 0.0), derive_stream(seed, f"{label}/{i}")
+            )
+            for i in range(start, min(start + block, n_draws))
+        ]
 
 
 def check_survey_prediction_rms(seed: int) -> tuple[bool, float, str, dict]:
@@ -212,22 +225,15 @@ def check_azimuth_correlation_scale(seed: int) -> tuple[bool, float, str, dict]:
 
 
 def check_spin_calibration(seed: int) -> tuple[bool, float, str, dict]:
-    room, params = _default_room(), _default_params()
-    grid = AzimuthGrid.default_for(params.phi_rms_deg)
-    rx = gaussian_horn(10.0, grid)
-    tx = omni(grid)
     pointings = uniform_pointings(148)
-    w, txf = _pointing_weights(grid, rx, tx, pointings)
+    spin = _default_spin(pointings)
     n_seeds = 4000
-    ratios = np.empty(n_seeds)
-    for i in range(n_seeds):
-        field = gen_azimuth_channel(
-            room, params, grid, (0.0, 0.0), derive_stream(seed, f"spincal/{i}")
-        )
-        y = w @ (field.amplitudes * txf)
-        mean_power = float(np.mean(np.abs(y) ** 2))
-        ratios[i] = mean_power / (field.p0 * 10.0 ** (field.p_v_db / 10.0))
-    stat = float(np.mean(ratios))
+    ratios = []
+    for fields in _channel_blocks(seed, "spincal", n_seeds):
+        y = spin(np.stack([f.amplitudes for f in fields]))
+        level = np.array([f.p0 * 10.0 ** (f.p_v_db / 10.0) for f in fields])
+        ratios.append(np.mean(np.abs(y) ** 2, axis=1) / level)
+    stat = float(np.mean(np.concatenate(ratios)))
     return (
         abs(stat - 1.0) <= 0.02,
         stat,
@@ -237,29 +243,17 @@ def check_spin_calibration(seed: int) -> tuple[bool, float, str, dict]:
 
 
 def check_spatial_decorrelation(seed: int) -> tuple[bool, float, str, dict]:
-    room, params = _default_room(), _default_params()
-    grid = AzimuthGrid.default_for(params.phi_rms_deg)
-    rx = gaussian_horn(10.0, grid)
-    tx = omni(grid)
     pointings = uniform_pointings(148)
-    w, txf = _pointing_weights(grid, rx, tx, pointings)
+    spin = _default_spin(pointings)
     positions = np.arange(11) * 0.1  # 1 m line, 0.1 m steps
     n_seeds = 200
-    rho_sum = None
-    seps = None
-    for i in range(n_seeds):
-        base = gen_azimuth_channel(
-            room, params, grid, (0.0, 0.0), derive_stream(seed, f"spatial/{i}")
-        )
-        spectra = []
-        for x in positions:
-            fld = base.relocate((float(x), 0.0))
-            y = w @ (fld.amplitudes * txf)
-            spectra.append(
-                SpunSpectrum(pointings_deg=pointings, power=np.abs(y) ** 2)
-            )
-        seps, rho = spatial_correlation(spectra, positions)
-        rho_sum = rho if rho_sum is None else rho_sum + rho
+    rho_sum = 0.0
+    for fields in _channel_blocks(seed, "spatial", n_seeds, block=25):
+        moved = [[f.relocate((float(x), 0.0)).amplitudes for x in positions] for f in fields]
+        for power in np.abs(spin(np.array(moved))) ** 2:
+            spectra = [SpunSpectrum(pointings_deg=pointings, power=p) for p in power]
+            seps, rho = spatial_correlation(spectra, positions)
+            rho_sum = rho_sum + rho
     rho_mean = rho_sum / n_seeds
     at_01 = float(rho_mean[np.argmin(np.abs(seps - 0.1))])
     return (
@@ -271,20 +265,13 @@ def check_spatial_decorrelation(seed: int) -> tuple[bool, float, str, dict]:
 
 
 def check_autocorrelation_main_lobe(seed: int) -> tuple[bool, float, str, dict]:
-    room, params = _default_room(), _default_params()
-    grid = AzimuthGrid.default_for(params.phi_rms_deg)
-    rx = gaussian_horn(10.0, grid)
-    tx = omni(grid)
     pointings = uniform_pointings(1440)  # 0.25 deg lag resolution
-    w, txf = _pointing_weights(grid, rx, tx, pointings)
+    spin = _default_spin(pointings)
     n_seeds = 300
     spectra = []
-    for i in range(n_seeds):
-        field = gen_azimuth_channel(
-            room, params, grid, (0.0, 0.0), derive_stream(seed, f"acorr/{i}")
-        )
-        y = w @ (field.amplitudes * txf)
-        spectra.append(SpunSpectrum(pointings_deg=pointings, power=np.abs(y) ** 2))
+    for fields in _channel_blocks(seed, "acorr", n_seeds):
+        power = np.abs(spin(np.stack([f.amplitudes for f in fields]))) ** 2
+        spectra.extend(SpunSpectrum(pointings_deg=pointings, power=p) for p in power)
     lags, rho = azimuth_autocorrelation(spectra)
     hw_sim = correlation_half_width(lags, rho)
     ref_lags, ref_rho = pattern_autocorrelation(gaussian_horn(10.0, AzimuthGrid(1440)))
@@ -298,30 +285,20 @@ def check_autocorrelation_main_lobe(seed: int) -> tuple[bool, float, str, dict]:
     )
 
 
-def _variation_samples(seed: int, label: str, n_seeds: int, w, txf, room, params, grid):
+def _variation_samples(seed: int, label: str, n_seeds: int, spin):
     """Per-spectrum mean-removed dB samples and per-spectrum dB stds."""
-    samples = np.empty((n_seeds, w.shape[0]))
-    stds = np.empty(n_seeds)
-    for i in range(n_seeds):
-        field = gen_azimuth_channel(
-            room, params, grid, (0.0, 0.0), derive_stream(seed, f"{label}/{i}")
-        )
-        y = w @ (field.amplitudes * txf)
-        db = to_db(np.abs(y) ** 2)
-        samples[i] = db - db.mean()
-        stds[i] = db.std()
-    return samples.ravel(), stds
+    db = np.concatenate([
+        to_db(np.abs(spin(np.stack([f.amplitudes for f in fields]))) ** 2)
+        for fields in _channel_blocks(seed, label, n_seeds)
+    ])
+    return (db - db.mean(axis=1, keepdims=True)).ravel(), db.std(axis=1)
 
 
 def check_cdf_seed_stability(seed: int) -> tuple[bool, float, str, dict]:
-    room, params = _default_room(), _default_params()
-    grid = AzimuthGrid.default_for(params.phi_rms_deg)
-    rx = gaussian_horn(10.0, grid)
-    tx = omni(grid)
-    pointings = uniform_pointings(148)
-    w, txf = _pointing_weights(grid, rx, tx, pointings)
-    samples_a, stds_a = _variation_samples(seed, "cdfA", 500, w, txf, room, params, grid)
-    samples_b, stds_b = _variation_samples(seed, "cdfB", 500, w, txf, room, params, grid)
+    params = _default_params()
+    spin = _default_spin(uniform_pointings(148))
+    samples_a, stds_a = _variation_samples(seed, "cdfA", 500, spin)
+    samples_b, stds_b = _variation_samples(seed, "cdfB", 500, spin)
     deciles = np.arange(0.1, 0.95, 0.1)
     qa = np.quantile(samples_a, deciles)
     qb = np.quantile(samples_b, deciles)

@@ -12,7 +12,7 @@ from rfclutter import (
     pattern_autocorrelation,
     tabulated,
 )
-from rfclutter.antennas import HPBW_TO_RMS
+from rfclutter.antennas import HPBW_TO_RMS, _normalize
 
 GRID = AzimuthGrid(1800)
 
@@ -135,6 +135,25 @@ def test_tabulated_requires_increasing_azimuth():
         tabulated([0.0, 10.0, 5.0], [0.0, 0.0, 0.0], GRID)
     with pytest.raises(ValueError):
         tabulated([0.0, 360.0], [0.0, 0.0], GRID)
+
+
+def test_tabulated_rejects_non_finite_samples(tmp_path):
+    for gain in ([0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError):
+            tabulated([0.0, 180.0], gain, GRID)
+    with pytest.raises(ValueError):
+        tabulated([0.0, math.nan], [0.0, 0.0], GRID)
+    path = tmp_path / "pattern.csv"
+    path.write_text("azimuth_deg,gain_db\n0,10\n90,nan\n180,0\n")
+    with pytest.raises(ValueError):
+        load_pattern_csv(path, GRID)
+
+
+def test_normalize_rejects_nan_power():
+    power = np.ones(GRID.n_bins)
+    power[7] = math.nan
+    with pytest.raises(ValueError):
+        _normalize(GRID, power)
 
 
 def test_gain_at_matches_directivity():

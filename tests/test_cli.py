@@ -138,3 +138,23 @@ def test_validate_reports_failure_with_exit_one(tmp_path, monkeypatch):
     assert rc == 1
     report = json.loads((out / "validation_report.json").read_text())
     assert report["passed"] is False
+
+
+def test_pointings_per_rotation_must_be_positive_integer(tmp_path, capsys):
+    for value in (0, 10.9):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spin": {"pointings_per_rotation": value}}))
+        out = tmp_path / "o"
+        assert run(["synth-azimuth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "spin.pointings_per_rotation" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_non_finite_config_number_is_rejected(tmp_path, capsys):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"room": {"width_m": value}}))
+        out = tmp_path / "o"
+        assert run(["synth-azimuth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "room.width_m" in capsys.readouterr().err
+        assert not out.exists()

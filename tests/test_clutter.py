@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rfclutter import (
     spin_response,
     uniform_pointings,
 )
-from rfclutter.clutter import AzimuthField
+from rfclutter.clutter import AzimuthField, spin_operator
 from rfclutter.core import SPEED_OF_LIGHT
 
 CARRIER = CarrierSpec(28e9)
@@ -93,6 +94,78 @@ def test_spin_single_arrival_traces_product_pattern():
         * GRID.delta_phi_rad**2
     )
     assert np.allclose(spec.power, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pointings",
+    [
+        uniform_pointings(360),  # on the 0.2 deg grid: FFT convolution
+        uniform_pointings(148),  # off the grid: weight matrix
+        np.tile(uniform_pointings(148), 2),  # repeated off-grid pointings
+        # a second rotation whose timestamp-derived angles differ in the last bit
+        np.concatenate([uniform_pointings(148), np.nextafter(uniform_pointings(148), 360.0)]),
+    ],
+    ids=["on-grid-360", "off-grid-148", "off-grid-repeated", "off-grid-last-bit"],
+)
+def test_spin_operator_matches_rows_and_explicit_sum(pointings):
+    rx, tx = gaussian_horn(10.0, GRID), gaussian_horn(40.0, GRID)
+    tx_pointing = 37.3
+    amplitudes = np.stack([
+        gen_azimuth_channel(
+            ROOM, _params(), GRID, (0.0, 0.0), derive_stream(14, f"op/{i}")
+        ).amplitudes
+        for i in range(3)
+    ])
+    spin = spin_operator(GRID, rx, tx, pointings, tx_pointing)
+    batch = spin(amplitudes)
+    assert batch.shape == (3, pointings.size)
+
+    rows = np.stack([spin(a) for a in amplitudes])
+    phi = GRID.centers_deg
+    w = rx.field_at(phi[None, :] - pointings[:, None]) * tx.field_at(phi - tx_pointing)
+    explicit = GRID.delta_phi_rad * (amplitudes @ w.T)
+    # relative to the largest value: far from both beams the FFT's absolute
+    # rounding dominates the tiny spun amplitudes
+    scale = np.max(np.abs(explicit))
+    assert np.max(np.abs(batch - rows)) <= 1e-12 * scale
+    assert np.max(np.abs(batch - explicit)) <= 1e-12 * scale
+
+
+def test_spin_merges_pointings_a_last_bit_apart():
+    # a static scene repeats its pointings every rotation up to the last
+    # bit; the operator spins each once
+    rx, tx = gaussian_horn(10.0, GRID), omni(GRID)
+    first = uniform_pointings(148) + 0.05
+    field = gen_azimuth_channel(ROOM, _params(), GRID, (0.0, 0.0), derive_stream(16, "bit"))
+    y = spin_operator(GRID, rx, tx, np.concatenate([first, np.nextafter(first, 360.0)]))(
+        field.amplitudes
+    )
+    assert np.array_equal(y[:148], y[148:])
+
+
+def test_dense_off_grid_sweep_matches_its_parts():
+    # 12000 x 360 weights exceed what an operator holds, so this sweep
+    # rebuilds its weight blocks per call; each part below is held
+    grid = AzimuthGrid(360)
+    rx, tx = gaussian_horn(10.0, grid), gaussian_horn(40.0, grid)
+    pointings = np.arange(12000) * 0.03 + 0.013
+    amplitudes = np.stack([
+        gen_azimuth_channel(
+            ROOM, _params(), grid, (0.0, 0.0), derive_stream(15, f"dense/{i}")
+        ).amplitudes
+        for i in range(3)
+    ])
+    tracemalloc.start()
+    spin = spin_operator(grid, rx, tx, pointings, 12.0)
+    kept = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert kept < 4e6  # the held matrix would be 35 MB
+    dense = spin(amplitudes)
+    parts = np.concatenate(
+        [spin_operator(grid, rx, tx, part, 12.0)(amplitudes) for part in np.split(pointings, 12)],
+        axis=-1,
+    )
+    assert np.max(np.abs(dense - parts)) <= 1e-12 * np.max(np.abs(parts))
 
 
 def test_spin_requires_pointings():
