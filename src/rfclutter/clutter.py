@@ -8,6 +8,15 @@ Y(p) = dphi * sum_i h_i f_R(phi_i - p) f_T(phi_i - tx_pointing) over the last
 axis of the amplitudes, computed as a circular FFT convolution when every
 pointing is a grid center and as one weight matrix otherwise.
 
+Delay-azimuth maps
+------------------
+A map draws from its stream in a fixed order: P_v, then the white noise of
+every live delay row's dB field, then every live row's uniform phases.  The
+map is drawn, spun and band-limited in row blocks of about 32k elements, so
+a block's temporaries stay in L2; the block size changes no draw.  Rows
+before the echo onset are never drawn: they are exact zeros in the map and
+stay exact zeros through the spin and the direct delay convolution.
+
 Discretization normalization
 ----------------------------
 The arrival phases are i.i.d. per bin, so the mean power of the discrete
@@ -37,6 +46,7 @@ from .core import (
     to_db,
 )
 from .randomfields import (
+    LN10_OVER_20,
     AzimuthGrid,
     LognormalFieldParams,
     RandomStream,
@@ -49,6 +59,45 @@ TWO_PI = 2.0 * math.pi
 # sounder-style spin schedule: full rotation every 0.2 s at 740 samples/s
 DEFAULT_SPIN_PERIOD_S = 0.2
 DEFAULT_SAMPLE_RATE_HZ = 740.0
+
+# row blocks of about 32k elements keep a block's temporaries in L2
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    step = max(1, _BLOCK_ELEMENTS // n_cols)
+    return [slice(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
+
+
+# exp(2j pi u) as a table of exp(2j pi n / 4096) times a small-angle series.
+# The step 2 pi / 4096 is _STEP_HI (40 bits, so n * _STEP_HI is exact for
+# n <= 4096) plus _STEP_LO, which carries 2 pi - float(2 pi) = 2.449e-16.
+_PHASOR_STEPS = 4096
+_STEP_MANT, _STEP_EXP = math.frexp(TWO_PI / _PHASOR_STEPS)
+_STEP_HI = math.ldexp(math.floor(math.ldexp(_STEP_MANT, 40)), _STEP_EXP - 40)
+_STEP_LO = (TWO_PI / _PHASOR_STEPS - _STEP_HI) + 2.4492935982947064e-16 / _PHASOR_STEPS
+_QUARTER = np.exp(1j * (np.arange(_PHASOR_STEPS // 4) * (TWO_PI / _PHASOR_STEPS)))
+_PHASOR_TABLE = np.concatenate([_QUARTER, 1j * _QUARTER, -_QUARTER, -1j * _QUARTER])
+
+
+def _unit_phasors(u: np.ndarray) -> np.ndarray:
+    """exp(1j * 2 pi u) for u in [0, 1), within about 4e-16 of np.exp.
+
+    The angle is rounded as 2 pi u, like ``uniform(0, 2 pi)`` draws it, then
+    reduced exactly to the nearest table step: the series residual is below
+    2e-21 for the reduced angle |r| <= pi / 4096.
+    """
+    theta = u * TWO_PI
+    n = np.rint(theta * (_PHASOR_STEPS / TWO_PI))
+    r = theta - n * _STEP_HI  # exact
+    r -= n * _STEP_LO
+    r2 = r * r
+    series = np.empty(u.shape, dtype=complex)
+    series.real = 1.0 + r2 * (-0.5 + r2 * (1.0 / 24.0))
+    series.imag = r * (1.0 + r2 * (-1.0 / 6.0 + r2 * (1.0 / 120.0)))
+    out = _PHASOR_TABLE[n.astype(np.intp) & (_PHASOR_STEPS - 1)]
+    out *= series
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,9 +224,12 @@ def spin_operator(
     (..., n_pointings) complex spun amplitudes (see the module docstring).
 
     Patterns are evaluated analytically at the grid; the latest operator is
-    kept.  Off the grid the error is relative rounding; on it the FFT's error
-    is about machine epsilon times the largest spun amplitude, so pointings
-    where both beams miss the clutter read as that rounding noise.
+    kept.  It applies itself in row blocks of about 32k elements.  Off the
+    grid f_T is folded into the weight rows, and rows too many to hold are
+    built once per call.  Off the grid the error is relative rounding; on it
+    the FFT's error is about machine epsilon times the largest spun
+    amplitude, so pointings where both beams miss the clutter read as that
+    rounding noise.
     """
     pointings = np.asarray(pointings_deg, dtype=float).ravel()
     if pointings.size == 0:
@@ -196,29 +248,47 @@ def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
         # every pointing is a bin center: a circular convolution with
         # dphi f_R(-phi_j), read at the pointed bins
         kernel = np.fft.fft(np.roll(rx.field_at(centers)[::-1], 1) * grid.delta_phi_rad)
-        def spin(amplitudes):
-            return np.fft.ifft(np.fft.fft(amplitudes * txf, axis=-1) * kernel, axis=-1)[..., idx]
-        return spin
+        def spin_rows(a, out):
+            for r in _row_blocks(a.shape[0], grid.n_bins):
+                out[r] = np.fft.ifft(np.fft.fft(a[r] * txf, axis=-1) * kernel, axis=-1)[:, idx]
+        return _on_rows(spin_rows, grid.n_bins, pointings.size)
 
-    # one row dphi f_R(phi_i - p) per distinct pointing p (to 1e-9 deg), built
-    # in blocks of 128 rows, held up to 32 MB and rebuilt per call beyond that
+    # one row dphi f_R(phi_i - p) f_T(phi_i - tx_pointing) per distinct
+    # pointing p (to 1e-9 deg), built in blocks of 128 rows, held up to 32 MB
+    # and otherwise rebuilt once per call
     _, first, inverse = np.unique(np.round(pointings, 9), return_index=True, return_inverse=True)
     rows = pointings[first]
     blocks = [slice(s, s + 128) for s in range(0, rows.size, 128)]
     def weights(block):
-        return rx.field_at(centers[None, :] - rows[block, None]) * grid.delta_phi_rad
+        return rx.field_at(centers[None, :] - rows[block, None]) * (txf * grid.delta_phi_rad)
     held = None
     if rows.size * grid.n_bins <= 1 << 22:
         held = np.empty((rows.size, grid.n_bins))
         for block in blocks:
             held[block] = weights(block)
+    in_order = np.array_equal(inverse, np.arange(pointings.size))
+    def spin_rows(a, out):
+        distinct = out if in_order else np.empty((a.shape[0], rows.size), dtype=complex)
+        for block in [slice(None)] if held is not None else blocks:
+            w = held if held is not None else weights(block)
+            for r in _row_blocks(a.shape[0], grid.n_bins):
+                # real and imaginary parts stacked: one real product with w
+                n = r.stop - r.start
+                parts = np.concatenate([a[r].real, a[r].imag]) @ w.T
+                distinct.real[r, block] = parts[:n]
+                distinct.imag[r, block] = parts[n:]
+        if not in_order:
+            np.take(distinct, inverse, axis=1, out=out)
+    return _on_rows(spin_rows, grid.n_bins, pointings.size)
+
+
+def _on_rows(spin_rows, n_bins, n_pointings):
+    """Lift spin_rows(a, out) on (rows, n_bins) to (..., n_bins) amplitudes."""
     def spin(amplitudes):
-        weighted = amplitudes * txf  # two real products: no complex copy of w
-        out = np.empty(weighted.shape[:-1] + (rows.size,), dtype=complex)
-        for block in blocks:
-            w = weights(block) if held is None else held[block]
-            out[..., block] = weighted.real @ w.T + 1j * (weighted.imag @ w.T)
-        return out[..., inverse]
+        amplitudes = np.asarray(amplitudes)
+        out = np.empty(amplitudes.shape[:-1] + (n_pointings,), dtype=complex)
+        spin_rows(amplitudes.reshape(-1, n_bins), out.reshape(-1, n_pointings))
+        return out
     return spin
 
 
@@ -327,7 +397,7 @@ def gen_delay_azimuth_channel(
     independent azimuth-correlated dB field and i.i.d. phases, with the bin
     power following the reverberant decay envelope.  Delay bins are
     independent: delay correlation enters physically through the probing
-    waveform.
+    waveform.  The draw order and the blocks are in the module docstring.
     """
     if abs(dgrid.onset_s - room.onset_s) > 1e-15:
         raise ConfigurationError("delay grid onset is inconsistent with the room")
@@ -344,22 +414,26 @@ def gen_delay_azimuth_channel(
     live = taus >= dgrid.onset_s
     n_live = int(np.count_nonzero(live))
     corr_bins = fp.phi_rms_deg / agrid.delta_phi_deg
-    fields_db = fp.mu_db + fp.sigma_db * gaussian_field_rows(
-        rng, n_live, agrid.n_bins, corr_bins
-    )
-    phases = rng.uniform(0.0, TWO_PI, (n_live, agrid.n_bins))
-
     wl = params.carrier.wavelength_m
     p0 = average_backscatter_ratio(
         room.distance_to_wall_m, wl, room.surface.reflectivity()
     )
     envelope = pdp_envelope(taus[live], room.distance_to_wall_m, room.t_rev_s)
-    scale = math.sqrt(TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s)
-    mag = scale * np.sqrt(
-        p0 * envelope[:, None] * 10.0 ** ((p_v_db + fields_db) / 10.0)
-    )
+    scale_sq = TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s
+    # |h| = sqrt(scale^2 p0 envelope 10^((P_v + field_dB)/10)) = exp(c z + row_log)
+    # with field_dB = mu + sigma z and c = ln(10)/20
+    row_log = LN10_OVER_20 * (p_v_db + fp.mu_db) + 0.5 * np.log(scale_sq * p0 * envelope)
     amplitudes = np.zeros((dgrid.n_bins, agrid.n_bins), dtype=complex)
-    amplitudes[live] = mag * np.exp(1j * phases)
+    live_rows = amplitudes[dgrid.n_bins - n_live :]  # the onset starts a suffix
+    blocks = _row_blocks(n_live, agrid.n_bins)
+    for block in blocks:  # every field row is drawn before any phase
+        z = gaussian_field_rows(rng, block.stop - block.start, agrid.n_bins, corr_bins)
+        z *= LN10_OVER_20 * fp.sigma_db
+        z += row_log[block, None]
+        np.exp(z, out=live_rows.real[block])
+    for block in blocks:
+        u = rng.random((block.stop - block.start, agrid.n_bins))  # uniform(0, 2 pi) / 2 pi
+        live_rows[block] = _unit_phasors(u) * live_rows.real[block]
     return DelayAzimuthField(
         dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=float(p_v_db), p0=p0
     )
@@ -444,6 +518,15 @@ def _resample_waveform(waveform: ProbeWaveform, delta_tau_s: float) -> np.ndarra
     return x / math.sqrt(energy)
 
 
+def _leading_zero_rows(a: np.ndarray) -> int:
+    """Number of all-zero rows at the top of ``a``, scanned block by block."""
+    for block in _row_blocks(a.shape[0], a.shape[1]):
+        nonzero = a[block].any(axis=1)
+        if nonzero.any():
+            return block.start + int(np.argmax(nonzero))
+    return a.shape[0]
+
+
 def band_limit(
     field: DelayAzimuthField,
     waveform: ProbeWaveform,
@@ -455,19 +538,26 @@ def band_limit(
     """Probe the clutter map: convolve in angle with the antenna patterns and
     in delay with the waveform, returning |.|^2 per (delay, pointing).
 
-    The delay convolution is computed directly (not by FFT) so bins before
-    the onset stay exactly zero.
+    One :func:`spin_operator` spins every delay row from the first nonzero
+    one on.  The delay convolution is direct, not by FFT: block by block of
+    about 32k output elements, each waveform tap adds its multiple of the
+    spun rows into a zeroed output.  Bins before the first nonzero row (the
+    onset, for a drawn map) are never computed and stay exactly 0.
     """
     pointings = field.agrid.centers_deg if pointings_deg is None else pointings_deg
     pointings = np.atleast_1d(np.asarray(pointings, dtype=float))
-    y_sel = spin_operator(field.agrid, rx, tx, pointings, tx_pointing_deg)(field.amplitudes)
+    lead = _leading_zero_rows(field.amplitudes)
+    spin = spin_operator(field.agrid, rx, tx, pointings, tx_pointing_deg)
+    y_sel = spin(field.amplitudes[lead:])
 
-    x = _resample_waveform(waveform, field.dgrid.delta_tau_s)
-    n_out = field.dgrid.n_bins + x.size - 1
-    y_bl = np.empty((n_out, y_sel.shape[1]), dtype=complex)
-    for j in range(y_sel.shape[1]):
-        y_bl[:, j] = np.convolve(y_sel[:, j], x)
-    y_bl *= field.dgrid.delta_tau_s
+    taps = _resample_waveform(waveform, field.dgrid.delta_tau_s) * field.dgrid.delta_tau_s
+    n_out = field.dgrid.n_bins + taps.size - 1
+    y_bl = np.zeros((n_out, pointings.size), dtype=complex)
+    live = y_bl[lead:]
+    for block in _row_blocks(live.shape[0], pointings.size):
+        for k, tap in enumerate(taps):  # live[t] += tap_k y_sel[t - k] for t in block
+            src = slice(max(block.start - k, 0), min(block.stop - k, y_sel.shape[0]))
+            live[src.start + k : src.stop + k] += tap * y_sel[src]
     delays = np.arange(n_out) * field.dgrid.delta_tau_s
     return DelayAzimuthResponse(
         delays_s=delays, pointings_deg=pointings, power=np.abs(y_bl) ** 2

@@ -63,18 +63,30 @@ def _check_keys(node: dict, allowed, path: str) -> None:
 
 
 def _merge(default, override, path: str):
-    """Fill the default tree with override values, rejecting unknown keys."""
+    """Fill the default tree with override values, rejecting unknown keys.
+
+    A pattern node (one with a ``kind``) that names another kind than the
+    default replaces it whole; :func:`_pattern_from_tree` checks its keys.
+    """
     if not isinstance(override, dict):
         raise ConfigurationError(f"config {path or '(top level)'}: expected an object")
     _check_keys(override, default.keys(), path)
     merged = copy.deepcopy(default)
     for key, value in override.items():
         child = f"{path}.{key}" if path else key
-        if isinstance(default[key], dict) and key != "waypoints":
+        if isinstance(default[key], dict) and not _is_other_kind(default[key], value):
             merged[key] = _merge(default[key], value, child)
         else:
             merged[key] = copy.deepcopy(value)
     return merged
+
+
+def _is_other_kind(default: dict, override) -> bool:
+    return (
+        "kind" in default
+        and isinstance(override, dict)
+        and override.get("kind", default["kind"]) != default["kind"]
+    )
 
 
 def load_config_tree(path=None) -> dict:

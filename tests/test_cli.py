@@ -158,3 +158,51 @@ def test_non_finite_config_number_is_rejected(tmp_path, capsys):
         assert run(["synth-azimuth", "--config", str(cfg), "--out", str(out)]) == 2
         assert "room.width_m" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _spectra_db(out):
+    rows = (out / "azimuth_spectra.csv").read_text().splitlines()[2:]
+    return np.array([float(r.split(",")[2]) for r in rows])
+
+
+def test_config_file_selects_pattern_kinds(tmp_path):
+    # a pattern node naming another kind than the default replaces it whole
+    pattern = tmp_path / "pattern.csv"
+    az = np.arange(0.0, 360.0, 5.0)
+    gain_db = -0.02 * ((az + 180.0) % 360.0 - 180.0) ** 2
+    pattern.write_text(
+        "azimuth_deg,gain_db\n" + "".join(f"{a},{g}\n" for a, g in zip(az, gain_db))
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"antennas": {
+        "rx": {"kind": "csv", "path": str(pattern)},
+        "tx": {"kind": "gaussian", "hpbw_deg": 60},
+    }}))
+    out = tmp_path / "o"
+    assert run(["synth-azimuth", "--config", str(cfg), "--out", str(out)]) == 0
+    assert np.all(np.isfinite(_spectra_db(out)))
+    antennas = json.loads((out / "run_meta.json").read_text())["config"]["antennas"]
+    assert antennas["rx"] == {"kind": "csv", "path": str(pattern)}
+    assert antennas["tx"] == {"kind": "gaussian", "hpbw_deg": 60}
+
+
+def test_pattern_node_without_kind_merges(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"antennas": {"rx": {"hpbw_deg": 20}}}))
+    out = tmp_path / "o"
+    assert run(["synth-azimuth", "--config", str(cfg), "--out", str(out)]) == 0
+    assert np.all(np.isfinite(_spectra_db(out)))
+    rx = json.loads((out / "run_meta.json").read_text())["config"]["antennas"]["rx"]
+    assert rx == {"kind": "gaussian", "hpbw_deg": 20}
+
+
+def test_unknown_key_in_pattern_node_is_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"antennas": {"rx": {"kind": "csv", "path": "p.csv", "gain_db": 3}}}
+    ))
+    out = tmp_path / "o"
+    assert run(["synth-azimuth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "antennas.rx" in err and "gain_db" in err
+    assert not out.exists()

@@ -22,8 +22,11 @@ from rfclutter import (
     spin_response,
     uniform_pointings,
 )
-from rfclutter.clutter import AzimuthField, spin_operator
-from rfclutter.core import SPEED_OF_LIGHT
+from rfclutter import clutter
+from rfclutter.antennas import AntennaPattern
+from rfclutter.clutter import AzimuthField, DelayAzimuthField, spin_operator
+from rfclutter.core import SPEED_OF_LIGHT, average_backscatter_ratio
+from rfclutter.randomfields import gaussian_field_rows, lognormal_mean_offset
 
 CARRIER = CarrierSpec(28e9)
 ROOM = RoomSpec(3.0, 3.0, t_rev_s=10e-9)
@@ -349,3 +352,116 @@ def test_band_limit_rejects_coarse_waveform():
     fine_field = gen_delay_azimuth_channel(ROOM, _params(), fine, agrid, derive_stream(10, "cw"))
     with pytest.raises(ConfigurationError):
         band_limit(fine_field, slow, omni(agrid), omni(agrid))
+
+
+def _reference_delay_map(room, params, dgrid, agrid, stream):
+    """The delay-azimuth draw written out over the whole map at once."""
+    rng = stream.generator()
+    p_v_db = (
+        lognormal_mean_offset(params.sigma_v_db)
+        + params.sigma_v_db * rng.standard_normal()
+    )
+    live = dgrid.taus_s >= dgrid.onset_s
+    fp = params.field_params
+    fields_db = fp.mu_db + fp.sigma_db * gaussian_field_rows(
+        rng, int(np.count_nonzero(live)), agrid.n_bins, fp.phi_rms_deg / agrid.delta_phi_deg
+    )
+    phases = rng.uniform(0.0, 2.0 * math.pi, fields_db.shape)
+    p0 = average_backscatter_ratio(
+        room.distance_to_wall_m, params.carrier.wavelength_m, room.surface.reflectivity()
+    )
+    envelope = pdp_envelope(dgrid.taus_s[live], room.distance_to_wall_m, room.t_rev_s)
+    scale = math.sqrt(2.0 * math.pi / agrid.delta_phi_rad / dgrid.delta_tau_s)
+    mag = scale * np.sqrt(p0 * envelope[:, None] * 10.0 ** ((p_v_db + fields_db) / 10.0))
+    amplitudes = np.zeros((dgrid.n_bins, agrid.n_bins), dtype=complex)
+    amplitudes[live] = mag * np.exp(1j * phases)
+    return amplitudes, p_v_db
+
+
+def test_delay_map_draws_match_whole_map_reference():
+    agrid = AzimuthGrid(360)
+    dgrid = DelayGrid.for_room(ROOM)
+    n_live = int(np.count_nonzero(dgrid.taus_s >= dgrid.onset_s))
+    assert n_live % (clutter._BLOCK_ELEMENTS // agrid.n_bins) != 0  # a partial last block
+    stream = derive_stream(17, "pin")
+    field = gen_delay_azimuth_channel(ROOM, _params(), dgrid, agrid, stream)
+    expected, p_v_db = _reference_delay_map(ROOM, _params(), dgrid, agrid, stream)
+    assert field.p_v_db == p_v_db
+    live = expected != 0
+    assert np.array_equal(field.amplitudes != 0, live)
+    rel = np.abs(field.amplitudes[live] - expected[live]) / np.abs(expected[live])
+    assert np.max(rel) <= 1e-12
+
+
+def test_unit_phasors_match_exp():
+    k = np.arange(4097) / 4096.0
+    u = np.concatenate([
+        [0.0, 1.0 - 2.0**-53],
+        np.nextafter(k[:-1], 1.0),  # k/4096 + 1 ulp
+        np.nextafter(k[1:], 0.0),  # k/4096 - 1 ulp
+        k[:-1],
+        np.random.default_rng(18).random(100000),
+    ])
+    z = clutter._unit_phasors(u)
+    assert np.max(np.abs(z - np.exp(2j * np.pi * u))) <= 1e-15
+    assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-15
+
+
+def _explicit_band_limit(field, taps, rx, tx, pointings, tx_pointing):
+    """Explicit field_at spin sum, then one np.convolve per pointing."""
+    phi = field.agrid.centers_deg
+    w = rx.field_at(phi[None, :] - pointings[:, None]) * tx.field_at(phi - tx_pointing)
+    y = field.agrid.delta_phi_rad * (field.amplitudes @ w.T)
+    y_bl = np.stack([np.convolve(y[:, j], taps) for j in range(pointings.size)], axis=1)
+    return np.abs(y_bl * field.dgrid.delta_tau_s) ** 2
+
+
+@pytest.mark.parametrize(
+    "pointings",
+    [uniform_pointings(72), uniform_pointings(72) + 0.3],
+    ids=["on-grid", "off-grid"],
+)
+def test_band_limit_matches_explicit_reference(pointings):
+    agrid = AzimuthGrid(360)
+    dgrid = DelayGrid.for_room(ROOM)
+    field = gen_delay_azimuth_channel(ROOM, _params(), dgrid, agrid, derive_stream(19, "bl"))
+    # a complex probe sampled on the delay grid, so its taps are its samples
+    t = np.linspace(-1.0, 1.0, 11)
+    probe = make_probe_waveform(
+        1e9, sample_rate_hz=10e9, shape="tabulated",
+        samples=np.hamming(11) * (1.0 + 0.3 * t) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)),
+    )
+    rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(60.0, agrid)
+    resp = band_limit(field, probe, rx, tx, pointings, tx_pointing_deg=20.0)
+    expected = _explicit_band_limit(field, probe.samples, rx, tx, pointings, 20.0)
+    assert resp.power.shape == expected.shape
+    assert np.max(np.abs(resp.power - expected)) <= 1e-12 * np.max(expected)
+    assert np.all(resp.power[resp.delays_s < dgrid.onset_s] == 0.0)
+
+
+def test_band_limit_builds_streamed_weights_once(monkeypatch):
+    # 2400 x 1800 weights exceed what an operator holds, and 150 delay rows
+    # are 9 row blocks: the weights must still be built once per call
+    agrid = AzimuthGrid(1800)
+    pointings = np.arange(2400) * 0.15 + 0.01
+    assert pointings.size * agrid.n_bins > 1 << 22
+    dgrid = DelayGrid(0.1e-9, 15e-9, onset_s=10e-9)
+    rng = np.random.default_rng(20)
+    amplitudes = rng.standard_normal((dgrid.n_bins, 2 * agrid.n_bins)).view(complex)
+    amplitudes[dgrid.taus_s < dgrid.onset_s] = 0.0
+    field = DelayAzimuthField(dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=0.0, p0=1.0)
+    probe = make_probe_waveform(1e9)
+    rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(40.0, agrid)
+    held = np.concatenate(
+        [band_limit(field, probe, rx, tx, part, 12.0).power for part in np.split(pointings, 2)],
+        axis=1,
+    )
+    calls = []
+    field_at = AntennaPattern.field_at
+    def counted(self, offset_deg):
+        calls.append(1)
+        return field_at(self, offset_deg)
+    monkeypatch.setattr(AntennaPattern, "field_at", counted)
+    streamed = band_limit(field, probe, rx, tx, pointings, 12.0).power
+    assert len(calls) <= math.ceil(pointings.size / 128) + 1
+    assert np.max(np.abs(streamed - held)) <= 1e-12 * np.max(held)
