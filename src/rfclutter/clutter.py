@@ -8,14 +8,16 @@ Y(p) = dphi * sum_i h_i f_R(phi_i - p) f_T(phi_i - tx_pointing) over the last
 axis of the amplitudes, computed as a circular FFT convolution when every
 pointing is a grid center and as one weight matrix otherwise.
 
-Delay-azimuth maps
-------------------
-A map draws from its stream in a fixed order: P_v, then the white noise of
-every live delay row's dB field, then every live row's uniform phases.  The
-map is drawn, spun and band-limited in row blocks of about 32k elements, so
-a block's temporaries stay in L2; the block size changes no draw.  Rows
-before the echo onset are never drawn: they are exact zeros in the map and
-stay exact zeros through the spin and the direct delay convolution.
+Channel draws
+-------------
+An azimuth channel is the one-row case of a delay-azimuth map, with a unit
+envelope: both are drawn by :func:`_draw_rows`.  A draw takes from its stream
+in a fixed order: P_v, then the white noise of every row's dB field, then
+every row's uniform phases.  Maps are drawn, spun and band-limited in row
+blocks of about 32k elements, so a block's temporaries stay in L2; the block
+size changes no draw.  Rows before the echo onset are never drawn: they are
+exact zeros in the map and stay exact zeros through the spin and the direct
+delay convolution.
 
 Discretization normalization
 ----------------------------
@@ -162,7 +164,34 @@ class SpunSpectrum:
 
     @property
     def power_db(self) -> np.ndarray:
-        return to_db(self.power)
+        with np.errstate(divide="ignore"):
+            return to_db(self.power)
+
+
+def _draw_rows(room, params, grid, stream, scale_sq, envelope, out):
+    """Draw into the zeroed (rows, n_bins) ``out`` rows of magnitude
+    sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10)); return (P_v, p0)."""
+    fp = params.field_params
+    corr_bins = fp.corr_bins(grid)
+    rng = stream.generator()
+    p_v_db = lognormal_mean_offset(params.sigma_v_db) + params.sigma_v_db * rng.standard_normal()
+    p0 = average_backscatter_ratio(
+        room.distance_to_wall_m, params.carrier.wavelength_m, room.surface.reflectivity()
+    )
+    # |h| = exp(c z + row_log) with field_dB = mu + sigma z and c = ln(10)/20;
+    # a zero p0 or envelope gives row_log = -inf and exact zeros
+    with np.errstate(divide="ignore"):
+        row_log = LN10_OVER_20 * (p_v_db + fp.mu_db) + 0.5 * np.log(scale_sq * p0 * envelope)
+    blocks = _row_blocks(out.shape[0], grid.n_bins)
+    for block in blocks:  # every field row is drawn before any phase
+        z = gaussian_field_rows(rng, block.stop - block.start, grid.n_bins, corr_bins)
+        z *= LN10_OVER_20 * fp.sigma_db
+        z += row_log[block, None]
+        np.exp(z, out=out.real[block])
+    for block in blocks:
+        u = rng.random((block.stop - block.start, grid.n_bins))  # uniform(0, 2 pi) / 2 pi
+        out[block] = _unit_phasors(u) * out.real[block]
+    return p_v_db, p0
 
 
 def gen_azimuth_channel(
@@ -172,45 +201,18 @@ def gen_azimuth_channel(
     location_m: tuple[float, float] = (0.0, 0.0),
     stream: RandomStream | None = None,
 ) -> AzimuthField:
-    """Draw one azimuth-only clutter channel instantiation.
-
-    One location-level dB offset P_v, one azimuth-correlated dB field, one
-    i.i.d. uniform phase per bin.  Per-bin amplitude is
-    sqrt(2*pi/dphi) * sqrt(p0 * 10^(P_v/10) * 10^(P(phi)/10)) with the
-    location phase applied on top.
+    """Draw one azimuth-only clutter channel instantiation: the one-row case
+    of :func:`gen_delay_azimuth_channel`, with per-bin magnitude
+    sqrt(2*pi/dphi) * sqrt(p0 * 10^(P_v/10) * 10^(P(phi)/10)).  A nonzero
+    ``location_m`` applies :meth:`AzimuthField.relocate` to the draw.
     """
     if stream is None:
         raise ValueError("a RandomStream is required for reproducible synthesis")
-    fp = params.field_params
-    if grid.delta_phi_deg > fp.phi_rms_deg:
-        raise ConfigurationError(
-            "azimuth grid is coarser than the clutter correlation scale"
-        )
-    rng = stream.generator()
-    mu_v = lognormal_mean_offset(params.sigma_v_db)
-    p_v_db = mu_v + params.sigma_v_db * rng.standard_normal()
-    corr_bins = fp.phi_rms_deg / grid.delta_phi_deg
-    field_db = fp.mu_db + fp.sigma_db * gaussian_field_rows(rng, 1, grid.n_bins, corr_bins)[0]
-    phases = rng.uniform(0.0, TWO_PI, grid.n_bins)
-
-    wl = params.carrier.wavelength_m
-    p0 = average_backscatter_ratio(
-        room.distance_to_wall_m, wl, room.surface.reflectivity()
-    )
-    phi = np.deg2rad(grid.centers_deg)
-    k = TWO_PI / wl
-    x, y = float(location_m[0]), float(location_m[1])
-    loc_phase = 2.0 * k * (x * np.cos(phi) + y * np.sin(phi))
-    scale = math.sqrt(TWO_PI / grid.delta_phi_rad)
-    mag = scale * np.sqrt(p0 * 10.0 ** ((p_v_db + field_db) / 10.0))
-    return AzimuthField(
-        grid=grid,
-        amplitudes=mag * np.exp(1j * (phases + loc_phase)),
-        p_v_db=float(p_v_db),
-        p0=p0,
-        location_m=(x, y),
-        wavelength_m=wl,
-    )
+    amplitudes = np.zeros((1, grid.n_bins), dtype=complex)
+    scale_sq = TWO_PI / grid.delta_phi_rad
+    p_v_db, p0 = _draw_rows(room, params, grid, stream, scale_sq, np.ones(1), amplitudes)
+    field = AzimuthField(grid, amplitudes[0], p_v_db, p0, (0.0, 0.0), params.carrier.wavelength_m)
+    return field.relocate(location_m) if any(location_m) else field
 
 
 def spin_operator(
@@ -401,41 +403,15 @@ def gen_delay_azimuth_channel(
     """
     if abs(dgrid.onset_s - room.onset_s) > 1e-15:
         raise ConfigurationError("delay grid onset is inconsistent with the room")
-    fp = params.field_params
-    if agrid.delta_phi_deg > fp.phi_rms_deg:
-        raise ConfigurationError(
-            "azimuth grid is coarser than the clutter correlation scale"
-        )
-    rng = stream.generator()
-    mu_v = lognormal_mean_offset(params.sigma_v_db)
-    p_v_db = mu_v + params.sigma_v_db * rng.standard_normal()
-
     taus = dgrid.taus_s
     live = taus >= dgrid.onset_s
-    n_live = int(np.count_nonzero(live))
-    corr_bins = fp.phi_rms_deg / agrid.delta_phi_deg
-    wl = params.carrier.wavelength_m
-    p0 = average_backscatter_ratio(
-        room.distance_to_wall_m, wl, room.surface.reflectivity()
-    )
+    amplitudes = np.zeros((dgrid.n_bins, agrid.n_bins), dtype=complex)
+    live_rows = amplitudes[int(np.argmax(live)) :]  # the onset starts a suffix
     envelope = pdp_envelope(taus[live], room.distance_to_wall_m, room.t_rev_s)
     scale_sq = TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s
-    # |h| = sqrt(scale^2 p0 envelope 10^((P_v + field_dB)/10)) = exp(c z + row_log)
-    # with field_dB = mu + sigma z and c = ln(10)/20
-    row_log = LN10_OVER_20 * (p_v_db + fp.mu_db) + 0.5 * np.log(scale_sq * p0 * envelope)
-    amplitudes = np.zeros((dgrid.n_bins, agrid.n_bins), dtype=complex)
-    live_rows = amplitudes[dgrid.n_bins - n_live :]  # the onset starts a suffix
-    blocks = _row_blocks(n_live, agrid.n_bins)
-    for block in blocks:  # every field row is drawn before any phase
-        z = gaussian_field_rows(rng, block.stop - block.start, agrid.n_bins, corr_bins)
-        z *= LN10_OVER_20 * fp.sigma_db
-        z += row_log[block, None]
-        np.exp(z, out=live_rows.real[block])
-    for block in blocks:
-        u = rng.random((block.stop - block.start, agrid.n_bins))  # uniform(0, 2 pi) / 2 pi
-        live_rows[block] = _unit_phasors(u) * live_rows.real[block]
+    p_v_db, p0 = _draw_rows(room, params, agrid, stream, scale_sq, envelope, live_rows)
     return DelayAzimuthField(
-        dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=float(p_v_db), p0=p0
+        dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=p_v_db, p0=p0
     )
 
 

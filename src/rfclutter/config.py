@@ -7,6 +7,7 @@ run's metadata so it can be fed back as a config file and reproduce the run.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -145,28 +146,48 @@ class RunConfig:
     ensemble: int
 
     def scene_spec(self) -> SceneSpec:
+        """The ``scene`` subtree as a SceneSpec; bad values name their key."""
         scn = self.tree["scene"]
-        target = TargetSpec(
-            sigma0_dbsm=float(scn["target"]["rcs_dbsm"]),
-            coherence_time_s=float(scn["target"]["coherence_time_s"]),
-            model=str(scn["target"]["model"]),
-        )
-        traj = Trajectory.from_waypoints(scn["waypoints"])
-        return SceneSpec(
-            room=self.room,
-            clutter=self.clutter,
-            target=target,
-            trajectory=traj,
-            rx=self.rx,
-            tx=self.tx,
-            spin_period_s=self.spin_period_s,
-            sample_rate_hz=self.sample_rate_hz,
-            duration_s=float(scn["duration_s"]),
-            tx_pointing_deg=self.tx_pointing_deg,
-            regenerate_clutter_per_rotation=bool(
-                scn["regenerate_clutter_per_rotation"]
-            ),
-        )
+        regenerate = scn["regenerate_clutter_per_rotation"]
+        if not isinstance(regenerate, bool):
+            raise ConfigurationError(
+                "config scene.regenerate_clutter_per_rotation: expected true or false, "
+                f"got {regenerate!r}"
+            )
+        with _config_errors("config scene.target"):
+            target = TargetSpec(
+                sigma0_dbsm=_require_number(self.tree, "scene.target.rcs_dbsm"),
+                coherence_time_s=_require_number(self.tree, "scene.target.coherence_time_s"),
+                model=str(scn["target"]["model"]),
+            )
+        with _config_errors("config scene.waypoints"):
+            traj = Trajectory.from_waypoints(scn["waypoints"])
+        with _config_errors("config scene"):
+            return SceneSpec(
+                room=self.room,
+                clutter=self.clutter,
+                target=target,
+                trajectory=traj,
+                rx=self.rx,
+                tx=self.tx,
+                spin_period_s=self.spin_period_s,
+                sample_rate_hz=self.sample_rate_hz,
+                duration_s=_require_number(self.tree, "scene.duration_s"),
+                tx_pointing_deg=self.tx_pointing_deg,
+                regenerate_clutter_per_rotation=regenerate,
+            )
+
+
+@contextlib.contextmanager
+def _config_errors(where: str):
+    """Re-raise a ValueError, KeyError or TypeError as a ConfigurationError
+    whose message starts with ``where``."""
+    try:
+        yield
+    except ConfigurationError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _surface_from_tag(tag) -> Surface:
@@ -204,12 +225,14 @@ def _pattern_from_tree(node: dict, grid: AzimuthGrid, path: str) -> AntennaPatte
 
 def resolve_config(tree: dict) -> RunConfig:
     """Turn a merged config tree into validated simulator objects."""
-    try:
+    with _config_errors("config"):
+        with _config_errors("config room.material"):
+            surface = _surface_from_tag(tree["room"]["material"])
         room = RoomSpec(
             width_m=_require_number(tree, "room.width_m"),
             length_m=_require_number(tree, "room.length_m"),
             d_s_m=_require_number(tree, "room.d_s_m", allow_none=True),
-            surface=_surface_from_tag(tree["room"]["material"]),
+            surface=surface,
             t_rev_s=_require_number(tree, "room.t_rev_ns") * 1e-9,
         )
         carrier = CarrierSpec(_require_number(tree, "carrier.frequency_ghz") * 1e9)
@@ -256,7 +279,3 @@ def resolve_config(tree: dict) -> RunConfig:
             seed=seed,
             ensemble=_require_count(tree["ensemble"], "ensemble"),
         )
-    except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"config: {exc}") from exc

@@ -72,7 +72,7 @@ class Surface:
     def __post_init__(self):
         if self.kind not in ("metal", "dielectric", "explicit"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
-        if self.kind == "dielectric" and (self.eps_r is None or self.eps_r < 1.0):
+        if self.kind == "dielectric" and (self.eps_r is None or not self.eps_r >= 1.0):
             raise ValueError("dielectric surface needs eps_r >= 1")
         if self.kind == "explicit" and (
             self.gamma_sq is None or not 0.0 <= self.gamma_sq <= 1.0

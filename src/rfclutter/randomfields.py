@@ -118,6 +118,15 @@ class LognormalFieldParams:
     def mu_db(self) -> float:
         return lognormal_mean_offset(self.sigma_db)
 
+    def corr_bins(self, grid: AzimuthGrid) -> float:
+        """Correlation scale in bins of ``grid``, which must resolve it."""
+        if grid.delta_phi_deg > self.phi_rms_deg:
+            raise ConfigurationError(
+                f"grid spacing {grid.delta_phi_deg:.3g} deg exceeds the correlation "
+                f"scale {self.phi_rms_deg:.3g} deg; the field is unresolvable"
+            )
+        return self.phi_rms_deg / grid.delta_phi_deg
+
 
 def _wrapped_gaussian_kernel(n_bins: int, rms_bins: float) -> np.ndarray:
     j = np.arange(n_bins)
@@ -153,14 +162,8 @@ def correlated_lognormal_db(
     ``params.sigma_db``, normalized autocorrelation
     exp(-dphi^2 / (2 phi_rms^2)).
     """
-    if grid.delta_phi_deg > params.phi_rms_deg:
-        raise ConfigurationError(
-            f"grid spacing {grid.delta_phi_deg:.3g} deg exceeds the correlation "
-            f"scale {params.phi_rms_deg:.3g} deg; the field is unresolvable"
-        )
-    rng = stream.generator()
-    corr_bins = params.phi_rms_deg / grid.delta_phi_deg
-    z = gaussian_field_rows(rng, 1, grid.n_bins, corr_bins)[0]
+    corr_bins = params.corr_bins(grid)
+    z = gaussian_field_rows(stream.generator(), 1, grid.n_bins, corr_bins)[0]
     return params.mu_db + params.sigma_db * z
 
 

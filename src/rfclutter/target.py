@@ -23,7 +23,7 @@ from .clutter import (
     spin_operator,
 )
 from .core import CarrierSpec, RoomSpec, to_db
-from .randomfields import AzimuthGrid, RandomStream, complex_gaussian_series
+from .randomfields import RandomStream, complex_gaussian_series
 
 FOUR_PI_CUBED = (4.0 * math.pi) ** 3
 
@@ -61,6 +61,8 @@ class Trajectory:
             raise ValueError("need matching times (n,) and positions (n, 2)")
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("waypoint times must be strictly increasing")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+            raise ValueError("waypoint times and positions must be finite")
         if np.any(np.hypot(p[:, 0], p[:, 1]) == 0.0):
             raise ValueError("waypoints must not sit on the radar (origin)")
         object.__setattr__(self, "times_s", t)
@@ -94,38 +96,41 @@ class Trajectory:
         return np.stack([x, y], axis=-1)
 
 
-def trajectory_state(traj: Trajectory, t: float) -> tuple[float, float]:
-    """Range (m) and bearing (degrees) of the target at time t."""
+def trajectory_state(traj: Trajectory, t):
+    """Range (m) and bearing (degrees) of the target at time t: two floats
+    for a scalar t, two arrays of its shape for an array of times."""
     pos = traj.positions_at(t)
-    r = float(np.hypot(pos[..., 0], pos[..., 1]))
-    phi = float(np.degrees(np.arctan2(pos[..., 1], pos[..., 0])))
-    return r, phi
+    r = np.hypot(pos[..., 0], pos[..., 1])
+    phi = np.degrees(np.arctan2(pos[..., 1], pos[..., 0]))
+    return (float(r), float(phi)) if np.ndim(t) == 0 else (r, phi)
 
 
 def target_response(
-    r_m: float,
-    bearing_deg: float,
+    r_m,
+    bearing_deg,
     spec: TargetSpec,
-    xi: complex,
+    xi,
     carrier: CarrierSpec,
     rx: AntennaPattern,
     tx: AntennaPattern,
-    pointing_deg: float,
+    pointing_deg,
     tx_pointing_deg: float = 0.0,
-) -> float:
+):
     """Instantaneous target echo power ratio P/P_T.
 
     lambda^2 * sigma0 * |xi|^2 * G_T * G_R / ((4 pi)^3 R^4), with antenna
     gains read from the patterns at the target bearing.  The constant model
-    fixes |xi|^2 = 1.
+    fixes |xi|^2 = 1.  Range, bearing, xi and pointing may be arrays that
+    broadcast together, giving an array; scalars give a float.
     """
-    if r_m <= 0:
+    if np.any(np.asarray(r_m) <= 0):
         raise ValueError("target range must be positive")
-    xi_sq = 1.0 if spec.model == "constant" else abs(xi) ** 2
-    g_r = float(rx.gain_at(bearing_deg - pointing_deg))
-    g_t = float(tx.gain_at(bearing_deg - tx_pointing_deg))
+    xi_sq = 1.0 if spec.model == "constant" else np.abs(xi) ** 2
+    g_r = rx.gain_at(bearing_deg - pointing_deg)
+    g_t = tx.gain_at(bearing_deg - tx_pointing_deg)
     wl = carrier.wavelength_m
-    return wl**2 * spec.sigma0_m2 * xi_sq * g_t * g_r / (FOUR_PI_CUBED * r_m**4)
+    p = wl**2 * spec.sigma0_m2 * xi_sq * g_t * g_r / (FOUR_PI_CUBED * r_m**4)
+    return float(p) if np.ndim(p) == 0 else p
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +152,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.spin_period_s <= 0 or self.sample_rate_hz <= 0 or self.duration_s <= 0:
             raise ValueError("spin period, sample rate and duration must be positive")
+        if not 1.5 <= self.duration_s * self.sample_rate_hz < math.inf:  # rounds to >= 2
+            raise ValueError("scene needs a finite duration of at least two samples")
         t0, t1 = self.trajectory.span_s
         if t0 > 0.0 or t1 < self.duration_s:
             raise ValueError("trajectory must cover the scene duration")
@@ -187,18 +194,16 @@ class TimeAzimuthMap:
 def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     """Render the spinning-antenna power map of clutter plus moving target.
 
-    The clutter channel is drawn once and held static for the scene (the
-    background is assumed stationary); the target echo is added coherently
-    with the two-way geometric phase -2 (2 pi / lambda) R(t), and the squared
-    magnitude is recorded per time sample.
+    The clutter channel is drawn on the receive pattern's grid and held
+    static for the scene unless regenerated per rotation; the target echo,
+    of power :func:`target_response`, is added coherently with the two-way
+    geometric phase -2 (2 pi / lambda) R(t); |.|^2 is recorded per sample.
     """
     n = int(round(spec.duration_s * spec.sample_rate_hz))
-    if n < 1:
-        raise ValueError("scene too short for the sample rate")
     times = np.arange(n) / spec.sample_rate_hz
     pointings = (times / spec.spin_period_s) * 360.0 % 360.0
 
-    grid = AzimuthGrid.default_for(spec.clutter.phi_rms_deg)
+    grid = spec.rx.grid
     clutter_stream = stream.child("clutter")
     # static clutter is one draw spun over the whole scene
     regenerate = spec.regenerate_clutter_per_rotation
@@ -223,17 +228,12 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     if spec.target.model == "constant":
         xi = np.ones(n, dtype=complex)
 
-    pos = spec.trajectory.positions_at(times)
-    r = np.hypot(pos[:, 0], pos[:, 1])
-    if np.any(r == 0.0):
-        raise ValueError("target crosses the radar position")
-    bearing = np.degrees(np.arctan2(pos[:, 1], pos[:, 0]))
-
-    wl = spec.clutter.carrier.wavelength_m
-    g_r = spec.rx.gain_at(bearing - pointings)
-    g_t = spec.tx.gain_at(bearing - spec.tx_pointing_deg)
-    amp_sq = wl**2 * spec.target.sigma0_m2 * g_t * g_r / (FOUR_PI_CUBED * r**4)
-    geom_phase = -2.0 * (2.0 * math.pi / wl) * r
+    r, bearing = trajectory_state(spec.trajectory, times)
+    carrier = spec.clutter.carrier
+    amp_sq = target_response(
+        r, bearing, spec.target, 1.0, carrier, spec.rx, spec.tx, pointings, spec.tx_pointing_deg
+    )
+    geom_phase = -2.0 * (2.0 * math.pi / carrier.wavelength_m) * r
     y_target = np.sqrt(amp_sq) * xi * np.exp(1j * geom_phase)
 
     power = np.abs(y_clut + y_target) ** 2

@@ -56,7 +56,7 @@ from .stats import (
     spatial_correlation,
     survey_report,
 )
-from .target import SceneSpec, TargetSpec, Trajectory, compose_scene
+from .target import SceneSpec, TargetSpec, Trajectory, compose_scene, trajectory_state
 
 DEFAULT_VALIDATION_SEED = 1234
 
@@ -182,7 +182,7 @@ def check_lognormal_unit_mean(seed: int) -> tuple[bool, float, str, dict]:
     details = {}
     for sigma_db in (4.0, 7.0):
         params = LognormalFieldParams(sigma_db, 1.0)
-        corr_bins = params.phi_rms_deg / grid.delta_phi_deg
+        corr_bins = params.corr_bins(grid)
         total, count = 0.0, 0
         for start in range(0, n_fields, chunk):
             rng = derive_stream(seed, f"unitmean/{sigma_db}/{start}").generator()
@@ -199,7 +199,7 @@ def check_lognormal_unit_mean(seed: int) -> tuple[bool, float, str, dict]:
 def check_azimuth_correlation_scale(seed: int) -> tuple[bool, float, str, dict]:
     grid = AzimuthGrid(1800)
     params = LognormalFieldParams(7.0, 1.0)
-    corr_bins = params.phi_rms_deg / grid.delta_phi_deg
+    corr_bins = params.corr_bins(grid)
     lag = 5  # bins = 1 degree
     n_fields, chunk = 2000, 500
     s_x = s_xx = s_lag = 0.0
@@ -393,7 +393,7 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
     map_0 = compose_scene(spec_zero, stream)
 
     # zero-RCS target reduces exactly to the clutter-only response
-    grid = AzimuthGrid.default_for(spec.clutter.phi_rms_deg)
+    grid = spec.rx.grid
     fld = gen_azimuth_channel(
         spec.room, spec.clutter, grid, (0.0, 0.0), stream.child("clutter")
     )
@@ -402,8 +402,7 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
 
     # the moving target leaves a bearing-following (triangular) trace
     diff = np.abs(map_t.power - map_0.power)
-    pos = spec.trajectory.positions_at(map_t.times_s)
-    bearing = np.degrees(np.arctan2(pos[:, 1], pos[:, 0]))
+    _, bearing = trajectory_state(spec.trajectory, map_t.times_s)
     spr = map_t.samples_per_rotation
     n_rot = diff.size // spr
     errors, detected_bearings = [], []

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from rfclutter import cli
 
@@ -206,3 +207,42 @@ def test_unknown_key_in_pattern_node_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "antennas.rx" in err and "gain_db" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tree, key",
+    [
+        ({"scene": {"target": {"rcs_dbsm": float("nan")}}}, "scene.target.rcs_dbsm"),
+        ({"scene": {"duration_s": "x"}}, "scene.duration_s"),
+        ({"scene": {"regenerate_clutter_per_rotation": "no"}},
+         "scene.regenerate_clutter_per_rotation"),
+        ({"scene": {"target": {"model": "foo"}}}, "scene.target"),
+        ({"scene": {"waypoints": [[0.0, 0.0, 0.0], [4.0, 1.4, -0.6]]}}, "scene.waypoints"),
+        ({"scene": {"waypoints": [[0.0, float("nan"), 0.0], [4.0, 1.4, -0.6]]}},
+         "scene.waypoints"),
+        ({"scene": {"duration_s": 0.001}}, "config scene: "),
+        ({"room": {"material": "dielectric:nan"}}, "room.material"),
+        ({"room": {"material": {"eps_r": float("nan")}}}, "room.material"),
+    ],
+    ids=[
+        "nan-rcs", "string-duration", "string-regenerate", "unknown-model",
+        "waypoint-at-origin", "nan-waypoint", "one-sample", "nan-dielectric-tag", "nan-eps-r",
+    ],
+)
+def test_bad_scene_config_exits_2_naming_key(tmp_path, capsys, tree, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tree))
+    out = tmp_path / "o"
+    assert run(["scene", "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scene_draws_on_the_config_grid(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"clutter": {"phi_rms_deg": 0.5}, "grid": {"delta_phi_deg": 1.0}}))
+    for command in ("synth-azimuth", "scene"):
+        out = tmp_path / command
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "correlation scale" in capsys.readouterr().err
+        assert not out.exists()

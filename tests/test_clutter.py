@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rfclutter import (
     ConfigurationError,
     DelayGrid,
     RoomSpec,
+    Surface,
     band_limit,
     derive_stream,
     gaussian_horn,
@@ -465,3 +467,53 @@ def test_band_limit_builds_streamed_weights_once(monkeypatch):
     streamed = band_limit(field, probe, rx, tx, pointings, 12.0).power
     assert len(calls) <= math.ceil(pointings.size / 128) + 1
     assert np.max(np.abs(streamed - held)) <= 1e-12 * np.max(held)
+
+
+def _reference_azimuth_channel(room, params, grid, location_m, stream):
+    """The azimuth draw as one whole-row recipe: P_v, the field row, then
+    uniform(0, 2 pi) phases, with the location phase added to them."""
+    rng = stream.generator()
+    p_v_db = (
+        lognormal_mean_offset(params.sigma_v_db)
+        + params.sigma_v_db * rng.standard_normal()
+    )
+    fp = params.field_params
+    field_db = fp.mu_db + fp.sigma_db * gaussian_field_rows(
+        rng, 1, grid.n_bins, fp.phi_rms_deg / grid.delta_phi_deg
+    )[0]
+    phases = rng.uniform(0.0, 2.0 * math.pi, grid.n_bins)
+    p0 = average_backscatter_ratio(
+        room.distance_to_wall_m, params.carrier.wavelength_m, room.surface.reflectivity()
+    )
+    phi = np.deg2rad(grid.centers_deg)
+    k = 2.0 * math.pi / params.carrier.wavelength_m
+    loc_phase = 2.0 * k * (location_m[0] * np.cos(phi) + location_m[1] * np.sin(phi))
+    scale = math.sqrt(2.0 * math.pi / grid.delta_phi_rad)
+    mag = scale * np.sqrt(p0 * 10.0 ** ((p_v_db + field_db) / 10.0))
+    return mag * np.exp(1j * (phases + loc_phase)), p_v_db
+
+
+@pytest.mark.parametrize("location_m", [(0.0, 0.0), (0.05, -0.02)], ids=["origin", "moved"])
+def test_azimuth_draw_matches_reference_recipe(location_m):
+    stream = derive_stream(28, "pin")
+    field = gen_azimuth_channel(ROOM, _params(), GRID, location_m, stream)
+    expected, p_v_db = _reference_azimuth_channel(ROOM, _params(), GRID, location_m, stream)
+    assert field.p_v_db == p_v_db
+    assert field.location_m == location_m
+    rel = np.abs(field.amplitudes - expected) / np.abs(expected)
+    assert np.max(rel) <= 1e-12
+
+
+def test_zero_reflectivity_room_draws_exact_zeros_without_warning():
+    room = RoomSpec(3.0, 3.0, surface=Surface.explicit(0.0), t_rev_s=10e-9)
+    agrid = AzimuthGrid(360)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        az = gen_azimuth_channel(room, _params(), agrid, (0.0, 0.0), derive_stream(29, "z"))
+        spun_db = spin_response(az, omni(agrid), omni(agrid), uniform_pointings(8)).power_db
+        dl = gen_delay_azimuth_channel(
+            room, _params(), DelayGrid.for_room(room), agrid, derive_stream(29, "z")
+        )
+    assert az.p0 == 0.0 and np.all(az.amplitudes == 0.0)
+    assert np.all(spun_db == -np.inf)
+    assert dl.p0 == 0.0 and np.all(dl.amplitudes == 0.0)

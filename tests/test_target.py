@@ -13,6 +13,7 @@ from rfclutter import (
     Surface,
     TargetSpec,
     Trajectory,
+    complex_gaussian_series,
     compose_scene,
     derive_stream,
     gaussian_horn,
@@ -178,3 +179,25 @@ def test_regenerated_clutter_differs_per_rotation_but_stays_deterministic():
     assert np.array_equal(a.power, b.power)
     c = compose_scene(static, derive_stream(27, "regen"))
     assert not np.array_equal(a.power, c.power)
+
+
+def test_scene_power_is_the_link_budget():
+    # without clutter, each sample's power is target_response at its range,
+    # bearing, fluctuation and pointing
+    spec = _demo_scene(room=RoomSpec(3.0, 3.0, surface=Surface.explicit(0.0)), duration_s=1.0)
+    assert spec.rx.kind == "gaussian"
+    stream = derive_stream(30, "budget")
+    tmap = compose_scene(spec, stream)
+    xi = complex_gaussian_series(
+        1.0, spec.sample_rate_hz, spec.target.coherence_time_s,
+        stream.child("target/fluctuation"),
+    )
+    expected = [
+        target_response(
+            *trajectory_state(spec.trajectory, t), spec.target, x, CARRIER, spec.rx, spec.tx, p
+        )
+        for t, x, p in zip(tmap.times_s, xi, tmap.pointing_deg)
+    ]
+    assert tmap.power.size == len(expected) == 740
+    # far off the beam the powers are subnormal and hold fewer digits
+    np.testing.assert_allclose(tmap.power, expected, rtol=1e-12, atol=np.finfo(float).tiny)
