@@ -19,18 +19,51 @@ from .randomfields import AzimuthGrid
 HPBW_TO_RMS = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))  # power-pattern RMS / HPBW
 
 
+# Below this magnitude of y = x + 180, y / 360 never rounds across an
+# integer (a step of y moves y / 360 by more than half an ulp there), so
+# floor(y / 360) is exact, and so is 360 * floor(y / 360).  Then
+# y - 360 * floor(y / 360) rounds the same exact value as numpy's floored
+# remainder y % 360 (fmod, plus 360 when the signs differ), bit for bit, at
+# about a third of its cost.
+_WRAP_EXACT_BELOW = 2.0**53
+
+
 def _wrap_deg(offset_deg):
-    """Wrap angles to [-180, 180)."""
-    return (np.asarray(offset_deg, dtype=float) + 180.0) % 360.0 - 180.0
+    """Wrap angles to [-180, 180], bitwise equal to ``(x + 180) % 360 - 180``.
+
+    Only ``nextafter(-180 - 360 k, -inf)`` maps to +180: the remainder of
+    ``x + 180`` rounds up to 360.  NaN and +-inf give NaN.
+    """
+    y = np.asarray(offset_deg, dtype=float) + 180.0
+    lo, hi = np.min(y, initial=0.0), np.max(y, initial=0.0)
+    if not -_WRAP_EXACT_BELOW < lo <= hi < _WRAP_EXACT_BELOW:  # NaN and inf fail too
+        return y % 360.0 - 180.0
+    y -= 360.0 * np.floor(y / 360.0)
+    y -= 180.0
+    return y
 
 
 def _gaussian_wrapped_power(distance_deg, rms_deg):
-    """Wrapped Gaussian power lobe versus circular distance from boresight."""
+    """Wrapped Gaussian power lobe versus circular distance d in [0, 180]
+    from boresight: the sum over k = -4..4 of exp(-0.5 ((d + 360 k) / rms)^2).
+
+    A term k != 0 is skipped when it is exactly 0 at the smallest |d + 360 k|
+    (d = 0 for k > 0, d = 180 for k < 0) under the same operations, so it
+    is 0 everywhere and adding it would change no bit.  The first kept term
+    is written straight into the output: 0 + t == t.
+    """
     d = np.asarray(distance_deg, dtype=float)
-    out, term = np.zeros_like(d), np.empty_like(d)
-    for k in range(-4, 5):  # in place: large temporaries make the heap churn
+    ks = np.arange(-4, 5)
+    nearest = np.add(np.where(ks > 0, 0.0, 180.0), 360.0 * ks)
+    edge = np.exp(np.multiply(np.square(np.divide(nearest, rms_deg)), -0.5))
+    out, term = None, np.empty_like(d)
+    for k in ks[(edge != 0.0) | (ks == 0)]:  # in place: large temporaries make the heap churn
         np.square(np.divide(np.add(d, 360.0 * k, out=term), rms_deg, out=term), out=term)
-        out += np.exp(np.multiply(term, -0.5, out=term), out=term)
+        np.multiply(term, -0.5, out=term)
+        if out is None:
+            out = np.exp(term, out=np.empty_like(d))
+        else:
+            out += np.exp(term, out=term)
     return out
 
 

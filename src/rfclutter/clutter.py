@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .antennas import AntennaPattern
+from .antennas import AntennaPattern, _wrap_deg
 from .core import (
     SPEED_OF_LIGHT,
     CarrierSpec,
@@ -231,7 +231,9 @@ def spin_operator(
     built once per call.  Off the grid the error is relative rounding; on it
     the FFT's error is about machine epsilon times the largest spun
     amplitude, so pointings where both beams miss the clutter read as that
-    rounding noise.
+    rounding noise.  Building costs one f_R evaluation per grid bin and
+    distinct pointing: about 9 ms for 148 off-grid pointings on 1800 bins
+    (one Xeon core, NumPy 2.4), against under 1 ms for on-grid pointings.
     """
     pointings = np.asarray(pointings_deg, dtype=float).ravel()
     if pointings.size == 0:
@@ -245,7 +247,7 @@ def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
     centers = grid.centers_deg
     txf = tx.field_at(centers - tx_pointing_deg)
     idx = np.rint(pointings / grid.delta_phi_deg).astype(int) % grid.n_bins
-    mismatch = (pointings - centers[idx] + 180.0) % 360.0 - 180.0
+    mismatch = _wrap_deg(pointings - centers[idx])
     if np.all(np.abs(mismatch) < 1e-9):
         # every pointing is a bin center: a circular convolution with
         # dphi f_R(-phi_j), read at the pointed bins

@@ -243,6 +243,10 @@ def resolve_config(tree: dict) -> RunConfig:
             phi_rms_deg=_require_number(tree, "clutter.phi_rms_deg"),
         )
         grid = AzimuthGrid.from_spacing(_require_number(tree, "grid.delta_phi_deg"))
+        try:
+            clutter.field_params.corr_bins(grid)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"config grid.delta_phi_deg: {exc}") from None
         rx = _pattern_from_tree(tree["antennas"]["rx"], grid, "antennas.rx")
         tx = _pattern_from_tree(tree["antennas"]["tx"], grid, "antennas.tx")
         span_ns = _require_number(tree, "delay.span_after_onset_ns", allow_none=True)

@@ -201,7 +201,11 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     """
     n = int(round(spec.duration_s * spec.sample_rate_hz))
     times = np.arange(n) / spec.sample_rate_hz
-    pointings = (times / spec.spin_period_s) * 360.0 % 360.0
+    # the sample index modulo samples-per-rotation (an exact float %) keeps
+    # pointings in [0, 360) and, for an integral count, bitwise the same in
+    # every rotation, so a regenerated scene reuses the first spin operator
+    per_rotation = spec.spin_period_s * spec.sample_rate_hz
+    pointings = np.arange(n) % per_rotation / per_rotation * 360.0
 
     grid = spec.rx.grid
     clutter_stream = stream.child("clutter")

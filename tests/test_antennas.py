@@ -12,7 +12,7 @@ from rfclutter import (
     pattern_autocorrelation,
     tabulated,
 )
-from rfclutter.antennas import HPBW_TO_RMS, _normalize
+from rfclutter.antennas import HPBW_TO_RMS, _gaussian_wrapped_power, _normalize, _wrap_deg
 
 GRID = AzimuthGrid(1800)
 
@@ -163,3 +163,36 @@ def test_gain_at_matches_directivity():
     assert 10 * math.log10(peak) == pytest.approx(25.6, abs=0.1)  # ~10 deg horn
     assert float(p.gain_at(5.0)) == pytest.approx(0.5 * peak, rel=1e-6)
     assert float(omni(GRID).gain_at(123.0)) == 1.0
+
+
+def _nine_term_wrapped_power(d, rms):
+    out = np.zeros_like(d)
+    for k in range(-4, 5):
+        out += np.exp(-0.5 * ((d + 360.0 * k) / rms) ** 2)
+    return out
+
+
+@pytest.mark.parametrize("rms", [0.5, 2.1, 4.25, 10.0 * HPBW_TO_RMS, 8.5, 30.0, 60.0, 89.0])
+def test_wrapped_power_skips_only_zero_terms(rms):
+    # the terms it skips underflow to 0: the sum is bitwise the nine-term one
+    rng = np.random.default_rng(3)
+    d = np.concatenate([np.linspace(0.0, 180.0, 20001), rng.uniform(0.0, 180.0, 5000)])
+    assert d[0] == 0.0 and d[20000] == 180.0
+    assert np.array_equal(_gaussian_wrapped_power(d, rms), _nine_term_wrapped_power(d, rms))
+
+
+def test_wrap_deg_is_bitwise_the_floored_remainder():
+    rng = np.random.default_rng(4)
+    parts = [rng.uniform(-1.0, 1.0, 2000) * 10.0**e for e in range(-20, 21)]
+    multiples = np.arange(-3000, 3001) * 360.0
+    for m in (multiples, multiples * 1e4, multiples - 180.0, (multiples - 180.0) * 1e3):
+        parts += [m, np.nextafter(m, np.inf), np.nextafter(m, -np.inf)]
+    parts.append([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.0**53, -(2.0**53)])
+    x = np.concatenate(parts)
+    with np.errstate(invalid="ignore"):
+        expected = (x + 180.0) % 360.0 - 180.0
+        wrapped = _wrap_deg(x)
+    assert np.array_equal(wrapped.view(np.int64), expected.view(np.int64))
+    assert _wrap_deg(np.nextafter(-180.0, -np.inf)) == 180.0  # the one +180
+    finite = wrapped[np.isfinite(x)]
+    assert np.all((finite >= -180.0) & (finite <= 180.0))

@@ -246,3 +246,14 @@ def test_scene_draws_on_the_config_grid(tmp_path, capsys):
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "correlation scale" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth-azimuth", "synth-delay", "scene"])
+def test_coarse_grid_exits_2_naming_the_grid_key(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"clutter": {"phi_rms_deg": 0.5}, "grid": {"delta_phi_deg": 1.0}}))
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid.delta_phi_deg" in err and "correlation scale" in err
+    assert not out.exists()

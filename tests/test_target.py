@@ -22,7 +22,8 @@ from rfclutter import (
     target_response,
     trajectory_state,
 )
-from rfclutter.clutter import spin_amplitudes
+from rfclutter.antennas import AntennaPattern
+from rfclutter.clutter import _build_spin_operator, spin_amplitudes
 
 CARRIER = CarrierSpec(28e9)
 GRID = AzimuthGrid(1800)
@@ -201,3 +202,42 @@ def test_scene_power_is_the_link_budget():
     assert tmap.power.size == len(expected) == 740
     # far off the beam the powers are subnormal and hold fewer digits
     np.testing.assert_allclose(tmap.power, expected, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
+def test_scene_pointings_stay_below_360_and_repeat_per_rotation():
+    tmap = compose_scene(_demo_scene(), derive_stream(31, "pointings"))
+    assert np.all((tmap.pointing_deg >= 0.0) & (tmap.pointing_deg < 360.0))
+    spr = tmap.samples_per_rotation
+    rotations = tmap.pointing_deg.reshape(-1, spr)
+    assert rotations.shape == (10, 148)
+    for r in range(1, rotations.shape[0]):
+        assert np.array_equal(rotations[r], rotations[0])
+
+
+@pytest.mark.parametrize("rate_hz", [745.0, 743.7])
+def test_scene_pointings_follow_the_spin_at_any_rate(rate_hz):
+    # 743.7 Hz puts 148.74 samples in a 0.2 s rotation
+    spec = _demo_scene(sample_rate_hz=rate_hz)
+    tmap = compose_scene(spec, derive_stream(32, "pointings"))
+    expected = (tmap.times_s / spec.spin_period_s * 360.0) % 360.0
+    diff = (tmap.pointing_deg - expected + 180.0) % 360.0 - 180.0
+    assert np.max(np.abs(diff)) <= 1e-9
+    assert np.all((tmap.pointing_deg >= 0.0) & (tmap.pointing_deg < 360.0))
+
+
+def test_regenerated_scene_builds_the_spin_operator_once(monkeypatch):
+    calls = []
+    field_at = AntennaPattern.field_at
+    def counted(self, offset_deg):
+        calls.append(1)
+        return field_at(self, offset_deg)
+    monkeypatch.setattr(AntennaPattern, "field_at", counted)
+    counts = []
+    for regenerate in (False, True):
+        _build_spin_operator.cache_clear()
+        calls.clear()
+        spec = _demo_scene(duration_s=1.0, regenerate_clutter_per_rotation=regenerate)
+        compose_scene(spec, derive_stream(33, "operator"))
+        counts.append(len(calls))
+    static, regenerated = counts
+    assert 0 < regenerated <= static
