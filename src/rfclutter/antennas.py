@@ -217,7 +217,7 @@ def load_pattern_csv(path, grid: AzimuthGrid) -> AntennaPattern:
     az, gain = [], []
     with open(Path(path), newline="") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["azimuth_deg", "gain_db"]:
             raise ValueError(f"{path}: expected header 'azimuth_deg,gain_db'")
         for row in reader:

@@ -3,19 +3,21 @@
 Subcommands: ``predict`` (room-survey prediction report), ``synth-azimuth``
 (spun azimuth spectra), ``synth-delay`` (band-limited delay-azimuth maps),
 ``scene`` (moving-target time-azimuth map), and ``validate`` (acceptance
-checks).  Every run writes its data plus a ``run_meta.json`` echoing the
-fully resolved config, the seed, and package versions; feeding that metadata
-back as ``--config`` reproduces the run byte for byte.
+checks).  The config is the defaults, merged with ``--config``, merged with
+the flags given (a fragment built from ``_CONFIG_FLAGS``); every subcommand
+checks all of it before writing anything.  Every run writes its data plus a
+``run_meta.json`` echoing the merged config, the seed, and package versions;
+feeding that metadata back as ``--config`` reproduces the run byte for byte.
 
 Units in output files: angles in degrees, powers in dB relative to the
 transmit power, delays in nanoseconds.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error, 3 runtime error.
+failure, 2 configuration error (a bad config leaf names its dotted key, a
+bad survey row its ``<file>:<line>``), 3 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -38,7 +40,7 @@ from .core import ConfigurationError, to_db
 from .randomfields import derive_stream
 from .stats import load_room_survey, survey_report
 from .target import compose_scene
-from .validation import DEFAULT_VALIDATION_SEED, run_checks
+from .validation import run_checks
 
 UNITS_COMMENT = "# units: angles deg, power dB re transmit, delay ns\n"
 
@@ -49,7 +51,13 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _write_json(path: Path, obj) -> None:
+    _atomic_write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The units comment, then ``header`` and each row on a line."""
+    text = UNITS_COMMENT + "".join(f"{line}\n" for line in [header, *rows])
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
@@ -59,8 +67,12 @@ def _fmt(x) -> str:
     return f"{x:.9g}"
 
 
+def _axis(values) -> list:
+    return [float(f"{x:.9g}") for x in values]
+
+
 def _write_meta(out: Path, command: str, tree: dict) -> None:
-    meta = {
+    _write_json(out / "run_meta.json", {
         "command": command,
         "seed": tree["seed"],
         "config": tree,
@@ -70,8 +82,7 @@ def _write_meta(out: Path, command: str, tree: dict) -> None:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
-    }
-    _atomic_write_text(out / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _write_grid_binary(out: Path, stem: str, array_db: np.ndarray, axes: dict) -> None:
@@ -86,107 +97,91 @@ def _write_grid_binary(out: Path, stem: str, array_db: np.ndarray, axes: dict) -
         "content": "power_db_re_transmit",
         "axes": axes,
     }
-    _atomic_write_text(out / f"{stem}.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_json(out / f"{stem}.json", sidecar)
 
 
-def _apply_overrides(tree: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        tree["seed"] = args.seed
-    if getattr(args, "ensemble", None) is not None:
-        tree["ensemble"] = args.ensemble
-    if getattr(args, "room_w", None) is not None:
-        tree["room"]["width_m"] = args.room_w
-    if getattr(args, "room_l", None) is not None:
-        tree["room"]["length_m"] = args.room_l
-    if getattr(args, "d_s", None) is not None:
-        tree["room"]["d_s_m"] = args.d_s
-    if getattr(args, "material", None) is not None:
-        tree["room"]["material"] = args.material
-    if getattr(args, "t_rev_ns", None) is not None:
-        tree["room"]["t_rev_ns"] = args.t_rev_ns
-    if getattr(args, "hpbw_deg", None) is not None:
-        tree["antennas"]["rx"] = {"kind": "gaussian", "hpbw_deg": args.hpbw_deg}
-    if getattr(args, "bandwidth_ghz", None) is not None:
-        tree["probe"]["bandwidth_ghz"] = args.bandwidth_ghz
-    if getattr(args, "duration", None) is not None:
-        tree["scene"]["duration_s"] = args.duration
-    return tree
+# flag -> (type, the config leaf it sets, help)
+_CONFIG_FLAGS = {
+    "--seed": (int, "seed", "master seed (u64)"),
+    "--ensemble": (int, "ensemble", "number of draws"),
+    "--room-w": (float, "room.width_m", "room width (m)"),
+    "--room-l": (float, "room.length_m", "room length (m)"),
+    "--d-s": (float, "room.d_s_m", "distance to wall (m)"),
+    "--material": (str, "room.material", "metal | dielectric:<eps_r> | gamma:<reflectivity>"),
+    "--t-rev-ns": (float, "room.t_rev_ns", "reverberation time (ns)"),
+    "--hpbw-deg": (float, "antennas.rx", "receive horn HPBW (deg)"),
+    "--bandwidth-ghz": (float, "probe.bandwidth_ghz", "probe bandwidth (GHz)"),
+    "--duration": (float, "scene.duration_s", "scene duration (s)"),
+}
+
+
+def _resolve(args):
+    """The run config: defaults, then ``--config``, then the flags given, as
+    a config fragment merged like a file."""
+    fragment = {}
+    for flag, (_, key, _) in _CONFIG_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            *parents, leaf = key.split(".")
+            node = fragment
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = {"kind": "gaussian", "hpbw_deg": value} if flag == "--hpbw-deg" else value
+    return resolve_config(load_config_tree(getattr(args, "config", None), fragment))
 
 
 def _cmd_predict(args) -> int:
-    tree = _apply_overrides(load_config_tree(args.config), args)
-    cfg = resolve_config(tree)
+    cfg = _resolve(args)
     rows = load_room_survey(args.survey)
     report = survey_report(rows, cfg.carrier)
-    buf = io.StringIO()
-    buf.write(UNITS_COMMENT)
-    buf.write("label,d_s_m,gamma_sq,p0_db,measured_db,error_db\n")
-    for rec, err in zip(report.records, report.errors_db):
-        buf.write(
-            f"{rec.label},{_fmt(rec.d_s_m)},{_fmt(rec.gamma_sq)},"
-            f"{_fmt(rec.p0_db)},{_fmt(rec.measured_median_db)},{_fmt(err)}\n"
-        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "predictions.csv", buf.getvalue())
-    _write_meta(out, "predict", tree)
+    _write_csv(out / "predictions.csv", "label,d_s_m,gamma_sq,p0_db,measured_db,error_db", [
+        f"{rec.label},{_fmt(rec.d_s_m)},{_fmt(rec.gamma_sq)},"
+        f"{_fmt(rec.p0_db)},{_fmt(rec.measured_median_db)},{_fmt(err)}"
+        for rec, err in zip(report.records, report.errors_db)
+    ])
+    _write_meta(out, "predict", cfg.tree)
     print(f"predict: {len(rows)} rooms, RMS error {report.rms_db:.2f} dB -> {out}")
     return 0
 
 
 def _cmd_synth_azimuth(args) -> int:
-    tree = _apply_overrides(load_config_tree(args.config), args)
-    cfg = resolve_config(tree)
+    cfg = _resolve(args)
     pointings = uniform_pointings(cfg.pointings_per_rotation)
-    buf = io.StringIO()
-    buf.write(UNITS_COMMENT)
-    buf.write("seed_index,pointing_deg,power_db\n")
+    rows = []
     for k in range(cfg.ensemble):
         field = gen_azimuth_channel(
-            cfg.room, cfg.clutter, cfg.grid, (0.0, 0.0),
-            derive_stream(cfg.seed, f"azimuth/{k}"),
+            cfg.room, cfg.clutter, cfg.grid, (0.0, 0.0), derive_stream(cfg.seed, f"azimuth/{k}")
         )
         spec = spin_response(field, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
-        for p, db in zip(spec.pointings_deg, spec.power_db):
-            buf.write(f"{k},{_fmt(p)},{_fmt(db)}\n")
+        rows += (f"{k},{_fmt(p)},{_fmt(db)}" for p, db in zip(spec.pointings_deg, spec.power_db))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "azimuth_spectra.csv", buf.getvalue())
-    _write_meta(out, "synth-azimuth", tree)
+    _write_csv(out / "azimuth_spectra.csv", "seed_index,pointing_deg,power_db", rows)
+    _write_meta(out, "synth-azimuth", cfg.tree)
     print(f"synth-azimuth: {cfg.ensemble} spectra x {pointings.size} pointings -> {out}")
     return 0
 
 
 def _cmd_synth_delay(args) -> int:
-    tree = _apply_overrides(load_config_tree(args.config), args)
-    cfg = resolve_config(tree)
+    cfg = _resolve(args)
     pointings = uniform_pointings(cfg.pointings_per_rotation)
     field = gen_delay_azimuth_channel(
-        cfg.room, cfg.clutter, cfg.delay_grid, cfg.grid,
-        derive_stream(cfg.seed, "delay/0"),
+        cfg.room, cfg.clutter, cfg.delay_grid, cfg.grid, derive_stream(cfg.seed, "delay/0")
     )
     resp = band_limit(field, cfg.probe, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
     with np.errstate(divide="ignore"):
-        map_db = resp.power_db
         profile_db = to_db(resp.mean_profile())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid_binary(
-        out,
-        "delay_azimuth_map",
-        map_db,
-        axes={
-            "delay_ns": [float(f"{t * 1e9:.9g}") for t in resp.delays_s],
-            "pointing_deg": [float(f"{p:.9g}") for p in resp.pointings_deg],
-        },
-    )
-    buf = io.StringIO()
-    buf.write(UNITS_COMMENT)
-    buf.write("delay_ns,mean_power_db\n")
-    for t, db in zip(resp.delays_s, profile_db):
-        buf.write(f"{_fmt(t * 1e9)},{_fmt(db)}\n")
-    _atomic_write_text(out / "delay_profile.csv", buf.getvalue())
-    _write_meta(out, "synth-delay", tree)
+    _write_grid_binary(out, "delay_azimuth_map", resp.power_db, {
+        "delay_ns": _axis(resp.delays_s * 1e9), "pointing_deg": _axis(resp.pointings_deg),
+    })
+    _write_csv(out / "delay_profile.csv", "delay_ns,mean_power_db", [
+        f"{_fmt(t * 1e9)},{_fmt(db)}" for t, db in zip(resp.delays_s, profile_db)
+    ])
+    _write_meta(out, "synth-delay", cfg.tree)
     print(
         f"synth-delay: {resp.power.shape[0]} delay bins x {resp.power.shape[1]} pointings -> {out}"
     )
@@ -194,84 +189,73 @@ def _cmd_synth_delay(args) -> int:
 
 
 def _cmd_scene(args) -> int:
-    tree = _apply_overrides(load_config_tree(args.config), args)
-    cfg = resolve_config(tree)
+    cfg = _resolve(args)
     spec = cfg.scene_spec()
     tmap = compose_scene(spec, derive_stream(cfg.seed, "scene/0"))
-    buf = io.StringIO()
-    buf.write(UNITS_COMMENT)
-    buf.write("time_s,pointing_deg,power_db\n")
-    with np.errstate(divide="ignore"):
-        power_db = tmap.power_db
-    for t, p, db in zip(tmap.times_s, tmap.pointing_deg, power_db):
-        buf.write(f"{_fmt(t)},{_fmt(p)},{_fmt(db)}\n")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "scene_timeseries.csv", buf.getvalue())
+    _write_csv(out / "scene_timeseries.csv", "time_s,pointing_deg,power_db", [
+        f"{_fmt(t)},{_fmt(p)},{_fmt(db)}"
+        for t, p, db in zip(tmap.times_s, tmap.pointing_deg, tmap.power_db)
+    ])
     rot_times, pointing_bins, image = tmap.folded()
     if image.size:
         with np.errstate(divide="ignore"):
-            _write_grid_binary(
-                out,
-                "scene_map",
-                to_db(image),
-                axes={
-                    "rotation_start_s": [float(f"{t:.9g}") for t in rot_times],
-                    "pointing_deg": [float(f"{p:.9g}") for p in pointing_bins],
-                },
-            )
-    _write_meta(out, "scene", tree)
+            image_db = to_db(image)
+        _write_grid_binary(out, "scene_map", image_db, {
+            "rotation_start_s": _axis(rot_times), "pointing_deg": _axis(pointing_bins),
+        })
+    else:
+        print(
+            f"scene: no scene_map: {spec.spin_period_s * spec.sample_rate_hz:.9g} samples per"
+            " rotation is not a whole number, or the scene is shorter than one rotation"
+        )
+    _write_meta(out, "scene", cfg.tree)
     print(f"scene: {tmap.power.size} samples, {image.shape[0]} rotations -> {out}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    names = None
-    if args.checks:
-        names = [n.strip() for n in args.checks.split(",") if n.strip()]
-    seed = args.seed if args.seed is not None else DEFAULT_VALIDATION_SEED
-    report = run_checks(names=names, master_seed=seed, log=print)
+    names = [n.strip() for n in args.checks.split(",") if n.strip()] if args.checks else None
+    cfg = _resolve(args)
+    report = run_checks(names=names, master_seed=cfg.seed, log=print)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(
-        out / "validation_report.json",
-        json.dumps(report.to_dict(include_runtimes=False), indent=2, sort_keys=True) + "\n",
+    _write_json(out / "validation_report.json", report.to_dict(include_runtimes=False))
+    _write_json(
+        out / "validation_runtimes.json", {r.name: round(r.runtime_s, 3) for r in report.results}
     )
-    _atomic_write_text(
-        out / "validation_runtimes.json",
-        json.dumps(
-            {r.name: round(r.runtime_s, 3) for r in report.results},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
-    tree = load_config_tree(None)
-    tree["seed"] = seed
-    _write_meta(out, "validate", tree)
+    _write_meta(out, "validate", cfg.tree)
     n_pass = sum(r.passed for r in report.results)
     print(f"validate: {n_pass}/{len(report.results)} checks passed -> {out}")
     return 0 if report.passed else 1
 
 
-def _add_common(parser, include_ensemble=True):
-    parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-    parser.add_argument("--out", type=str, default="rfclutter-out", help="output directory")
-    if include_ensemble:
-        parser.add_argument("--ensemble", type=int, default=None, help="number of draws")
+_ROOM_FLAGS = ("--room-w", "--room-l", "--d-s", "--material", "--t-rev-ns", "--hpbw-deg")
 
-
-def _add_room_overrides(parser):
-    parser.add_argument("--room-w", type=float, default=None, help="room width (m)")
-    parser.add_argument("--room-l", type=float, default=None, help="room length (m)")
-    parser.add_argument("--d-s", type=float, default=None, help="distance to wall (m)")
-    parser.add_argument(
-        "--material", type=str, default=None,
-        help="metal | dielectric:<eps_r> | gamma:<reflectivity>",
-    )
-    parser.add_argument("--t-rev-ns", type=float, default=None, help="reverberation time (ns)")
-    parser.add_argument("--hpbw-deg", type=float, default=None, help="receive horn HPBW (deg)")
+# subcommand -> (handler, help, the config flags it takes, its other options)
+_SUBCOMMANDS = {
+    "predict": (
+        _cmd_predict, "room-survey average backscatter predictions", ("--seed",),
+        {"--survey": "survey CSV (default: shipped)"},
+    ),
+    "synth-azimuth": (
+        _cmd_synth_azimuth, "synthesize spun azimuth spectra",
+        ("--seed", "--ensemble", *_ROOM_FLAGS), {},
+    ),
+    "synth-delay": (
+        _cmd_synth_delay, "synthesize a band-limited delay-azimuth map",
+        ("--seed", *_ROOM_FLAGS, "--bandwidth-ghz"), {},
+    ),
+    "scene": (
+        _cmd_scene, "moving target against static clutter",
+        ("--seed", *_ROOM_FLAGS, "--duration"), {},
+    ),
+    "validate": (
+        _cmd_validate, "run the acceptance checks", ("--seed",),
+        {"--checks": "comma-separated check names"},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,35 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Statistical simulator of monostatic indoor RF backscatter.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("predict", help="room-survey average backscatter predictions")
-    _add_common(p, include_ensemble=False)
-    p.add_argument("--survey", type=str, default=None, help="survey CSV (default: shipped)")
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("synth-azimuth", help="synthesize spun azimuth spectra")
-    _add_common(p)
-    _add_room_overrides(p)
-    p.set_defaults(func=_cmd_synth_azimuth)
-
-    p = sub.add_parser("synth-delay", help="synthesize a band-limited delay-azimuth map")
-    _add_common(p, include_ensemble=False)
-    _add_room_overrides(p)
-    p.add_argument("--bandwidth-ghz", type=float, default=None, help="probe bandwidth (GHz)")
-    p.set_defaults(func=_cmd_synth_delay)
-
-    p = sub.add_parser("scene", help="moving target against static clutter")
-    _add_common(p, include_ensemble=False)
-    _add_room_overrides(p)
-    p.add_argument("--duration", type=float, default=None, help="scene duration (s)")
-    p.set_defaults(func=_cmd_scene)
-
-    p = sub.add_parser("validate", help="run the acceptance checks")
-    p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-    p.add_argument("--out", type=str, default="rfclutter-out", help="output directory")
-    p.add_argument("--checks", type=str, default=None, help="comma-separated check names")
-    p.set_defaults(func=_cmd_validate)
-
+    for name, (func, help_text, flags, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "validate":
+            p.add_argument("--config", type=str, default=None, help="JSON config file")
+        p.add_argument("--out", type=str, default="rfclutter-out", help="output directory")
+        for flag in flags:
+            kind, _, flag_help = _CONFIG_FLAGS[flag]
+            p.add_argument(flag, type=kind, default=None, help=flag_help)
+        for option, option_help in options.items():
+            p.add_argument(option, type=str, default=None, help=option_help)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -317,10 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigurationError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - map everything else to exit 3

@@ -1,8 +1,10 @@
 """Structured run configuration.
 
-A single JSON tree configures every subcommand.  Unknown keys are rejected,
-defaults are filled in, and the fully resolved tree is echoed into each
-run's metadata so it can be fed back as a config file and reproduce the run.
+A single JSON tree configures every subcommand.  ``SCHEMA`` pairs each leaf
+with its default (``DEFAULT_CONFIG`` is derived from it) and its domain:
+unknown keys are rejected and every leaf is checked, naming its dotted key,
+before any object is built.  The merged tree is echoed into each run's
+metadata so it can be fed back as a config file and reproduce the run.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .antennas import AntennaPattern, gaussian_horn, load_pattern_csv, omni
 from .clutter import ClutterParams, DelayGrid, ProbeWaveform, make_probe_waveform
@@ -20,41 +23,151 @@ from .core import CarrierSpec, ConfigurationError, RoomSpec, Surface
 from .randomfields import AzimuthGrid
 from .target import SceneSpec, TargetSpec, Trajectory
 
-DEFAULT_CONFIG = {
+
+class _Leaf(NamedTuple):
+    """A config value: its default and its domain, in words and as a test."""
+
+    default: object
+    expected: str
+    valid: Callable[[object], bool]
+
+    def check(self, value, path: str) -> None:
+        if not self.valid(value):
+            raise ConfigurationError(f"config {path}: expected {self.expected}, got {value!r}")
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number; NaN, +-inf and ints beyond float range fail."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# the bounds a number may have, as its error message states them
+_BOUNDS = {
+    "": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+    ">= 10": lambda v: v >= 10, "in (0, 180)": lambda v: 0 < v < 180,
+}
+
+
+def _number(default, bound: str = "", optional: bool = False) -> _Leaf:
+    """A finite number within ``bound`` (a key of ``_BOUNDS``), or null when
+    ``optional``."""
+    expected = f"a finite number {bound}".rstrip() + (" or null" if optional else "")
+    in_bound = _BOUNDS[bound]
+    return _Leaf(
+        default, expected, lambda v: optional and v is None or _is_number(v) and in_bound(v)
+    )
+
+
+def _integer(default, expected: str, in_range) -> _Leaf:
+    return _Leaf(default, expected, lambda v: type(v) is int and in_range(v))
+
+
+def _choice(default, *options) -> _Leaf:
+    return _Leaf(default, f"one of {list(options)}", lambda v: isinstance(v, str) and v in options)
+
+
+def _builds(make, value) -> bool:
+    try:
+        make(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _numbers_only(v) -> bool:
+    return all(map(_numbers_only, v)) if isinstance(v, list) else _is_number(v)
+
+
+# the keys besides ``kind`` of each antenna pattern kind
+_PATTERN_KINDS = {
+    "gaussian": {"hpbw_deg": _number(None, "in (0, 180)")},
+    "omni": {},
+    "csv": {"path": _Leaf(None, "a file path", lambda v: isinstance(v, str))},
+}
+
+
+class _Pattern(NamedTuple):
+    """An antenna pattern node: its ``kind`` picks the keys it must have."""
+
+    default: dict
+
+    def check(self, node, path: str) -> None:
+        if not isinstance(node, dict):
+            raise ConfigurationError(f"config {path}: expected an object, got {node!r}")
+        _choice(None, *_PATTERN_KINDS).check(node.get("kind"), f"{path}.kind")
+        leaves = _PATTERN_KINDS[node["kind"]]
+        _check_keys(node, ("kind", *leaves), path)
+        _check_tree(leaves, node, path)
+
+
+SCHEMA = {
     "room": {
-        "width_m": 3.0,
-        "length_m": 3.0,
-        "d_s_m": None,
-        "material": "metal",
-        "t_rev_ns": 10.0,
+        "width_m": _number(3.0, "> 0"),
+        "length_m": _number(3.0, "> 0"),
+        "d_s_m": _number(None, "> 0", optional=True),
+        "material": _Leaf(
+            "metal",
+            'metal, dielectric:<eps_r >= 1>, gamma:<0 <= gamma_sq <= 1>, {"eps_r": x} or '
+            '{"gamma_sq": x}',
+            lambda v: _builds(Surface.from_tag, v),
+        ),
+        "t_rev_ns": _number(10.0, "> 0"),
     },
-    "carrier": {"frequency_ghz": 28.0},
-    "clutter": {"sigma_v_db": 4.0, "sigma_db": 7.0, "phi_rms_deg": 1.0},
+    "carrier": {"frequency_ghz": _number(28.0, "> 0")},
+    "clutter": {
+        "sigma_v_db": _number(4.0, ">= 0"),
+        "sigma_db": _number(7.0, ">= 0"),
+        "phi_rms_deg": _number(1.0, "> 0"),
+    },
     "antennas": {
-        "rx": {"kind": "gaussian", "hpbw_deg": 10.0},
-        "tx": {"kind": "omni"},
-        "tx_pointing_deg": 0.0,
+        "rx": _Pattern({"kind": "gaussian", "hpbw_deg": 10.0}),
+        "tx": _Pattern({"kind": "omni"}),
+        "tx_pointing_deg": _number(0.0),
     },
-    "grid": {"delta_phi_deg": 0.2},
-    "delay": {"delta_tau_ns": 0.1, "span_after_onset_ns": None},
-    "probe": {"bandwidth_ghz": 1.0, "shape": "hamming", "oversample": 20},
-    "spin": {"period_s": 0.2, "sample_rate_hz": 740.0, "pointings_per_rotation": 148},
+    "grid": {"delta_phi_deg": _number(0.2, "> 0")},
+    "delay": {
+        "delta_tau_ns": _number(0.1, "> 0"),
+        "span_after_onset_ns": _number(None, "> 0", optional=True),
+    },
+    "probe": {
+        "bandwidth_ghz": _number(1.0, "> 0"),
+        "shape": _choice("hamming", "hamming", "rect"),
+        "oversample": _number(20, ">= 10"),
+    },
+    "spin": {
+        "period_s": _number(0.2, "> 0"),
+        "sample_rate_hz": _number(740.0, "> 0"),
+        "pointings_per_rotation": _integer(148, "a positive integer", lambda v: v >= 1),
+    },
     "scene": {
-        "duration_s": 4.0,
-        "target": {"rcs_dbsm": -8.0, "coherence_time_s": 0.1, "model": "swerling1"},
+        "duration_s": _number(4.0, "> 0"),
+        "target": {
+            "rcs_dbsm": _number(-8.0),
+            "coherence_time_s": _number(0.1, "> 0"),
+            "model": _choice("swerling1", "swerling1", "constant"),
+        },
         # default demonstration: walk from the room side toward the radar
         # at the center and back at ~0.9 m/s, then hold
-        "waypoints": [
-            [0.0, 1.4, -0.6],
-            [1.66, 0.25, 0.35],
-            [3.32, 1.4, -0.6],
-            [4.0, 1.4, -0.6],
-        ],
-        "regenerate_clutter_per_rotation": False,
+        "waypoints": _Leaf(
+            [[0.0, 1.4, -0.6], [1.66, 0.25, 0.35], [3.32, 1.4, -0.6], [4.0, 1.4, -0.6]],
+            "a list of [t, x, y] waypoints of finite numbers, t increasing, off the origin",
+            lambda v: _numbers_only(v) and _builds(Trajectory.from_waypoints, v),
+        ),
+        "regenerate_clutter_per_rotation": _Leaf(False, "true or false", lambda v: type(v) is bool),
     },
-    "seed": 1234,
-    "ensemble": 1,
+    "seed": _integer(1234, "an integer in [0, 2**64)", lambda v: 0 <= v < 2**64),
+    "ensemble": _integer(1, "a positive integer", lambda v: v >= 1),
 }
+
+
+def _default_tree(schema: dict) -> dict:
+    return {
+        key: _default_tree(node) if isinstance(node, dict) else node.default
+        for key, node in schema.items()
+    }
+
+
+DEFAULT_CONFIG = _default_tree(SCHEMA)
 
 
 def _check_keys(node: dict, allowed, path: str) -> None:
@@ -63,66 +176,58 @@ def _check_keys(node: dict, allowed, path: str) -> None:
         raise ConfigurationError(f"config {path or '(top level)'}: unknown key(s) {unknown}")
 
 
-def _merge(default, override, path: str):
-    """Fill the default tree with override values, rejecting unknown keys.
-
-    A pattern node (one with a ``kind``) that names another kind than the
-    default replaces it whole; :func:`_pattern_from_tree` checks its keys.
-    """
+def _merge(schema: dict, tree: dict, override, path: str) -> dict:
+    """A copy of ``tree`` with the values of ``override``; unknown keys are
+    rejected.  A pattern node without a ``kind`` updates the current one key
+    by key, one that names its kind replaces it whole."""
     if not isinstance(override, dict):
         raise ConfigurationError(f"config {path or '(top level)'}: expected an object")
-    _check_keys(override, default.keys(), path)
-    merged = copy.deepcopy(default)
+    _check_keys(override, schema, path)
+    merged = copy.deepcopy(tree)
     for key, value in override.items():
-        child = f"{path}.{key}" if path else key
-        if isinstance(default[key], dict) and not _is_other_kind(default[key], value):
-            merged[key] = _merge(default[key], value, child)
+        node, old = schema[key], tree[key]
+        if isinstance(node, dict):
+            merged[key] = _merge(node, old, value, f"{path}.{key}" if path else key)
+        elif isinstance(node, _Pattern) and isinstance(value, dict) and "kind" not in value:
+            merged[key] = {**old, **copy.deepcopy(value)}
         else:
             merged[key] = copy.deepcopy(value)
     return merged
 
 
-def _is_other_kind(default: dict, override) -> bool:
-    return (
-        "kind" in default
-        and isinstance(override, dict)
-        and override.get("kind", default["kind"]) != default["kind"]
-    )
+def load_config_tree(path=None, overrides=None) -> dict:
+    """The default tree, merged with a config file and then with an
+    ``overrides`` fragment of the same shape (the command-line flags).  A
+    run-metadata file (with ``config`` and ``versions`` keys) is unwrapped."""
+    tree = {}
+    if path is not None:
+        try:
+            tree = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        if isinstance(tree, dict) and "config" in tree and "versions" in tree:
+            tree = tree["config"]
+    return _merge(SCHEMA, _merge(SCHEMA, DEFAULT_CONFIG, tree, ""), overrides or {}, "")
 
 
-def load_config_tree(path=None) -> dict:
-    """Read a config file (or start from defaults) into a resolved tree.
+def _check_tree(schema: dict, tree: dict, path: str = "") -> None:
+    """Check each leaf of ``tree`` against ``schema``; a missing one is null."""
+    for key, node in schema.items():
+        child = f"{path}.{key}" if path else key
+        if isinstance(node, dict):
+            _check_tree(node, tree[key], child)
+        else:
+            node.check(tree.get(key), child)
 
-    A run-metadata file (recognized by its ``config``/``versions`` keys) is
-    unwrapped so metadata can be fed straight back as a config.
-    """
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    text = Path(path).read_text()
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Name ``path`` in a ValueError or OSError from building objects out of
+    checked leaves: an error that involves more than one key, or a file."""
     try:
-        tree = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    if isinstance(tree, dict) and "config" in tree and "versions" in tree:
-        tree = tree["config"]
-    return _merge(DEFAULT_CONFIG, tree, "")
-
-
-def _require_count(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(f"config {path}: expected a positive integer, got {value!r}")
-    return value
-
-
-def _require_number(tree, path: str, allow_none=False):
-    node = tree
-    for part in path.split("."):
-        node = node[part]
-    if node is None and allow_none:
-        return None
-    if isinstance(node, bool) or not isinstance(node, (int, float)) or not math.isfinite(node):
-        raise ConfigurationError(f"config {path}: expected a finite number, got {node!r}")
-    return float(node)
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigurationError(f"config {path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,140 +251,73 @@ class RunConfig:
     ensemble: int
 
     def scene_spec(self) -> SceneSpec:
-        """The ``scene`` subtree as a SceneSpec; bad values name their key."""
+        """The ``scene`` subtree as a SceneSpec; cross-key errors name ``scene``."""
         scn = self.tree["scene"]
-        regenerate = scn["regenerate_clutter_per_rotation"]
-        if not isinstance(regenerate, bool):
-            raise ConfigurationError(
-                "config scene.regenerate_clutter_per_rotation: expected true or false, "
-                f"got {regenerate!r}"
-            )
-        with _config_errors("config scene.target"):
-            target = TargetSpec(
-                sigma0_dbsm=_require_number(self.tree, "scene.target.rcs_dbsm"),
-                coherence_time_s=_require_number(self.tree, "scene.target.coherence_time_s"),
-                model=str(scn["target"]["model"]),
-            )
-        with _config_errors("config scene.waypoints"):
-            traj = Trajectory.from_waypoints(scn["waypoints"])
-        with _config_errors("config scene"):
+        target = scn["target"]
+        with _naming("scene"):
             return SceneSpec(
-                room=self.room,
-                clutter=self.clutter,
-                target=target,
-                trajectory=traj,
-                rx=self.rx,
-                tx=self.tx,
+                room=self.room, clutter=self.clutter, rx=self.rx, tx=self.tx,
+                target=TargetSpec(
+                    float(target["rcs_dbsm"]), float(target["coherence_time_s"]), target["model"]
+                ),
+                trajectory=Trajectory.from_waypoints(scn["waypoints"]),
                 spin_period_s=self.spin_period_s,
                 sample_rate_hz=self.sample_rate_hz,
-                duration_s=_require_number(self.tree, "scene.duration_s"),
+                duration_s=float(scn["duration_s"]),
                 tx_pointing_deg=self.tx_pointing_deg,
-                regenerate_clutter_per_rotation=regenerate,
+                regenerate_clutter_per_rotation=scn["regenerate_clutter_per_rotation"],
             )
 
 
-@contextlib.contextmanager
-def _config_errors(where: str):
-    """Re-raise a ValueError, KeyError or TypeError as a ConfigurationError
-    whose message starts with ``where``."""
-    try:
-        yield
-    except ConfigurationError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigurationError(f"{where}: {exc}") from exc
-
-
-def _surface_from_tag(tag) -> Surface:
-    if isinstance(tag, dict):
-        _check_keys(tag, ("eps_r", "gamma_sq"), "room.material")
-        if "eps_r" in tag:
-            return Surface.dielectric(float(tag["eps_r"]))
-        if "gamma_sq" in tag:
-            return Surface.explicit(float(tag["gamma_sq"]))
-        raise ConfigurationError("room.material object needs eps_r or gamma_sq")
-    if tag == "metal":
-        return Surface.metal()
-    if isinstance(tag, str) and tag.startswith("dielectric:"):
-        return Surface.dielectric(float(tag.split(":", 1)[1]))
-    if isinstance(tag, str) and tag.startswith("gamma:"):
-        return Surface.explicit(float(tag.split(":", 1)[1]))
-    raise ConfigurationError(f"config room.material: unknown material {tag!r}")
-
-
-def _pattern_from_tree(node: dict, grid: AzimuthGrid, path: str) -> AntennaPattern:
-    _check_keys(node, ("kind", "hpbw_deg", "path"), path)
-    kind = node.get("kind")
-    if kind == "gaussian":
-        if "hpbw_deg" not in node:
-            raise ConfigurationError(f"config {path}: gaussian pattern needs hpbw_deg")
+def _pattern(node: dict, grid: AzimuthGrid, path: str) -> AntennaPattern:
+    if node["kind"] == "gaussian":
         return gaussian_horn(float(node["hpbw_deg"]), grid)
-    if kind == "omni":
+    if node["kind"] == "omni":
         return omni(grid)
-    if kind == "csv":
-        if "path" not in node:
-            raise ConfigurationError(f"config {path}: csv pattern needs path")
+    with _naming(f"{path}.path"):
         return load_pattern_csv(node["path"], grid)
-    raise ConfigurationError(f"config {path}.kind: unknown pattern kind {kind!r}")
 
 
 def resolve_config(tree: dict) -> RunConfig:
-    """Turn a merged config tree into validated simulator objects."""
-    with _config_errors("config"):
-        with _config_errors("config room.material"):
-            surface = _surface_from_tag(tree["room"]["material"])
+    """Check every leaf of a merged config tree, then build the simulator
+    objects from it."""
+    _check_tree(SCHEMA, tree)
+    room_t, delay_t, probe_t, spin = tree["room"], tree["delay"], tree["probe"], tree["spin"]
+    with _naming("room"):
         room = RoomSpec(
-            width_m=_require_number(tree, "room.width_m"),
-            length_m=_require_number(tree, "room.length_m"),
-            d_s_m=_require_number(tree, "room.d_s_m", allow_none=True),
-            surface=surface,
-            t_rev_s=_require_number(tree, "room.t_rev_ns") * 1e-9,
+            width_m=float(room_t["width_m"]),
+            length_m=float(room_t["length_m"]),
+            d_s_m=None if room_t["d_s_m"] is None else float(room_t["d_s_m"]),
+            surface=Surface.from_tag(room_t["material"]),
+            t_rev_s=float(room_t["t_rev_ns"]) * 1e-9,
         )
-        carrier = CarrierSpec(_require_number(tree, "carrier.frequency_ghz") * 1e9)
-        clutter = ClutterParams(
-            carrier=carrier,
-            sigma_v_db=_require_number(tree, "clutter.sigma_v_db"),
-            sigma_db=_require_number(tree, "clutter.sigma_db"),
-            phi_rms_deg=_require_number(tree, "clutter.phi_rms_deg"),
-        )
-        grid = AzimuthGrid.from_spacing(_require_number(tree, "grid.delta_phi_deg"))
-        try:
-            clutter.field_params.corr_bins(grid)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"config grid.delta_phi_deg: {exc}") from None
-        rx = _pattern_from_tree(tree["antennas"]["rx"], grid, "antennas.rx")
-        tx = _pattern_from_tree(tree["antennas"]["tx"], grid, "antennas.tx")
-        span_ns = _require_number(tree, "delay.span_after_onset_ns", allow_none=True)
+    carrier = CarrierSpec(float(tree["carrier"]["frequency_ghz"]) * 1e9)
+    clutter = ClutterParams(carrier, **{k: float(v) for k, v in tree["clutter"].items()})
+    with _naming("grid.delta_phi_deg"):
+        grid = AzimuthGrid.from_spacing(float(tree["grid"]["delta_phi_deg"]))
+        clutter.field_params.corr_bins(grid)
+    span_ns = delay_t["span_after_onset_ns"]
+    with _naming("delay"):
         delay_grid = DelayGrid.for_room(
             room,
-            delta_tau_s=_require_number(tree, "delay.delta_tau_ns") * 1e-9,
-            span_after_onset_s=None if span_ns is None else span_ns * 1e-9,
+            delta_tau_s=float(delay_t["delta_tau_ns"]) * 1e-9,
+            span_after_onset_s=None if span_ns is None else float(span_ns) * 1e-9,
         )
-        bandwidth = _require_number(tree, "probe.bandwidth_ghz") * 1e9
+    bandwidth = float(probe_t["bandwidth_ghz"]) * 1e9
+    with _naming("probe"):
         probe = make_probe_waveform(
-            bandwidth,
-            sample_rate_hz=_require_number(tree, "probe.oversample") * bandwidth,
-            shape=str(tree["probe"]["shape"]),
+            bandwidth, float(probe_t["oversample"]) * bandwidth, probe_t["shape"]
         )
-        seed = tree["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ConfigurationError("config seed: expected a 64-bit unsigned integer")
-        return RunConfig(
-            tree=tree,
-            room=room,
-            carrier=carrier,
-            clutter=clutter,
-            grid=grid,
-            rx=rx,
-            tx=tx,
-            tx_pointing_deg=_require_number(tree, "antennas.tx_pointing_deg"),
-            delay_grid=delay_grid,
-            probe=probe,
-            spin_period_s=_require_number(tree, "spin.period_s"),
-            sample_rate_hz=_require_number(tree, "spin.sample_rate_hz"),
-            pointings_per_rotation=_require_count(
-                tree["spin"]["pointings_per_rotation"], "spin.pointings_per_rotation"
-            ),
-            seed=seed,
-            ensemble=_require_count(tree["ensemble"], "ensemble"),
-        )
+    return RunConfig(
+        tree=tree, room=room, carrier=carrier, clutter=clutter, grid=grid,
+        rx=_pattern(tree["antennas"]["rx"], grid, "antennas.rx"),
+        tx=_pattern(tree["antennas"]["tx"], grid, "antennas.tx"),
+        tx_pointing_deg=float(tree["antennas"]["tx_pointing_deg"]),
+        delay_grid=delay_grid,
+        probe=probe,
+        spin_period_s=float(spin["period_s"]),
+        sample_rate_hz=float(spin["sample_rate_hz"]),
+        pointings_per_rotation=spin["pointings_per_rotation"],
+        seed=tree["seed"],
+        ensemble=tree["ensemble"],
+    )

@@ -72,8 +72,8 @@ class Surface:
     def __post_init__(self):
         if self.kind not in ("metal", "dielectric", "explicit"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
-        if self.kind == "dielectric" and (self.eps_r is None or not self.eps_r >= 1.0):
-            raise ValueError("dielectric surface needs eps_r >= 1")
+        if self.kind == "dielectric" and (self.eps_r is None or not 1.0 <= self.eps_r < math.inf):
+            raise ValueError("dielectric surface needs a finite eps_r >= 1")
         if self.kind == "explicit" and (
             self.gamma_sq is None or not 0.0 <= self.gamma_sq <= 1.0
         ):
@@ -90,6 +90,22 @@ class Surface:
     @classmethod
     def explicit(cls, gamma_sq: float) -> "Surface":
         return cls("explicit", gamma_sq=gamma_sq)
+
+    @classmethod
+    def from_tag(cls, tag) -> "Surface":
+        """Parse ``metal``, ``dielectric:<eps_r>``, ``gamma:<gamma_sq>``, or the
+        object forms ``{"eps_r": x}`` and ``{"gamma_sq": x}``."""
+        if tag == "metal":
+            return cls.metal()
+        if isinstance(tag, str):
+            name, _, text = tag.partition(":")
+            key = {"dielectric": "eps_r", "gamma": "gamma_sq"}.get(name)
+            tag = {key: float(text)} if key else tag
+        if isinstance(tag, dict) and len(tag) == 1:
+            [(key, value)] = tag.items()
+            if key in ("eps_r", "gamma_sq") and type(value) in (int, float):
+                return cls("dielectric" if key == "eps_r" else "explicit", **{key: float(value)})
+        raise ValueError(f"unknown material {tag!r}")
 
     def reflectivity(self) -> float:
         if self.kind == "metal":

@@ -15,7 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CarrierSpec, PredictionRecord, Surface, average_backscatter_ratio, to_db
+from .antennas import _wrap_deg
+from .core import (
+    CarrierSpec,
+    ConfigurationError,
+    PredictionRecord,
+    Surface,
+    average_backscatter_ratio,
+    to_db,
+)
 
 BEST_FIT_REFLECTIVITIES = (1.0, 0.25)  # metal / dielectric surroundings
 
@@ -96,8 +104,7 @@ def azimuth_autocorrelation(spectra):
     p = _normalize_db_rows(rows)
     n = base.size
     corr = np.fft.irfft(np.abs(np.fft.rfft(p, axis=1)) ** 2, n=n, axis=1).mean(axis=0) / n
-    spacing = 360.0 / n
-    lags = (np.arange(n) * spacing + 180.0) % 360.0 - 180.0
+    lags = _wrap_deg(np.arange(n) * (360.0 / n))
     order = np.argsort(lags, kind="stable")
     return lags[order], corr[order]
 
@@ -164,45 +171,32 @@ def _survey_data_path() -> Path:
 
 
 def load_room_survey(path=None) -> list[SurveyRow]:
-    """Read the shipped room-survey CSV (or another file of the same schema)."""
+    """Read the shipped room-survey CSV (or another file of the same schema).
+
+    A malformed row raises a ConfigurationError naming ``<file>:<line>``.
+    """
     src = Path(path) if path is not None else _survey_data_path()
-    rows = []
     with open(src, newline="") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        expected = [
-            "label", "n_links", "dim_a_m", "dim_b_m", "d_s_m",
-            "measured_median_db", "material",
-        ]
-        if reader.fieldnames != expected:
-            raise ValueError(f"{src}: expected header {','.join(expected)}")
-        for rec in reader:
-            rows.append(
-                SurveyRow(
-                    label=rec["label"],
-                    n_links=int(rec["n_links"]),
-                    dim_a_m=float(rec["dim_a_m"]),
-                    dim_b_m=float(rec["dim_b_m"]),
-                    d_s_m=float(rec["d_s_m"]),
-                    measured_median_db=float(rec["measured_median_db"]),
-                    material=rec["material"],
-                )
-            )
+        numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
+    expected = "label,n_links,dim_a_m,dim_b_m,d_s_m,measured_median_db,material".split(",")
+    if reader.fieldnames != expected:
+        raise ConfigurationError(f"{src}: expected header {','.join(expected)}")
+    rows = []
+    for rec in reader:
+        try:
+            numbers = [float(rec[key]) for key in expected[2:6]]
+            row = SurveyRow(rec["label"], int(rec["n_links"]), *numbers, rec["material"])
+            if not (0.0 < row.d_s_m < math.inf and math.isfinite(row.measured_median_db)):
+                raise ValueError("d_s_m must be finite and positive, measured_median_db finite")
+            if row.material != "bestfit":
+                Surface.from_tag(row.material)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{src}:{numbered[reader.line_num - 1][0]}: {exc}") from None
+        rows.append(row)
     if not rows:
-        raise ValueError(f"{src}: no survey rows")
+        raise ConfigurationError(f"{src}: no survey rows")
     return rows
-
-
-def _material_gamma_sq(material: str) -> float | None:
-    """Reflectivity for a survey material tag; None means best-fit."""
-    if material == "bestfit":
-        return None
-    if material == "metal":
-        return 1.0
-    if material.startswith("dielectric:"):
-        return Surface.dielectric(float(material.split(":", 1)[1])).reflectivity()
-    if material.startswith("gamma:"):
-        return float(material.split(":", 1)[1])
-    raise ValueError(f"unknown material tag {material!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,11 +220,10 @@ def survey_report(
         raise ValueError("no survey rows")
     records, errors = [], []
     for row in rows:
-        gamma_sq = None if force_best_fit else _material_gamma_sq(row.material)
-        if gamma_sq is None:
+        if force_best_fit or row.material == "bestfit":
             candidates = BEST_FIT_REFLECTIVITIES
         else:
-            candidates = (gamma_sq,)
+            candidates = (Surface.from_tag(row.material).reflectivity(),)
         best = None
         for g in candidates:
             p0_db = float(

@@ -184,8 +184,12 @@ class TimeAzimuthMap:
         return int(round(self.spin_period_s * self.sample_rate_hz))
 
     def folded(self):
-        """(rotation start times, pointing bins, power image)."""
+        """(rotation start times, pointing bins, power image) of the complete
+        rotations; empty unless a rotation is a whole number of samples (to
+        1e-9), as rows would drift off the first rotation's pointings."""
         spr = self.samples_per_rotation
+        if spr < 1 or abs(self.spin_period_s * self.sample_rate_hz - spr) > 1e-9:
+            return np.empty(0), np.empty(0), np.empty((0, 0))
         n_rot = self.power.size // spr
         image = self.power[: n_rot * spr].reshape(n_rot, spr)
         return self.times_s[::spr][:n_rot], self.pointing_deg[:spr], image
@@ -209,14 +213,16 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
 
     grid = spec.rx.grid
     clutter_stream = stream.child("clutter")
-    # static clutter is one draw spun over the whole scene
+    # static clutter is one draw spun over the whole scene; regenerated
+    # clutter is drawn anew wherever the rotation index floor(i / q) changes
     regenerate = spec.regenerate_clutter_per_rotation
-    spr = int(round(spec.spin_period_s * spec.sample_rate_hz)) if regenerate else n
+    rotation = np.floor(np.arange(n) / per_rotation) if regenerate else np.zeros(n)
+    starts = np.flatnonzero(np.diff(rotation, prepend=-1.0)).tolist()
     y_clut = np.empty(n, dtype=complex)
-    for rot, start in enumerate(range(0, n, spr)):
+    for rot, (start, stop) in enumerate(zip(starts, [*starts[1:], n])):
         sub = clutter_stream.child(f"rotation/{rot}") if regenerate else clutter_stream
         fld = gen_azimuth_channel(spec.room, spec.clutter, grid, (0.0, 0.0), sub)
-        sl = slice(start, start + spr)
+        sl = slice(start, stop)
         y_clut[sl] = spin_operator(
             grid, spec.rx, spec.tx, pointings[sl], spec.tx_pointing_deg
         )(fld.amplitudes)

@@ -18,22 +18,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats as spstats
 
-from .antennas import HPBW_TO_RMS, gaussian_horn, omni, pattern_autocorrelation
+from .antennas import HPBW_TO_RMS, _wrap_deg, gaussian_horn, omni, pattern_autocorrelation
 from .clutter import (
-    ClutterParams,
     DelayGrid,
     SpunSpectrum,
     band_limit,
     gen_azimuth_channel,
     gen_delay_azimuth_channel,
-    make_probe_waveform,
     spin_amplitudes,
     spin_operator,
     uniform_pointings,
 )
-from .config import load_config_tree, resolve_config
+from .config import RunConfig, load_config_tree, resolve_config
 from .core import (
-    CarrierSpec,
     RoomSpec,
     Surface,
     average_backscatter_ratio,
@@ -105,33 +102,26 @@ class ValidationReport:
         return out
 
 
-def _default_carrier() -> CarrierSpec:
-    return CarrierSpec(28e9)
-
-
-def _default_room() -> RoomSpec:
-    return RoomSpec(3.0, 3.0, surface=Surface.metal(), t_rev_s=1e-8)
-
-
-def _default_params() -> ClutterParams:
-    return ClutterParams(carrier=_default_carrier())
+def _defaults() -> RunConfig:
+    """The default run config: the room, clutter, patterns and probe the
+    checks simulate unless they say otherwise."""
+    return resolve_config(load_config_tree(None))
 
 
 def _default_spin(pointings):
-    """The 10 deg horn / omni spin over ``pointings`` on the default grid."""
-    grid = AzimuthGrid.default_for(_default_params().phi_rms_deg)
-    return spin_operator(grid, gaussian_horn(10.0, grid), omni(grid), pointings)
+    """The default patterns' spin over ``pointings`` on the default grid."""
+    cfg = _defaults()
+    return spin_operator(cfg.grid, cfg.rx, cfg.tx, pointings)
 
 
 def _channel_blocks(seed: int, label: str, n_draws: int, block: int = 250):
     """Default-room azimuth channels, draw i from stream ``{label}/{i}``,
     yielded as lists of at most ``block`` fields to bound memory."""
-    room, params = _default_room(), _default_params()
-    grid = AzimuthGrid.default_for(params.phi_rms_deg)
+    cfg = _defaults()
     for start in range(0, n_draws, block):
         yield [
             gen_azimuth_channel(
-                room, params, grid, (0.0, 0.0), derive_stream(seed, f"{label}/{i}")
+                cfg.room, cfg.clutter, cfg.grid, (0.0, 0.0), derive_stream(seed, f"{label}/{i}")
             )
             for i in range(start, min(start + block, n_draws))
         ]
@@ -139,7 +129,7 @@ def _channel_blocks(seed: int, label: str, n_draws: int, block: int = 250):
 
 def check_survey_prediction_rms(seed: int) -> tuple[bool, float, str, dict]:
     rows = load_room_survey()
-    report = survey_report(rows, _default_carrier(), force_best_fit=True)
+    report = survey_report(rows, _defaults().carrier, force_best_fit=True)
     rms = report.rms_db
     details = {
         "n_rooms": len(rows),
@@ -149,7 +139,7 @@ def check_survey_prediction_rms(seed: int) -> tuple[bool, float, str, dict]:
 
 
 def check_quadrature_agreement(seed: int) -> tuple[bool, float, str, dict]:
-    wl = _default_carrier().wavelength_m
+    wl = _defaults().carrier.wavelength_m
     closed = average_backscatter_ratio(1.5, wl, 1.0)
     ratios = {}
     for hpbw in (5.0, 10.0, 20.0):
@@ -274,7 +264,8 @@ def check_autocorrelation_main_lobe(seed: int) -> tuple[bool, float, str, dict]:
         spectra.extend(SpunSpectrum(pointings_deg=pointings, power=p) for p in power)
     lags, rho = azimuth_autocorrelation(spectra)
     hw_sim = correlation_half_width(lags, rho)
-    ref_lags, ref_rho = pattern_autocorrelation(gaussian_horn(10.0, AzimuthGrid(1440)))
+    ref = gaussian_horn(_defaults().rx.hpbw_deg, AzimuthGrid(1440))
+    ref_lags, ref_rho = pattern_autocorrelation(ref)
     hw_ref = correlation_half_width(ref_lags, ref_rho)
     stat = abs(hw_sim - hw_ref)
     return (
@@ -295,7 +286,6 @@ def _variation_samples(seed: int, label: str, n_seeds: int, spin):
 
 
 def check_cdf_seed_stability(seed: int) -> tuple[bool, float, str, dict]:
-    params = _default_params()
     spin = _default_spin(uniform_pointings(148))
     samples_a, stds_a = _variation_samples(seed, "cdfA", 500, spin)
     samples_b, stds_b = _variation_samples(seed, "cdfB", 500, spin)
@@ -309,35 +299,33 @@ def check_cdf_seed_stability(seed: int) -> tuple[bool, float, str, dict]:
         passed,
         decile_gap,
         "decile gap between disjoint 500-seed ensembles < 1 dB and spun dB std < 7 dB",
-        {"convolved_std_db": round(conv_std, 3), "raw_sigma_db": params.sigma_db},
+        {"convolved_std_db": round(conv_std, 3), "raw_sigma_db": _defaults().clutter.sigma_db},
     )
 
 
 def check_reverberation_decay(seed: int) -> tuple[bool, float, str, dict]:
-    room = RoomSpec(3.0, 3.0, surface=Surface.metal(), t_rev_s=10e-9)
-    params = _default_params()
+    cfg = _defaults()
     agrid = AzimuthGrid(720)
-    dgrid = DelayGrid.for_room(room, delta_tau_s=0.1e-9)
-    rx = gaussian_horn(10.0, agrid)
+    dgrid = DelayGrid.for_room(cfg.room, delta_tau_s=0.1e-9)
+    rx = gaussian_horn(cfg.rx.hpbw_deg, agrid)
     tx = omni(agrid)
-    probe = make_probe_waveform(1e9)
     pointings = uniform_pointings(144)
     n_maps = 100
     estimates = np.empty(n_maps)
     causal = True
     for i in range(n_maps):
         field = gen_delay_azimuth_channel(
-            room, params, dgrid, agrid, derive_stream(seed, f"reverb/{i}")
+            cfg.room, cfg.clutter, dgrid, agrid, derive_stream(seed, f"reverb/{i}")
         )
         pre_onset = dgrid.taus_s < dgrid.onset_s
         causal &= bool(np.all(field.amplitudes[pre_onset] == 0))
-        resp = band_limit(field, probe, rx, tx, pointings)
+        resp = band_limit(field, cfg.probe, rx, tx, pointings)
         causal &= bool(np.all(resp.power[resp.delays_s < dgrid.onset_s] == 0.0))
         estimates[i] = fit_reverberation(
             resp.delays_s, resp.mean_profile(), dgrid.onset_s
         )
     t_rev_hat = float(np.mean(estimates))
-    stat = abs(t_rev_hat / room.t_rev_s - 1.0)
+    stat = abs(t_rev_hat / cfg.room.t_rev_s - 1.0)
     return (
         stat <= 0.05 and causal,
         stat,
@@ -380,12 +368,8 @@ def check_target_fluctuation(seed: int) -> tuple[bool, float, str, dict]:
     )
 
 
-def _wrapped_angle_error(a_deg, b_deg):
-    return np.abs((np.asarray(a_deg) - np.asarray(b_deg) + 180.0) % 360.0 - 180.0)
-
-
 def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
-    cfg = resolve_config(load_config_tree(None))
+    cfg = _defaults()
     spec = cfg.scene_spec()
     stream = derive_stream(seed, "scene/demo")
     map_t = compose_scene(spec, stream)
@@ -411,12 +395,8 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
         block = diff[sl]
         j = int(np.argmax(block))
         if block[j] > 10.0 * float(np.median(block)):
-            errors.append(
-                float(_wrapped_angle_error(map_t.pointing_deg[sl][j], bearing[sl][j]))
-            )
-            detected_bearings.append(
-                float((map_t.pointing_deg[sl][j] + 180.0) % 360.0 - 180.0)
-            )
+            errors.append(float(abs(_wrap_deg(map_t.pointing_deg[sl][j] - bearing[sl][j]))))
+            detected_bearings.append(float(_wrap_deg(map_t.pointing_deg[sl][j])))
     n_detect = len(errors)
     median_err = float(np.median(errors)) if errors else math.inf
     sweep = (max(detected_bearings) - min(detected_bearings)) if n_detect >= 2 else 0.0

@@ -241,3 +241,35 @@ def test_regenerated_scene_builds_the_spin_operator_once(monkeypatch):
         counts.append(len(calls))
     static, regenerated = counts
     assert 0 < regenerated <= static
+
+
+@pytest.mark.parametrize("rate_hz", [740.0, 743.7])
+def test_folded_rows_sit_on_their_pointing_labels(rate_hz):
+    # at 743.7 Hz a rotation is 148.74 samples: rows cut every 149 samples
+    # would drift further off the first rotation's pointings, row by row
+    tmap = compose_scene(_demo_scene(sample_rate_hz=rate_hz), derive_stream(34, "fold"))
+    _, pointing_bins, image = tmap.folded()
+    n_rot, spr = image.shape
+    rows = tmap.pointing_deg[: n_rot * spr].reshape(n_rot, spr)
+    assert np.all(np.abs((rows - pointing_bins + 180.0) % 360.0 - 180.0) <= 1e-9)
+    assert np.array_equal(image, tmap.power[: n_rot * spr].reshape(n_rot, spr))
+    assert n_rot == (10 if rate_hz == 740.0 else 0)
+
+
+def test_regenerated_clutter_is_redrawn_where_the_rotation_index_changes():
+    spec = _demo_scene(
+        sample_rate_hz=743.7,
+        duration_s=1.0,
+        target=TargetSpec(sigma0_dbsm=-math.inf),
+        regenerate_clutter_per_rotation=True,
+    )
+    stream = derive_stream(35, "regen")
+    tmap = compose_scene(spec, stream)
+    rotation = np.floor(np.arange(tmap.power.size) / (spec.spin_period_s * spec.sample_rate_hz))
+    assert rotation[-1] == 4
+    for r in range(5):
+        sel = rotation == r
+        sub = stream.child("clutter").child(f"rotation/{r}")
+        field = gen_azimuth_channel(spec.room, spec.clutter, GRID, (0.0, 0.0), sub)
+        y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg[sel], 0.0)
+        assert np.array_equal(tmap.power[sel], np.abs(y) ** 2)
