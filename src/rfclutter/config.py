@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,21 +20,33 @@ from typing import Callable, NamedTuple
 
 from .antennas import AntennaPattern, gaussian_horn, load_pattern_csv, omni
 from .clutter import ClutterParams, DelayGrid, ProbeWaveform, make_probe_waveform
-from .core import CarrierSpec, ConfigurationError, RoomSpec, Surface
-from .randomfields import AzimuthGrid
+from .core import CarrierSpec, ConfigurationError, RoomSpec, Surface, from_db
+from .randomfields import AzimuthGrid, lognormal_mean_offset
 from .target import SceneSpec, TargetSpec, Trajectory
 
 
 class _Leaf(NamedTuple):
-    """A config value: its default and its domain, in words and as a test."""
+    """A config value: its default and its domain, in words and as a test;
+    ``linear`` is (formula, x -> value) for a leaf that enters the arithmetic
+    as a linear value, which must be a positive finite double."""
 
     default: object
     expected: str
     valid: Callable[[object], bool]
+    linear: tuple[str, Callable[[float], float]] | None = None
 
     def check(self, value, path: str) -> None:
         if not self.valid(value):
             raise ConfigurationError(f"config {path}: expected {self.expected}, got {value!r}")
+        try:
+            in_range = self.linear is None or 0.0 < self.linear[1](value) < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ConfigurationError(
+                f"config {path}: the linear value {self.linear[0]} must be a positive finite "
+                f"double, got x = {value!r}"
+            )
 
 
 def _is_number(v) -> bool:
@@ -56,6 +69,11 @@ def _number(default, bound: str = "", optional: bool = False) -> _Leaf:
     return _Leaf(
         default, expected, lambda v: optional and v is None or _is_number(v) and in_bound(v)
     )
+
+
+# a dB spread x enters the arithmetic through its unit-mean offset mu
+_SPREAD = ("10^(mu/10), mu = -(ln 10 / 20) x^2,", lambda x: from_db(lognormal_mean_offset(x)))
+_WAVELENGTH = ("c / (x GHz)", lambda x: CarrierSpec(x * 1e9).wavelength_m)
 
 
 def _integer(default, expected: str, in_range) -> _Leaf:
@@ -113,10 +131,10 @@ SCHEMA = {
         ),
         "t_rev_ns": _number(10.0, "> 0"),
     },
-    "carrier": {"frequency_ghz": _number(28.0, "> 0")},
+    "carrier": {"frequency_ghz": _number(28.0, "> 0")._replace(linear=_WAVELENGTH)},
     "clutter": {
-        "sigma_v_db": _number(4.0, ">= 0"),
-        "sigma_db": _number(7.0, ">= 0"),
+        "sigma_v_db": _number(4.0, ">= 0")._replace(linear=_SPREAD),
+        "sigma_db": _number(7.0, ">= 0")._replace(linear=_SPREAD),
         "phi_rms_deg": _number(1.0, "> 0"),
     },
     "antennas": {
@@ -142,7 +160,7 @@ SCHEMA = {
     "scene": {
         "duration_s": _number(4.0, "> 0"),
         "target": {
-            "rcs_dbsm": _number(-8.0),
+            "rcs_dbsm": _number(-8.0)._replace(linear=("10^(x/10)", from_db)),
             "coherence_time_s": _number(0.1, "> 0"),
             "model": _choice("swerling1", "swerling1", "constant"),
         },

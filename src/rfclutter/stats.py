@@ -3,6 +3,8 @@
 Empirical CDFs, spatial correlation of spun spectra across nearby
 transceiver positions, azimuth autocorrelation of spectra, exponential-decay
 fitting of delay profiles, and the room-survey prediction report.
+The correlations take arrays of dB spectra whose last axis is the pointing
+sweep, and normalize each spectrum along that axis.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def empirical_cdf(samples) -> EmpiricalCDF:
 
 
 def _normalize_db_rows(rows_db: np.ndarray) -> np.ndarray:
-    """Mean-removed, unit-variance rows (dB spectra)."""
+    """Mean-removed, unit-variance dB spectra along the last (pointing) axis."""
     centered = rows_db - rows_db.mean(axis=-1, keepdims=True)
     scale = np.sqrt((centered**2).mean(axis=-1, keepdims=True))
     if np.any(scale <= 0):
@@ -60,49 +62,39 @@ def _normalize_db_rows(rows_db: np.ndarray) -> np.ndarray:
     return centered / scale
 
 
-def spatial_correlation(spectra, positions_m):
+def spatial_correlation(power_db, positions_m):
     """Correlation of dB spun spectra versus transceiver separation.
 
-    Every spectrum is mean-removed and variance-normalized; pair products
-    are averaged over pointing angle and bucketed by |d2 - d1|.  Returns
-    (separations_m, rho) sorted by separation.
+    ``power_db`` is (n_positions, n_pointings), row i seen at ``positions_m[i]``.
+    Rows are normalized, each pair's product is averaged over the pointing
+    axis, then over the pairs at one separation |d_j - d_i| (rounded to
+    1e-9 m).  Returns (separations_m, rho) sorted by separation.
     """
-    if len(spectra) < 2 or len(spectra) != len(positions_m):
-        raise ValueError("need >= 2 spectra with matching positions")
-    base = np.asarray(spectra[0].pointings_deg)
-    rows = []
-    for s in spectra:
-        if s.pointings_deg.shape != base.shape or np.any(s.pointings_deg != base):
-            raise ValueError("spectra must share one pointing grid")
-        rows.append(s.power_db)
-    p = _normalize_db_rows(np.asarray(rows))
+    p = np.asarray(power_db, dtype=float)
     pos = np.asarray(positions_m, dtype=float)
-
-    buckets: dict[float, list[float]] = {}
-    n = len(spectra)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sep = round(abs(pos[j] - pos[i]), 9)
-            buckets.setdefault(sep, []).append(float(np.mean(p[i] * p[j])))
-    seps = np.array(sorted(buckets))
-    rho = np.array([np.mean(buckets[s]) for s in seps])
+    if p.ndim != 2 or p.shape[0] < 2 or pos.shape != (p.shape[0],):
+        raise ValueError("need an (n_positions >= 2, n_pointings) array with matching positions")
+    p = _normalize_db_rows(p)
+    i, j = np.triu_indices(pos.size, k=1)
+    pair_rho = np.mean(p[i] * p[j], axis=1)
+    seps, bucket = np.unique(np.round(np.abs(pos[j] - pos[i]), 9), return_inverse=True)
+    # one np.mean per bucket keeps the pairwise summation order of each mean
+    rho = np.array([np.mean(pair_rho[bucket == k]) for k in range(seps.size)])
     return seps, rho
 
 
-def azimuth_autocorrelation(spectra):
+def azimuth_autocorrelation(power_db):
     """Circular autocorrelation of normalized dB spectra versus azimuth lag.
 
-    Accepts one spectrum or a list; with several, the correlation is
-    averaged across them.  Returns (lags_deg in [-180, 180), rho).
+    ``power_db`` is a (..., n_pointings) array of spectra on one uniform
+    pointing sweep; the correlation is averaged over all leading axes.
+    Returns (lags_deg in [-180, 180), rho).
     """
-    if not isinstance(spectra, (list, tuple)):
-        spectra = [spectra]
-    if len(spectra) == 0:
+    p = np.asarray(power_db, dtype=float)
+    if p.size == 0:
         raise ValueError("need at least one spectrum")
-    base = np.asarray(spectra[0].pointings_deg)
-    rows = np.asarray([s.power_db for s in spectra])
-    p = _normalize_db_rows(rows)
-    n = base.size
+    n = p.shape[-1]
+    p = _normalize_db_rows(p.reshape(-1, n))
     corr = np.fft.irfft(np.abs(np.fft.rfft(p, axis=1)) ** 2, n=n, axis=1).mean(axis=0) / n
     lags = _wrap_deg(np.arange(n) * (360.0 / n))
     order = np.argsort(lags, kind="stable")
@@ -189,8 +181,8 @@ def load_room_survey(path=None) -> list[SurveyRow]:
             row = SurveyRow(rec["label"], int(rec["n_links"]), *numbers, rec["material"])
             if not (0.0 < row.d_s_m < math.inf and math.isfinite(row.measured_median_db)):
                 raise ValueError("d_s_m must be finite and positive, measured_median_db finite")
-            if row.material != "bestfit":
-                Surface.from_tag(row.material)
+            if row.material != "bestfit" and Surface.from_tag(row.material).reflectivity() <= 0:
+                raise ValueError(f"material {row.material}: zero reflectivity has no finite dB")
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"{src}:{numbered[reader.line_num - 1][0]}: {exc}") from None
         rows.append(row)

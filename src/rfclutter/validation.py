@@ -21,7 +21,6 @@ from scipy import stats as spstats
 from .antennas import HPBW_TO_RMS, _wrap_deg, gaussian_horn, omni, pattern_autocorrelation
 from .clutter import (
     DelayGrid,
-    SpunSpectrum,
     band_limit,
     gen_azimuth_channel,
     gen_delay_azimuth_channel,
@@ -108,23 +107,27 @@ def _defaults() -> RunConfig:
     return resolve_config(load_config_tree(None))
 
 
-def _default_spin(pointings):
-    """The default patterns' spin over ``pointings`` on the default grid."""
+def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=250):
+    """Default-room azimuth channels, draw i from stream ``{label}/{i}``, in
+    blocks of at most ``block`` draws, spun over ``pointings``: yields
+    (|Y|^2, p0 * 10^(P_v/10) per draw).  |Y|^2 is (draws, n_pointings), or
+    (draws, n_locations, n_pointings) with each draw relocated to each of
+    ``locations``."""
     cfg = _defaults()
-    return spin_operator(cfg.grid, cfg.rx, cfg.tx, pointings)
-
-
-def _channel_blocks(seed: int, label: str, n_draws: int, block: int = 250):
-    """Default-room azimuth channels, draw i from stream ``{label}/{i}``,
-    yielded as lists of at most ``block`` fields to bound memory."""
-    cfg = _defaults()
+    spin = spin_operator(cfg.grid, cfg.rx, cfg.tx, pointings)
     for start in range(0, n_draws, block):
-        yield [
+        fields = [
             gen_azimuth_channel(
                 cfg.room, cfg.clutter, cfg.grid, (0.0, 0.0), derive_stream(seed, f"{label}/{i}")
             )
             for i in range(start, min(start + block, n_draws))
         ]
+        if locations is None:
+            amplitudes = np.stack([f.amplitudes for f in fields])
+        else:
+            amplitudes = np.array([[f.relocate(x).amplitudes for x in locations] for f in fields])
+        levels = np.array([f.p0 * 10.0 ** (f.p_v_db / 10.0) for f in fields])
+        yield np.abs(spin(amplitudes)) ** 2, levels
 
 
 def check_survey_prediction_rms(seed: int) -> tuple[bool, float, str, dict]:
@@ -216,14 +219,9 @@ def check_azimuth_correlation_scale(seed: int) -> tuple[bool, float, str, dict]:
 
 def check_spin_calibration(seed: int) -> tuple[bool, float, str, dict]:
     pointings = uniform_pointings(148)
-    spin = _default_spin(pointings)
     n_seeds = 4000
-    ratios = []
-    for fields in _channel_blocks(seed, "spincal", n_seeds):
-        y = spin(np.stack([f.amplitudes for f in fields]))
-        level = np.array([f.p0 * 10.0 ** (f.p_v_db / 10.0) for f in fields])
-        ratios.append(np.mean(np.abs(y) ** 2, axis=1) / level)
-    stat = float(np.mean(np.concatenate(ratios)))
+    ensemble = _spun_ensemble(seed, "spincal", n_seeds, pointings)
+    stat = float(np.mean(np.concatenate([np.mean(p, axis=1) / lv for p, lv in ensemble])))
     return (
         abs(stat - 1.0) <= 0.02,
         stat,
@@ -234,15 +232,13 @@ def check_spin_calibration(seed: int) -> tuple[bool, float, str, dict]:
 
 def check_spatial_decorrelation(seed: int) -> tuple[bool, float, str, dict]:
     pointings = uniform_pointings(148)
-    spin = _default_spin(pointings)
     positions = np.arange(11) * 0.1  # 1 m line, 0.1 m steps
+    locations = [(float(x), 0.0) for x in positions]
     n_seeds = 200
     rho_sum = 0.0
-    for fields in _channel_blocks(seed, "spatial", n_seeds, block=25):
-        moved = [[f.relocate((float(x), 0.0)).amplitudes for x in positions] for f in fields]
-        for power in np.abs(spin(np.array(moved))) ** 2:
-            spectra = [SpunSpectrum(pointings_deg=pointings, power=p) for p in power]
-            seps, rho = spatial_correlation(spectra, positions)
+    for power, _ in _spun_ensemble(seed, "spatial", n_seeds, pointings, locations, block=25):
+        for power_db in to_db(power):
+            seps, rho = spatial_correlation(power_db, positions)
             rho_sum = rho_sum + rho
     rho_mean = rho_sum / n_seeds
     at_01 = float(rho_mean[np.argmin(np.abs(seps - 0.1))])
@@ -256,13 +252,11 @@ def check_spatial_decorrelation(seed: int) -> tuple[bool, float, str, dict]:
 
 def check_autocorrelation_main_lobe(seed: int) -> tuple[bool, float, str, dict]:
     pointings = uniform_pointings(1440)  # 0.25 deg lag resolution
-    spin = _default_spin(pointings)
     n_seeds = 300
-    spectra = []
-    for fields in _channel_blocks(seed, "acorr", n_seeds):
-        power = np.abs(spin(np.stack([f.amplitudes for f in fields]))) ** 2
-        spectra.extend(SpunSpectrum(pointings_deg=pointings, power=p) for p in power)
-    lags, rho = azimuth_autocorrelation(spectra)
+    power_db = np.concatenate(
+        [to_db(power) for power, _ in _spun_ensemble(seed, "acorr", n_seeds, pointings)]
+    )
+    lags, rho = azimuth_autocorrelation(power_db)
     hw_sim = correlation_half_width(lags, rho)
     ref = gaussian_horn(_defaults().rx.hpbw_deg, AzimuthGrid(1440))
     ref_lags, ref_rho = pattern_autocorrelation(ref)
@@ -276,24 +270,18 @@ def check_autocorrelation_main_lobe(seed: int) -> tuple[bool, float, str, dict]:
     )
 
 
-def _variation_samples(seed: int, label: str, n_seeds: int, spin):
-    """Per-spectrum mean-removed dB samples and per-spectrum dB stds."""
-    db = np.concatenate([
-        to_db(np.abs(spin(np.stack([f.amplitudes for f in fields]))) ** 2)
-        for fields in _channel_blocks(seed, label, n_seeds)
-    ])
-    return (db - db.mean(axis=1, keepdims=True)).ravel(), db.std(axis=1)
-
-
 def check_cdf_seed_stability(seed: int) -> tuple[bool, float, str, dict]:
-    spin = _default_spin(uniform_pointings(148))
-    samples_a, stds_a = _variation_samples(seed, "cdfA", 500, spin)
-    samples_b, stds_b = _variation_samples(seed, "cdfB", 500, spin)
+    pointings = uniform_pointings(148)
+    # (ensemble A/B, draw, pointing) dB spectra from two disjoint stream sets
+    db = np.stack([
+        np.concatenate([to_db(power) for power, _ in _spun_ensemble(seed, label, 500, pointings)])
+        for label in ("cdfA", "cdfB")
+    ])
+    variation = db - db.mean(axis=-1, keepdims=True)
     deciles = np.arange(0.1, 0.95, 0.1)
-    qa = np.quantile(samples_a, deciles)
-    qb = np.quantile(samples_b, deciles)
+    qa, qb = (np.quantile(v, deciles) for v in variation)
     decile_gap = float(np.max(np.abs(qa - qb)))
-    conv_std = float(np.mean(np.concatenate([stds_a, stds_b])))
+    conv_std = float(np.mean(db.std(axis=-1)))
     passed = decile_gap < 1.0 and conv_std < 7.0
     return (
         passed,

@@ -243,3 +243,38 @@ def test_bad_survey_row_exits_2_naming_file_and_line(tmp_path, row):
     rc, err = _run(["predict", "--survey", str(survey), "--out", str(out)])
     assert rc == 2 and f"{survey}:4:" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("material", ["gamma:0", "dielectric:1"])
+def test_zero_reflectivity_survey_row_exits_2(tmp_path, material):
+    survey = tmp_path / "survey.csv"
+    survey.write_text(SURVEY_HEADER + f"ok,1,3,3,1.5,-66.7,metal\nroom,1,3,3,1.5,-66.7,{material}\n")
+    out = tmp_path / "o"
+    rc, err = _run(["predict", "--survey", str(survey), "--out", str(out)])
+    assert rc == 2 and f"{survey}:3:" in err and "zero reflectivity" in err
+    assert not out.exists()
+
+
+# (leaf, values whose derived linear value leaves the positive finite doubles,
+# values just inside that range): the power 10^(mu/10) of a dB spread's
+# unit-mean offset, sigma0 of the target RCS, the carrier wavelength
+LINEAR_BOUNDARIES = [
+    ("clutter.sigma_db", [167.7, 300, 1e6], [167.6, 7.0]),
+    ("clutter.sigma_v_db", [167.7, 1e200], [167.6, 4.0]),
+    ("scene.target.rcs_dbsm", [3082.6, 4000, -3236.1], [3082.5, -3236.0, -8.0]),
+    ("carrier.frequency_ghz", [1.8e299, 1e300, 1e-310], [1.7e299, 1e-308, 28.0]),
+]
+
+
+@pytest.mark.parametrize("key, rejected, accepted", LINEAR_BOUNDARIES)
+def test_derived_linear_value_must_be_a_positive_finite_double(tmp_path, key, rejected, accepted):
+    command = "scene" if key.startswith("scene.") else "synth-azimuth"
+    for value in rejected:
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(_fragment(key, value)))
+        rc, err = _run([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2, err
+        assert f"config {key}:" in err and "positive finite double" in err
+        assert not out.exists()
+    for value in accepted:
+        config.resolve_config(config.load_config_tree(None, _fragment(key, value)))

@@ -11,16 +11,9 @@ from rfclutter import (
     spatial_correlation,
     survey_report,
 )
-from rfclutter.clutter import SpunSpectrum
+from rfclutter.core import from_db, to_db
 
 CARRIER = CarrierSpec(28e9)
-
-
-def _spectrum(power_db, pointings=None):
-    power_db = np.asarray(power_db, dtype=float)
-    if pointings is None:
-        pointings = np.arange(power_db.size) * (360.0 / power_db.size)
-    return SpunSpectrum(pointings_deg=pointings, power=10.0 ** (power_db / 10.0))
 
 
 def test_empirical_cdf_basics():
@@ -37,41 +30,50 @@ def test_empirical_cdf_basics():
 def test_spatial_correlation_identity_and_negation():
     rng = np.random.default_rng(0)
     db = rng.normal(size=360)
-    s = _spectrum(db)
-    seps, rho = spatial_correlation([s, s], [0.0, 0.1])
+    seps, rho = spatial_correlation(np.stack([db, db]), [0.0, 0.1])
     assert rho[0] == pytest.approx(1.0, abs=1e-12)
-    seps, rho = spatial_correlation([s, _spectrum(-db)], [0.0, 0.1])
+    seps, rho = spatial_correlation(np.stack([db, -db]), [0.0, 0.1])
     assert rho[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_spatial_correlation_invariances():
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=360), rng.normal(size=360)
-    base = spatial_correlation([_spectrum(a), _spectrum(b)], [0.0, 0.1])[1]
-    shifted = spatial_correlation([_spectrum(a + 13.0), _spectrum(b + 13.0)], [0.0, 0.1])[1]
+    base = spatial_correlation(np.stack([a, b]), [0.0, 0.1])[1]
+    shifted = spatial_correlation(np.stack([a + 13.0, b + 13.0]), [0.0, 0.1])[1]
     assert shifted == pytest.approx(base, abs=1e-9)
     # common linear power scaling is a constant dB offset
-    sa, sb = _spectrum(a), _spectrum(b)
-    scaled = [
-        SpunSpectrum(pointings_deg=sa.pointings_deg, power=7.0 * sa.power),
-        SpunSpectrum(pointings_deg=sb.pointings_deg, power=7.0 * sb.power),
-    ]
+    scaled = to_db(7.0 * from_db(np.stack([a, b])))
     assert spatial_correlation(scaled, [0.0, 0.1])[1] == pytest.approx(base, abs=1e-9)
 
 
 def test_spatial_correlation_guards():
-    s = _spectrum(np.zeros(360))
     with pytest.raises(ValueError):
-        spatial_correlation([s, s], [0.0, 0.1])  # constant spectra
+        spatial_correlation(np.zeros((2, 360)), [0.0, 0.1])  # constant spectra
     with pytest.raises(ValueError):
-        spatial_correlation([_spectrum(np.random.default_rng(2).normal(size=360))], [0.0])
+        spatial_correlation(np.random.default_rng(2).normal(size=(1, 360)), [0.0])
+
+
+def test_spatial_correlation_averages_pairs_per_separation():
+    rng = np.random.default_rng(5)
+    positions = [0.0, 0.1, 0.2, 0.35, 0.45]
+    db = rng.normal(size=(len(positions), 148))
+    seps, rho = spatial_correlation(db, positions)
+    norm = [(r - r.mean()) / r.std() for r in db]
+    buckets = {}
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            sep = round(abs(positions[j] - positions[i]), 9)
+            buckets.setdefault(sep, []).append(np.mean(norm[i] * norm[j]))
+    assert seps.tolist() == sorted(buckets)
+    assert [len(buckets[s]) for s in sorted(buckets)] == [3, 1, 1, 2, 2, 1]
+    assert rho == pytest.approx([np.mean(buckets[s]) for s in sorted(buckets)], abs=1e-12)
 
 
 def test_azimuth_autocorrelation_basics():
     rng = np.random.default_rng(3)
     n = 3600
-    s = _spectrum(rng.normal(size=n))
-    lags, rho = azimuth_autocorrelation(s)
+    lags, rho = azimuth_autocorrelation(rng.normal(size=n))
     assert rho[np.argmin(np.abs(lags))] == pytest.approx(1.0, abs=1e-12)
     # white spectrum decorrelates past one bin
     beyond = np.abs(lags) > 360.0 / n
@@ -80,10 +82,17 @@ def test_azimuth_autocorrelation_basics():
 
 def test_azimuth_autocorrelation_averages_spectra():
     rng = np.random.default_rng(4)
-    spectra = [_spectrum(rng.normal(size=360)) for _ in range(50)]
-    lags, rho = azimuth_autocorrelation(spectra)
-    one = azimuth_autocorrelation(spectra[0])[1]
+    db = rng.normal(size=(50, 360))
+    lags, rho = azimuth_autocorrelation(db)
+    one = azimuth_autocorrelation(db[0])[1]
     assert np.abs(rho[np.abs(lags) > 1.0]).max() < np.abs(one[np.abs(lags) > 1.0]).max()
+
+
+def test_azimuth_autocorrelation_averages_every_leading_axis():
+    db = np.random.default_rng(6).normal(size=(3, 4, 90))
+    lags, rho = azimuth_autocorrelation(db)
+    flat_lags, flat_rho = azimuth_autocorrelation(db.reshape(12, 90))
+    assert np.array_equal(lags, flat_lags) and np.array_equal(rho, flat_rho)
 
 
 def test_fit_reverberation_exact_on_synthetic():
