@@ -94,6 +94,14 @@ class AntennaPattern:
         return self.hpbw_deg * HPBW_TO_RMS
 
     def _raw_power(self, offset_deg) -> np.ndarray:
+        """Unnormalized power at azimuth offsets (degrees) from boresight.
+
+        A ``custom`` pattern reads its nearest grid sample.  The offset is
+        taken in bins rounded to 1e-9, so rounding noise cannot split a tie:
+        an offset half way between two samples (to 1e-9 bin) reads the upper
+        one.  Offsets a whole number of bins apart therefore read the same
+        samples shifted, which the spin operator relies on.
+        """
         d = _wrap_deg(offset_deg)
         if self.kind == "gaussian":
             return _gaussian_wrapped_power(np.abs(d), self.hpbw_deg * HPBW_TO_RMS)
@@ -106,9 +114,9 @@ class AntennaPattern:
             ext_gain = np.concatenate([gain, [gain[0]]])
             db = np.interp(np.asarray(offset_deg, dtype=float) % 360.0, ext_az, ext_gain)
             return 10.0 ** (db / 10.0)
-        # custom: nearest grid sample (already normalized field)
-        idx = np.rint(np.asarray(offset_deg, dtype=float) % 360.0 / self.grid.delta_phi_deg)
-        idx = idx.astype(int) % self.grid.n_bins
+        # custom: nearest grid sample (already normalized field), ties up
+        bins = np.round(np.asarray(offset_deg, dtype=float) % 360.0 / self.grid.delta_phi_deg, 9)
+        idx = np.floor(bins + 0.5).astype(int) % self.grid.n_bins
         return self.power[idx] / self._scale
 
     def field_at(self, offset_deg) -> np.ndarray:

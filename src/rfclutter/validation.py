@@ -24,6 +24,7 @@ from .clutter import (
     band_limit,
     gen_azimuth_channel,
     gen_delay_azimuth_channel,
+    location_phase,
     spin_amplitudes,
     spin_operator,
     uniform_pointings,
@@ -57,6 +58,7 @@ from .target import SceneSpec, TargetSpec, Trajectory, compose_scene, trajectory
 DEFAULT_VALIDATION_SEED = 1234
 
 E_HALF = math.exp(-0.5)
+LN10_OVER_10 = math.log(10.0) / 10.0
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,13 @@ def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=250):
     """Default-room azimuth channels, draw i from stream ``{label}/{i}``, in
     blocks of at most ``block`` draws, spun over ``pointings``: yields
     (|Y|^2, p0 * 10^(P_v/10) per draw).  |Y|^2 is (draws, n_pointings), or
-    (draws, n_locations, n_pointings) with each draw relocated to each of
-    ``locations``."""
+    (draws, n_locations, n_pointings) with each draw, drawn at the origin,
+    moved to each of ``locations`` by its :func:`location_phase`."""
     cfg = _defaults()
     spin = spin_operator(cfg.grid, cfg.rx, cfg.tx, pointings)
+    if locations is not None:
+        wavelength_m = cfg.clutter.carrier.wavelength_m
+        phases = np.stack([location_phase(cfg.grid, wavelength_m, x) for x in locations])
     for start in range(0, n_draws, block):
         fields = [
             gen_azimuth_channel(
@@ -122,10 +127,9 @@ def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=250):
             )
             for i in range(start, min(start + block, n_draws))
         ]
-        if locations is None:
-            amplitudes = np.stack([f.amplitudes for f in fields])
-        else:
-            amplitudes = np.array([[f.relocate(x).amplitudes for x in locations] for f in fields])
+        amplitudes = np.stack([f.amplitudes for f in fields])
+        if locations is not None:
+            amplitudes = amplitudes[:, None, :] * phases
         levels = np.array([f.p0 * 10.0 ** (f.p_v_db / 10.0) for f in fields])
         yield np.abs(spin(amplitudes)) ** 2, levels
 
@@ -179,8 +183,10 @@ def check_lognormal_unit_mean(seed: int) -> tuple[bool, float, str, dict]:
         total, count = 0.0, 0
         for start in range(0, n_fields, chunk):
             rng = derive_stream(seed, f"unitmean/{sigma_db}/{start}").generator()
-            rows = gaussian_field_rows(rng, chunk, grid.n_bins, corr_bins)
-            lin = 10.0 ** ((params.mu_db + sigma_db * rows) / 10.0)
+            lin = gaussian_field_rows(rng, chunk, grid.n_bins, corr_bins)
+            lin *= LN10_OVER_10 * sigma_db  # 10^(x/10) = exp(ln(10)/10 x), in place
+            lin += LN10_OVER_10 * params.mu_db
+            np.exp(lin, out=lin)
             total += float(lin.sum())
             count += lin.size
         mean = total / count

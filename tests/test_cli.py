@@ -1,13 +1,54 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+import scipy
 
 from rfclutter import cli
 
 
 def run(args):
     return cli.main(args)
+
+
+# SHA-256 of every file each command writes, but run_meta.json (which echoes
+# package versions), recorded with these NumPy and SciPy versions: a change
+# to any written byte shows here
+PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+PINNED_DIGESTS = {
+    "predict": {
+        "predictions.csv": "83c37cea174adaeef8167f539201f5ad34e4a058c26345b5f2acda29e842da19",
+    },
+    "synth-azimuth --seed 42 --ensemble 4": {
+        "azimuth_spectra.csv": "3926af664d7eeae38aaf1358d5a534775bf9d8ded9b176cf45a5e785943cf889",
+    },
+    "synth-delay --seed 5": {
+        "delay_azimuth_map.f32": "f61242e66853f089d84c6ec2f6efa3637262f074ada244b000aea3a2c5c6a9ff",
+        "delay_azimuth_map.json": "2fdb2835b360d71c38fb8bc16e2f5fca8fa5db9e814da8a377ccde8fe96b2bd7",
+        "delay_profile.csv": "1258adb8ca849d96e84b32e437b3a2cd109e0f5fc5daf16fd6b391bc7817b236",
+    },
+    "scene --seed 42": {
+        "scene_map.f32": "fc27970d5fd604776d86817e9917248ed680dec44c907da738461debbdc96523",
+        "scene_map.json": "b49b872a78dd8db1a658cb745abe7e7cb3d51da082694d5176885b9836e0861a",
+        "scene_timeseries.csv": "768fab45347c437d61609a834f50853d10301a707ce0e5acce9e419788e2666d",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, command):
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if versions != PINNED_VERSIONS:
+        pytest.skip(f"digests pinned with {PINNED_VERSIONS}, running {versions}")
+    out = tmp_path / "out"
+    assert run(command.split() + ["--out", str(out)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+        if path.name != "run_meta.json"
+    }
+    assert digests == PINNED_DIGESTS[command]
 
 
 def test_predict_writes_report(tmp_path):

@@ -19,6 +19,7 @@ from rfclutter import (
     gen_azimuth_channel,
     gen_delay_azimuth_channel,
     make_probe_waveform,
+    normalize_pattern,
     omni,
     pdp_envelope,
     spin_response,
@@ -171,6 +172,67 @@ def test_dense_off_grid_sweep_matches_its_parts():
         axis=-1,
     )
     assert np.max(np.abs(dense - parts)) <= 1e-12 * np.max(np.abs(parts))
+
+
+@pytest.mark.parametrize("n_pointings, n_offsets", [(148, 37), (1440, 5)])
+def test_off_grid_build_evaluates_rx_once_per_sub_bin_offset(monkeypatch, n_pointings, n_offsets):
+    # uniform pointings on 1800 bins repeat n_offsets sub-bin offsets; the
+    # one extra grid's worth of samples is f_T
+    grid = AzimuthGrid(1800)
+    rx, tx = gaussian_horn(10.0, grid), omni(grid)
+    samples = []
+    field_at = AntennaPattern.field_at
+    def counted(self, offset_deg):
+        samples.append(np.size(offset_deg))
+        return field_at(self, offset_deg)
+    monkeypatch.setattr(AntennaPattern, "field_at", counted)
+    spin_operator(grid, rx, tx, uniform_pointings(n_pointings))
+    assert sum(samples) <= (n_offsets + 1) * grid.n_bins
+
+
+@pytest.mark.parametrize(
+    "n_offsets, repeats",
+    [(250, 1), (250, 4), (2400, 1)],
+    # 2400 x 1800 weights are more than an operator holds: streamed
+    ids=["no-shared-offset", "offsets-at-4-bins", "no-shared-offset-streamed"],
+)
+def test_random_off_grid_pointings_match_explicit_sum(n_offsets, repeats):
+    rx, tx = gaussian_horn(10.0, GRID), gaussian_horn(40.0, GRID)
+    rng = np.random.default_rng(22)
+    base = rng.uniform(0.0, 360.0, n_offsets)
+    shifts = GRID.delta_phi_deg * rng.integers(-900, 900, repeats)
+    pointings = np.concatenate([base + shift for shift in shifts])
+    offsets = pointings / GRID.delta_phi_deg - np.rint(pointings / GRID.delta_phi_deg)
+    assert np.unique(np.round(offsets, 9)).size == base.size  # each offset at `repeats` bins
+    amplitudes = np.stack([
+        gen_azimuth_channel(
+            ROOM, _params(), GRID, (0.0, 0.0), derive_stream(23, f"rand/{i}")
+        ).amplitudes
+        for i in range(3)
+    ])
+    spun = spin_operator(GRID, rx, tx, pointings, 20.0)(amplitudes)
+    phi = GRID.centers_deg
+    w = rx.field_at(phi[None, :] - pointings[:, None]) * tx.field_at(phi - 20.0)
+    explicit = GRID.delta_phi_rad * (amplitudes @ w.T)
+    assert np.max(np.abs(spun - explicit)) <= 1e-12 * np.max(np.abs(explicit))
+
+
+def test_custom_pattern_reads_the_upper_sample_at_half_bin_ties():
+    # 1440 pointings on 1800 bins sit 1.25 n bins round: every other one is a
+    # half bin off the grid, where f_R(phi_i - p) is a tie between samples
+    grid = AzimuthGrid(1800)
+    rng = np.random.default_rng(21)
+    rx, tx = normalize_pattern(rng.random(grid.n_bins) ** 4, grid), gaussian_horn(40.0, grid)
+    pointings = uniform_pointings(1440)
+    amplitudes = rng.standard_normal((3, 2 * grid.n_bins)).view(complex)
+    spun = spin_operator(grid, rx, tx, pointings, 20.0)(amplitudes)
+    # the sample nearest phi_i - p, ties up: index i + floor((2 - 5 n) / 4)
+    shift = (2 - 5 * np.arange(pointings.size)) // 4
+    samples = rx.field[(np.arange(grid.n_bins)[None, :] + shift[:, None]) % grid.n_bins]
+    phi = grid.centers_deg
+    assert np.allclose(rx.field_at(phi[None, :] - pointings[:, None]), samples, rtol=1e-15, atol=0)
+    explicit = grid.delta_phi_rad * (amplitudes @ (samples * tx.field_at(phi - 20.0)).T)
+    assert np.max(np.abs(spun - explicit)) <= 1e-12 * np.max(np.abs(explicit))
 
 
 def test_spin_requires_pointings():
