@@ -28,13 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .clutter import (
-    band_limit,
-    gen_azimuth_channel,
-    gen_delay_azimuth_channel,
-    spin_response,
-    uniform_pointings,
-)
+from .clutter import gen_azimuth_channel, probe_delay_map, spin_response, uniform_pointings
 from .config import load_config_tree, resolve_config
 from .core import ConfigurationError, to_db
 from .randomfields import derive_stream
@@ -167,24 +161,22 @@ def _cmd_synth_azimuth(args) -> int:
 def _cmd_synth_delay(args) -> int:
     cfg = _resolve(args)
     pointings = uniform_pointings(cfg.pointings_per_rotation)
-    field = gen_delay_azimuth_channel(
-        cfg.room, cfg.clutter, cfg.delay_grid, cfg.grid, derive_stream(cfg.seed, "delay/0")
+    delays, power_db, profile = probe_delay_map(
+        cfg.room, cfg.clutter, cfg.delay_grid, cfg.grid, derive_stream(cfg.seed, "delay/0"),
+        cfg.probe, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg,
     )
-    resp = band_limit(field, cfg.probe, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
     with np.errstate(divide="ignore"):
-        profile_db = to_db(resp.mean_profile())
+        profile_db = to_db(profile)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid_binary(out, "delay_azimuth_map", resp.power_db, {
-        "delay_ns": _axis(resp.delays_s * 1e9), "pointing_deg": _axis(resp.pointings_deg),
+    _write_grid_binary(out, "delay_azimuth_map", power_db, {
+        "delay_ns": _axis(delays * 1e9), "pointing_deg": _axis(pointings),
     })
     _write_csv(out / "delay_profile.csv", "delay_ns,mean_power_db", [
-        f"{_fmt(t * 1e9)},{_fmt(db)}" for t, db in zip(resp.delays_s, profile_db)
+        f"{_fmt(t * 1e9)},{_fmt(db)}" for t, db in zip(delays, profile_db)
     ])
     _write_meta(out, "synth-delay", cfg.tree)
-    print(
-        f"synth-delay: {resp.power.shape[0]} delay bins x {resp.power.shape[1]} pointings -> {out}"
-    )
+    print(f"synth-delay: {power_db.shape[0]} delay bins x {power_db.shape[1]} pointings -> {out}")
     return 0
 
 

@@ -21,6 +21,19 @@ size changes no draw.  Rows before the echo onset are never drawn: they are
 exact zeros in the map and stay exact zeros through the spin and the direct
 delay convolution.
 
+The draw runs in two passes.  The noise pass turns the white noise into real
+magnitudes, held as one float64 array of up to 2^22 entries (the budget of a
+spin operator's weights).  The phase pass then yields each complex row block
+as phasors times magnitudes.  A larger map holds no magnitudes: its noise
+pass only draws through the noise to reach the phases, and the phase pass
+replays the noise block by block from a copy of the generator taken at the
+start of the noise, so every block gets the same numbers as a held draw.
+The phase pass feeds one consumer, :func:`_probe_rows`: the spin, the
+tap-wise delay convolution (carrying ``len(taps) - 1`` spun rows from block
+to block) and |.|^2.  :func:`probe_delay_map` streams it into float32 dB rows
+and the mean profile; :func:`gen_delay_azimuth_channel` and
+:func:`band_limit` are its held case, with the same values.
+
 Discretization normalization
 ----------------------------
 The arrival phases are i.i.d. per bin, so the mean power of the discrete
@@ -34,6 +47,7 @@ synthesized spectra to the closed-form room average.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -66,6 +80,9 @@ DEFAULT_SAMPLE_RATE_HZ = 740.0
 
 # row blocks of about 32k elements keep a block's temporaries in L2
 _BLOCK_ELEMENTS = 1 << 15
+# arrays of up to 2^22 entries are held whole: a spin operator's weights, a
+# map's magnitudes; larger ones are rebuilt block by block where they are used
+_HELD_ENTRIES = 1 << 22
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list:
@@ -174,9 +191,13 @@ class SpunSpectrum:
             return to_db(self.power)
 
 
-def _draw_rows(room, params, grid, stream, scale_sq, envelope, out):
-    """Draw into the zeroed (rows, n_bins) ``out`` rows of magnitude
-    sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10)); return (P_v, p0)."""
+def _draw_rows(room, params, grid, stream, scale_sq, envelope):
+    """Draw rows r of magnitude sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10))
+    and uniform phases; return (P_v, p0, blocks), where ``blocks`` yields
+    (rows, complex rows) in row order, in the blocks of ``_row_blocks``.
+
+    The noise pass runs here; the phase pass runs as ``blocks`` is read.
+    """
     fp = params.field_params
     corr_bins = fp.corr_bins(grid)
     rng = stream.generator()
@@ -188,16 +209,33 @@ def _draw_rows(room, params, grid, stream, scale_sq, envelope, out):
     # a zero p0 or envelope gives row_log = -inf and exact zeros
     with np.errstate(divide="ignore"):
         row_log = LN10_OVER_20 * (p_v_db + fp.mu_db) + 0.5 * np.log(scale_sq * p0 * envelope)
-    blocks = _row_blocks(out.shape[0], grid.n_bins)
-    for block in blocks:  # every field row is drawn before any phase
-        z = gaussian_field_rows(rng, block.stop - block.start, grid.n_bins, corr_bins)
+    blocks = _row_blocks(envelope.size, grid.n_bins)
+
+    def magnitudes(noise, block):
+        z = gaussian_field_rows(noise, block.stop - block.start, grid.n_bins, corr_bins)
         z *= LN10_OVER_20 * fp.sigma_db
         z += row_log[block, None]
-        np.exp(z, out=out.real[block])
-    for block in blocks:
-        u = rng.random((block.stop - block.start, grid.n_bins))  # uniform(0, 2 pi) / 2 pi
-        out[block] = _unit_phasors(u) * out.real[block]
-    return p_v_db, p0
+        return np.exp(z, out=z)
+
+    held = envelope.size * grid.n_bins <= _HELD_ENTRIES
+    if held:
+        mags = np.empty((envelope.size, grid.n_bins))
+        for block in blocks:
+            mags[block] = magnitudes(rng, block)
+    else:
+        # too many to hold: skip past the noise to the phases, and replay it
+        # block by block in step with them from a copy of its start state
+        replay = copy.deepcopy(rng)
+        for block in blocks:
+            gaussian_field_rows(rng, block.stop - block.start, grid.n_bins, corr_bins)
+
+    def phased():
+        for block in blocks:
+            mag = mags[block] if held else magnitudes(replay, block)
+            u = rng.random((block.stop - block.start, grid.n_bins))  # uniform(0, 2 pi) / 2 pi
+            yield block, _unit_phasors(u) * mag
+
+    return p_v_db, p0, phased()
 
 
 def gen_azimuth_channel(
@@ -214,9 +252,9 @@ def gen_azimuth_channel(
     """
     if stream is None:
         raise ValueError("a RandomStream is required for reproducible synthesis")
-    amplitudes = np.zeros((1, grid.n_bins), dtype=complex)
     scale_sq = TWO_PI / grid.delta_phi_rad
-    p_v_db, p0 = _draw_rows(room, params, grid, stream, scale_sq, np.ones(1), amplitudes)
+    p_v_db, p0, blocks = _draw_rows(room, params, grid, stream, scale_sq, np.ones(1))
+    _, amplitudes = next(blocks)
     field = AzimuthField(grid, amplitudes[0], p_v_db, p0, (0.0, 0.0), params.carrier.wavelength_m)
     return field.relocate(location_m) if any(location_m) else field
 
@@ -237,7 +275,9 @@ def spin_operator(
     built once per call.  Off the grid the error is relative rounding; on it
     the FFT's error is about machine epsilon times the largest spun
     amplitude, so pointings where both beams miss the clutter read as that
-    rounding noise.
+    rounding noise.  When the pointed bins are every d-th bin from bin 0 in
+    order, the product spectrum is folded to n_bins / d bins before the
+    inverse FFT, which reads the same values to rounding.
 
     A pointing p = phi_m + f has its sub-bin offset f in [-dphi/2, dphi/2].
     Rows whose f agree to 1e-9 deg are exact rolls of one kernel, the f_R row
@@ -267,9 +307,18 @@ def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
         # every pointing is a bin center: a circular convolution with
         # dphi f_R(-phi_j), read at the pointed bins
         kernel = np.fft.fft(np.roll(rx.field_at(centers)[::-1], 1) * grid.delta_phi_rad)
+        # pointed bins 0, d, 2d, ... in order: their values are the inverse
+        # FFT of the spectrum folded to n / d bins, divided by d
+        d = grid.n_bins // pointings.size
+        fold = d > 1 and np.array_equal(idx, np.arange(0, grid.n_bins, d))
         def spin_rows(a, out):
             for r in _row_blocks(a.shape[0], grid.n_bins):
-                out[r] = np.fft.ifft(np.fft.fft(a[r] * txf, axis=-1) * kernel, axis=-1)[:, idx]
+                spectrum = np.fft.fft(a[r] * txf, axis=-1) * kernel
+                if fold:
+                    spectrum = spectrum.reshape(-1, d, pointings.size).sum(axis=1)
+                    out[r] = np.fft.ifft(spectrum, axis=-1) / d
+                else:
+                    out[r] = np.fft.ifft(spectrum, axis=-1)[:, idx]
         return _on_rows(spin_rows, grid.n_bins, pointings.size)
 
     # one row dphi f_R(phi_i - p) f_T(phi_i - tx_pointing) per distinct
@@ -284,7 +333,7 @@ def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
     # written twice over
     _, lead, group = np.unique(np.round(mismatch[first], 9), return_index=True, return_inverse=True)
     windows = None
-    if lead.size < rows.size and 2 * lead.size * grid.n_bins <= 1 << 22:
+    if lead.size < rows.size and 2 * lead.size * grid.n_bins <= _HELD_ENTRIES:
         kernels = np.concatenate([
             rx.field_at(centers[None, :] - rows[lead[s : s + 128], None])
             for s in range(0, lead.size, 128)
@@ -301,7 +350,7 @@ def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
         f_r *= txf * grid.delta_phi_rad
         return f_r
     held = None
-    if rows.size * grid.n_bins <= 1 << 22:
+    if rows.size * grid.n_bins <= _HELD_ENTRIES:
         held = np.empty((rows.size, grid.n_bins))
         for block in blocks:
             held[block] = weights(block)
@@ -424,6 +473,18 @@ class DelayAzimuthField:
     p0: float
 
 
+def _delay_rows(room, params, dgrid, agrid, stream):
+    """The draw of :func:`gen_delay_azimuth_channel` as (onset row, P_v, p0,
+    blocks of :func:`_draw_rows` over the rows from the onset row on)."""
+    if abs(dgrid.onset_s - room.onset_s) > 1e-15:
+        raise ConfigurationError("delay grid onset is inconsistent with the room")
+    taus = dgrid.taus_s
+    live = taus >= dgrid.onset_s  # the onset starts a suffix
+    envelope = pdp_envelope(taus[live], room.distance_to_wall_m, room.t_rev_s)
+    scale_sq = TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s
+    return int(np.argmax(live)), *_draw_rows(room, params, agrid, stream, scale_sq, envelope)
+
+
 def gen_delay_azimuth_channel(
     room: RoomSpec,
     params: ClutterParams,
@@ -437,17 +498,15 @@ def gen_delay_azimuth_channel(
     independent azimuth-correlated dB field and i.i.d. phases, with the bin
     power following the reverberant decay envelope.  Delay bins are
     independent: delay correlation enters physically through the probing
-    waveform.  The draw order and the blocks are in the module docstring.
+    waveform.  This is the held case of the draw that :func:`probe_delay_map`
+    streams: the complex row blocks of the phase pass are copied into one
+    map.  The draw order, the blocks and the two passes are in the module
+    docstring.
     """
-    if abs(dgrid.onset_s - room.onset_s) > 1e-15:
-        raise ConfigurationError("delay grid onset is inconsistent with the room")
-    taus = dgrid.taus_s
-    live = taus >= dgrid.onset_s
+    onset, p_v_db, p0, blocks = _delay_rows(room, params, dgrid, agrid, stream)
     amplitudes = np.zeros((dgrid.n_bins, agrid.n_bins), dtype=complex)
-    live_rows = amplitudes[int(np.argmax(live)) :]  # the onset starts a suffix
-    envelope = pdp_envelope(taus[live], room.distance_to_wall_m, room.t_rev_s)
-    scale_sq = TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s
-    p_v_db, p0 = _draw_rows(room, params, agrid, stream, scale_sq, envelope, live_rows)
+    for rows, a in blocks:
+        amplitudes[onset + rows.start : onset + rows.stop] = a
     return DelayAzimuthField(
         dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=p_v_db, p0=p0
     )
@@ -541,6 +600,38 @@ def _leading_zero_rows(a: np.ndarray) -> int:
     return a.shape[0]
 
 
+def _probe_rows(blocks, spin, taps):
+    """Spin delay rows given as (rows, complex rows) blocks in row order from
+    row 0, convolve them in delay with ``taps`` and yield (rows, |.|^2) for
+    the output rows, which run len(taps) - 1 rows past the input.
+
+    Output row t is sum_k taps[k] y[t - k] over the spun rows y that exist,
+    added in k order into zeros.  Each block yields the output rows it ends;
+    the last len(taps) - 1 spun rows are carried to the next block, and
+    after the last block they yield the tail.
+    """
+    y, y0 = None, 0  # spun rows y0, y0 + 1, ... that later output rows need
+    for rows, a in blocks:
+        y = spin(a) if y is None else np.concatenate([y, spin(a)])
+        yield rows, _tap_power(y, y0, rows, taps)
+        keep = min(y.shape[0], taps.size - 1)
+        y, y0 = y[y.shape[0] - keep :], rows.stop - keep
+    if y is not None:
+        tail = slice(y0 + y.shape[0], y0 + y.shape[0] + taps.size - 1)
+        yield tail, _tap_power(y, y0, tail, taps)
+
+
+def _tap_power(y, y0, rows, taps):
+    """|sum_k taps[k] y[t - k]|^2 for output rows t in ``rows``, where ``y``
+    holds the spun rows y0, y0 + 1, ..."""
+    out = np.zeros((rows.stop - rows.start, y.shape[1]), dtype=complex)
+    for k, tap in enumerate(taps):
+        lo, hi = max(rows.start - k, y0), min(rows.stop - k, y0 + y.shape[0])
+        if lo < hi:
+            out[lo + k - rows.start : hi + k - rows.start] += tap * y[lo - y0 : hi - y0]
+    return np.abs(out) ** 2
+
+
 def band_limit(
     field: DelayAzimuthField,
     waveform: ProbeWaveform,
@@ -552,27 +643,61 @@ def band_limit(
     """Probe the clutter map: convolve in angle with the antenna patterns and
     in delay with the waveform, returning |.|^2 per (delay, pointing).
 
-    One :func:`spin_operator` spins every delay row from the first nonzero
-    one on.  The delay convolution is direct, not by FFT: block by block of
-    about 32k output elements, each waveform tap adds its multiple of the
-    spun rows into a zeroed output.  Bins before the first nonzero row (the
+    This is the held case of the pipeline that :func:`probe_delay_map`
+    streams.  The map's rows from the first nonzero one on go, in row blocks
+    of about 32k elements, through one :func:`spin_operator` and a direct,
+    not FFT, delay convolution: each waveform tap adds its multiple of the
+    spun rows into zeros, and the last ``len(taps) - 1`` spun rows of a
+    block are carried into the next.  Bins before the first nonzero row (the
     onset, for a drawn map) are never computed and stay exactly 0.
     """
     pointings = field.agrid.centers_deg if pointings_deg is None else pointings_deg
     pointings = np.atleast_1d(np.asarray(pointings, dtype=float))
     lead = _leading_zero_rows(field.amplitudes)
     spin = spin_operator(field.agrid, rx, tx, pointings, tx_pointing_deg)
-    y_sel = spin(field.amplitudes[lead:])
-
     taps = _resample_waveform(waveform, field.dgrid.delta_tau_s) * field.dgrid.delta_tau_s
     n_out = field.dgrid.n_bins + taps.size - 1
-    y_bl = np.zeros((n_out, pointings.size), dtype=complex)
-    live = y_bl[lead:]
-    for block in _row_blocks(live.shape[0], pointings.size):
-        for k, tap in enumerate(taps):  # live[t] += tap_k y_sel[t - k] for t in block
-            src = slice(max(block.start - k, 0), min(block.stop - k, y_sel.shape[0]))
-            live[src.start + k : src.stop + k] += tap * y_sel[src]
+    live = field.amplitudes[lead:]
+    blocks = ((rows, live[rows]) for rows in _row_blocks(live.shape[0], field.agrid.n_bins))
+    power = np.zeros((n_out, pointings.size))
+    for rows, p in _probe_rows(blocks, spin, taps):
+        power[lead + rows.start : lead + rows.stop] = p
     delays = np.arange(n_out) * field.dgrid.delta_tau_s
-    return DelayAzimuthResponse(
-        delays_s=delays, pointings_deg=pointings, power=np.abs(y_bl) ** 2
-    )
+    return DelayAzimuthResponse(delays_s=delays, pointings_deg=pointings, power=power)
+
+
+def probe_delay_map(
+    room: RoomSpec,
+    params: ClutterParams,
+    dgrid: DelayGrid,
+    agrid: AzimuthGrid,
+    stream: RandomStream,
+    waveform: ProbeWaveform,
+    rx: AntennaPattern,
+    tx: AntennaPattern,
+    pointings_deg,
+    tx_pointing_deg: float = 0.0,
+):
+    """Draw a delay-azimuth map and probe it, streamed: return (delays_s,
+    power dB as float32 of shape (n_delay, n_pointing), mean profile).
+
+    The values are those of ``band_limit(gen_delay_azimuth_channel(...))``:
+    its ``power_db`` cast to float32 and its ``mean_profile()``, byte for
+    byte.  The map is drawn, spun and convolved one row block at a time, so
+    neither the complex map nor the complex output is held whole; what is
+    held is the float32 map, the profile and, up to 2^22 entries, the map's
+    magnitudes (beyond that they are redrawn with the phases).
+    """
+    pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
+    onset, _, _, blocks = _delay_rows(room, params, dgrid, agrid, stream)
+    spin = spin_operator(agrid, rx, tx, pointings, tx_pointing_deg)
+    taps = _resample_waveform(waveform, dgrid.delta_tau_s) * dgrid.delta_tau_s
+    n_out = dgrid.n_bins + taps.size - 1
+    power_db = np.full((n_out, pointings.size), -np.inf, dtype=np.float32)
+    profile = np.zeros(n_out)
+    for rows, power in _probe_rows(blocks, spin, taps):
+        out = slice(onset + rows.start, onset + rows.stop)
+        profile[out] = power.mean(axis=1)
+        with np.errstate(divide="ignore"):
+            power_db[out] = to_db(power)
+    return np.arange(n_out) * dgrid.delta_tau_s, power_db, profile

@@ -579,3 +579,114 @@ def test_zero_reflectivity_room_draws_exact_zeros_without_warning():
     assert az.p0 == 0.0 and np.all(az.amplitudes == 0.0)
     assert np.all(spun_db == -np.inf)
     assert dl.p0 == 0.0 and np.all(dl.amplitudes == 0.0)
+
+
+def _held_delay_map(room, params, dgrid, agrid, stream, probe, rx, tx, pointings, tx_pointing):
+    """band_limit(gen_delay_azimuth_channel(...)) as synth-delay writes it."""
+    field = gen_delay_azimuth_channel(room, params, dgrid, agrid, stream)
+    resp = band_limit(field, probe, rx, tx, pointings, tx_pointing)
+    return resp.delays_s, resp.power_db.astype(np.float32), resp.mean_profile()
+
+
+def _assert_same_map(streamed, held):
+    for a, b in zip(streamed, held):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bandwidth_hz", [1e9, 4e9], ids=["1GHz", "4GHz"])
+@pytest.mark.parametrize(
+    "n_pointings, tx_hpbw, tx_pointing",
+    [(148, None, 0.0), (360, 40.0, 20.0)],
+    ids=["148-off-grid", "360-on-grid-tx40-at-20"],
+)
+def test_streamed_delay_map_equals_held(n_pointings, tx_hpbw, tx_pointing, bandwidth_hz):
+    agrid = AzimuthGrid(1800)
+    dgrid = DelayGrid.for_room(ROOM)
+    rx = gaussian_horn(10.0, agrid)
+    tx = omni(agrid) if tx_hpbw is None else gaussian_horn(tx_hpbw, agrid)
+    args = (ROOM, _params(), dgrid, agrid, derive_stream(30, "stream"),
+            make_probe_waveform(bandwidth_hz), rx, tx, uniform_pointings(n_pointings), tx_pointing)
+    streamed = clutter.probe_delay_map(*args)
+    _assert_same_map(streamed, _held_delay_map(*args))
+    assert np.all(np.isfinite(streamed[1][dgrid.n_bins // 2]))
+
+
+def test_streamed_delay_map_of_zero_reflectivity_room_is_minus_inf_without_warning():
+    room = RoomSpec(3.0, 3.0, surface=Surface.explicit(0.0), t_rev_s=10e-9)
+    agrid = AzimuthGrid(360)
+    args = (room, _params(), DelayGrid.for_room(room), agrid, derive_stream(31, "z"),
+            make_probe_waveform(1e9), gaussian_horn(10.0, agrid), omni(agrid),
+            uniform_pointings(148), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        streamed = clutter.probe_delay_map(*args)
+        held = _held_delay_map(*args)
+    _assert_same_map(streamed, held)
+    assert np.all(streamed[1] == -np.inf) and np.all(streamed[2] == 0.0)
+
+
+def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
+    # 922 live rows of 360 bins are 11 blocks of 91 rows; a budget of two
+    # blocks makes the noise pass skip and the phase pass redraw it
+    agrid = AzimuthGrid(360)
+    dgrid = DelayGrid.for_room(ROOM)
+    rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(40.0, agrid)
+    args = (ROOM, _params(), dgrid, agrid, derive_stream(32, "redraw"), make_probe_waveform(4e9),
+            rx, tx, uniform_pointings(148) + 0.1, 20.0)
+    held_field = gen_delay_azimuth_channel(*args[:5])
+    held = clutter.probe_delay_map(*args)
+    monkeypatch.setattr(clutter, "_HELD_ENTRIES", 2 * 91 * agrid.n_bins)
+    calls = []
+    def counted(rng, n_rows, n_bins, corr_bins):
+        calls.append(n_rows)
+        return gaussian_field_rows(rng, n_rows, n_bins, corr_bins)
+    monkeypatch.setattr(clutter, "gaussian_field_rows", counted)
+    redrawn = gen_delay_azimuth_channel(*args[:5])
+    n_blocks = len(calls) // 2
+    assert n_blocks >= 3 and calls == 2 * calls[:n_blocks]  # each block drawn twice
+    assert np.array_equal(redrawn.amplitudes, held_field.amplitudes)
+    assert redrawn.p_v_db == held_field.p_v_db
+    _assert_same_map(clutter.probe_delay_map(*args), held)
+
+
+def test_streamed_delay_map_never_holds_a_complex_map():
+    # a 40 ns room on the 1 degree grid: 3785 x 360 complex map, 21.8 MB
+    room = RoomSpec(3.0, 3.0, t_rev_s=40e-9)
+    agrid = AzimuthGrid(360)
+    dgrid = DelayGrid.for_room(room)
+    rx, tx = gaussian_horn(10.0, agrid), omni(agrid)
+    pointings = uniform_pointings(148)
+    spin_operator(agrid, rx, tx, pointings)  # held by the operator cache, not by the map
+    tracemalloc.start()
+    clutter.probe_delay_map(
+        room, _params(), dgrid, agrid, derive_stream(33, "mem"), make_probe_waveform(1e9),
+        rx, tx, pointings,
+    )
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # gen_delay_azimuth_channel and band_limit peak at 38 MB, holding the map
+    assert peak < dgrid.n_bins * agrid.n_bins * np.dtype(complex).itemsize
+
+
+def test_band_limit_with_more_taps_than_block_rows_matches_explicit_reference():
+    # 1800 bins make row blocks of 18 rows, so the 40 carried rows of a
+    # 41-tap probe span three blocks; 1440 pointings make output blocks of 22
+    agrid = AzimuthGrid(1800)
+    dgrid = DelayGrid(0.1e-9, 15e-9, onset_s=10e-9)
+    rng = np.random.default_rng(34)
+    amplitudes = rng.standard_normal((dgrid.n_bins, 2 * agrid.n_bins)).view(complex)
+    amplitudes[dgrid.taus_s < dgrid.onset_s] = 0.0
+    field = DelayAzimuthField(dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=0.0, p0=1.0)
+    t = np.linspace(-1.0, 1.0, 41)
+    probe = make_probe_waveform(
+        0.25e9, sample_rate_hz=10e9, shape="tabulated",
+        samples=np.hamming(41) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)),
+    )
+    rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(60.0, agrid)
+    pointings = uniform_pointings(1440)
+    resp = band_limit(field, probe, rx, tx, pointings, tx_pointing_deg=20.0)
+    expected = _explicit_band_limit(field, probe.samples, rx, tx, pointings, 20.0)
+    assert resp.power.shape == expected.shape
+    assert np.max(np.abs(resp.power - expected)) <= 1e-12 * np.max(expected)
+    assert np.all(resp.power[resp.delays_s < dgrid.onset_s] == 0.0)
