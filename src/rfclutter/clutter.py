@@ -23,11 +23,12 @@ delay convolution.
 
 The draw runs in two passes.  The noise pass turns the white noise into real
 magnitudes, held as one float64 array of up to 2^22 entries (the budget of a
-spin operator's weights).  The phase pass then yields each complex row block
-as phasors times magnitudes.  A larger map holds no magnitudes: its noise
-pass only draws through the noise to reach the phases, and the phase pass
-replays the noise block by block from a copy of the generator taken at the
-start of the noise, so every block gets the same numbers as a held draw.
+spin operator's weights), or, when the whole complex map is held anyway, in
+its real part.  The phase pass then yields each complex row block as phasors
+times magnitudes.  A larger streamed map holds no magnitudes: its noise pass
+only draws the white noise, unfiltered, to reach the phases, and the phase
+pass replays the noise block by block from a copy of the generator taken at
+the start of the noise, so every block gets the same numbers as a held draw.
 The phase pass feeds one consumer, :func:`_probe_rows`: the spin, the
 tap-wise delay convolution (carrying ``len(taps) - 1`` spun rows from block
 to block) and |.|^2.  :func:`probe_delay_map` streams it into float32 dB rows
@@ -70,6 +71,7 @@ from .randomfields import (
     RandomStream,
     gaussian_field_rows,
     lognormal_mean_offset,
+    skip_field_rows,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -191,12 +193,15 @@ class SpunSpectrum:
             return to_db(self.power)
 
 
-def _draw_rows(room, params, grid, stream, scale_sq, envelope):
+def _draw_rows(room, params, grid, stream, scale_sq, envelope, mags=None):
     """Draw rows r of magnitude sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10))
     and uniform phases; return (P_v, p0, blocks), where ``blocks`` yields
     (rows, complex rows) in row order, in the blocks of ``_row_blocks``.
 
     The noise pass runs here; the phase pass runs as ``blocks`` is read.
+    The magnitudes are written into ``mags`` if it is given (a float64
+    (rows, n_bins) array, such as the real part of the map the blocks are
+    copied into), else held up to ``_HELD_ENTRIES`` and replayed beyond it.
     """
     fp = params.field_params
     corr_bins = fp.corr_bins(grid)
@@ -217,9 +222,9 @@ def _draw_rows(room, params, grid, stream, scale_sq, envelope):
         z += row_log[block, None]
         return np.exp(z, out=z)
 
-    held = envelope.size * grid.n_bins <= _HELD_ENTRIES
-    if held:
+    if mags is None and envelope.size * grid.n_bins <= _HELD_ENTRIES:
         mags = np.empty((envelope.size, grid.n_bins))
+    if mags is not None:
         for block in blocks:
             mags[block] = magnitudes(rng, block)
     else:
@@ -227,11 +232,11 @@ def _draw_rows(room, params, grid, stream, scale_sq, envelope):
         # block by block in step with them from a copy of its start state
         replay = copy.deepcopy(rng)
         for block in blocks:
-            gaussian_field_rows(rng, block.stop - block.start, grid.n_bins, corr_bins)
+            skip_field_rows(rng, block.stop - block.start, grid.n_bins)
 
     def phased():
         for block in blocks:
-            mag = mags[block] if held else magnitudes(replay, block)
+            mag = magnitudes(replay, block) if mags is None else mags[block]
             u = rng.random((block.stop - block.start, grid.n_bins))  # uniform(0, 2 pi) / 2 pi
             yield block, _unit_phasors(u) * mag
 
@@ -473,16 +478,20 @@ class DelayAzimuthField:
     p0: float
 
 
-def _delay_rows(room, params, dgrid, agrid, stream):
+def _delay_rows(room, params, dgrid, agrid, stream, amplitudes=None):
     """The draw of :func:`gen_delay_azimuth_channel` as (onset row, P_v, p0,
-    blocks of :func:`_draw_rows` over the rows from the onset row on)."""
+    blocks of :func:`_draw_rows` over the rows from the onset row on).  If
+    the map ``amplitudes`` is given, the magnitudes are written into its
+    real part."""
     if abs(dgrid.onset_s - room.onset_s) > 1e-15:
         raise ConfigurationError("delay grid onset is inconsistent with the room")
     taus = dgrid.taus_s
     live = taus >= dgrid.onset_s  # the onset starts a suffix
+    onset = int(np.argmax(live))
     envelope = pdp_envelope(taus[live], room.distance_to_wall_m, room.t_rev_s)
     scale_sq = TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s
-    return int(np.argmax(live)), *_draw_rows(room, params, agrid, stream, scale_sq, envelope)
+    mags = None if amplitudes is None else amplitudes[onset:].real
+    return onset, *_draw_rows(room, params, agrid, stream, scale_sq, envelope, mags)
 
 
 def gen_delay_azimuth_channel(
@@ -499,12 +508,13 @@ def gen_delay_azimuth_channel(
     power following the reverberant decay envelope.  Delay bins are
     independent: delay correlation enters physically through the probing
     waveform.  This is the held case of the draw that :func:`probe_delay_map`
-    streams: the complex row blocks of the phase pass are copied into one
-    map.  The draw order, the blocks and the two passes are in the module
+    streams: the noise pass writes the magnitudes into the map's real part,
+    at any size, and the complex row blocks of the phase pass overwrite
+    them.  The draw order, the blocks and the two passes are in the module
     docstring.
     """
-    onset, p_v_db, p0, blocks = _delay_rows(room, params, dgrid, agrid, stream)
     amplitudes = np.zeros((dgrid.n_bins, agrid.n_bins), dtype=complex)
+    onset, p_v_db, p0, blocks = _delay_rows(room, params, dgrid, agrid, stream, amplitudes)
     for rows, a in blocks:
         amplitudes[onset + rows.start : onset + rows.stop] = a
     return DelayAzimuthField(
@@ -600,6 +610,17 @@ def _leading_zero_rows(a: np.ndarray) -> int:
     return a.shape[0]
 
 
+def _probe(dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg):
+    """Probing a map on (dgrid, agrid): return (pointings, output delays,
+    probe), where probe(blocks) is :func:`_probe_rows` with the spin and the
+    waveform's taps on the delay grid."""
+    pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
+    spin = spin_operator(agrid, rx, tx, pointings, tx_pointing_deg)
+    taps = _resample_waveform(waveform, dgrid.delta_tau_s) * dgrid.delta_tau_s
+    delays = np.arange(dgrid.n_bins + taps.size - 1) * dgrid.delta_tau_s
+    return pointings, delays, functools.partial(_probe_rows, spin=spin, taps=taps)
+
+
 def _probe_rows(blocks, spin, taps):
     """Spin delay rows given as (rows, complex rows) blocks in row order from
     row 0, convolve them in delay with ``taps`` and yield (rows, |.|^2) for
@@ -652,17 +673,15 @@ def band_limit(
     onset, for a drawn map) are never computed and stay exactly 0.
     """
     pointings = field.agrid.centers_deg if pointings_deg is None else pointings_deg
-    pointings = np.atleast_1d(np.asarray(pointings, dtype=float))
+    pointings, delays, probe = _probe(
+        field.dgrid, field.agrid, waveform, rx, tx, pointings, tx_pointing_deg
+    )
     lead = _leading_zero_rows(field.amplitudes)
-    spin = spin_operator(field.agrid, rx, tx, pointings, tx_pointing_deg)
-    taps = _resample_waveform(waveform, field.dgrid.delta_tau_s) * field.dgrid.delta_tau_s
-    n_out = field.dgrid.n_bins + taps.size - 1
     live = field.amplitudes[lead:]
     blocks = ((rows, live[rows]) for rows in _row_blocks(live.shape[0], field.agrid.n_bins))
-    power = np.zeros((n_out, pointings.size))
-    for rows, p in _probe_rows(blocks, spin, taps):
+    power = np.zeros((delays.size, pointings.size))
+    for rows, p in probe(blocks):
         power[lead + rows.start : lead + rows.stop] = p
-    delays = np.arange(n_out) * field.dgrid.delta_tau_s
     return DelayAzimuthResponse(delays_s=delays, pointings_deg=pointings, power=power)
 
 
@@ -686,18 +705,16 @@ def probe_delay_map(
     byte.  The map is drawn, spun and convolved one row block at a time, so
     neither the complex map nor the complex output is held whole; what is
     held is the float32 map, the profile and, up to 2^22 entries, the map's
-    magnitudes (beyond that they are redrawn with the phases).
+    magnitudes (beyond that the noise pass draws only the white noise and
+    the magnitudes are redrawn with the phases).
     """
-    pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
     onset, _, _, blocks = _delay_rows(room, params, dgrid, agrid, stream)
-    spin = spin_operator(agrid, rx, tx, pointings, tx_pointing_deg)
-    taps = _resample_waveform(waveform, dgrid.delta_tau_s) * dgrid.delta_tau_s
-    n_out = dgrid.n_bins + taps.size - 1
-    power_db = np.full((n_out, pointings.size), -np.inf, dtype=np.float32)
-    profile = np.zeros(n_out)
-    for rows, power in _probe_rows(blocks, spin, taps):
+    pointings, delays, probe = _probe(dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg)
+    power_db = np.full((delays.size, pointings.size), -np.inf, dtype=np.float32)
+    profile = np.zeros(delays.size)
+    for rows, power in probe(blocks):
         out = slice(onset + rows.start, onset + rows.stop)
         profile[out] = power.mean(axis=1)
         with np.errstate(divide="ignore"):
             power_db[out] = to_db(power)
-    return np.arange(n_out) * dgrid.delta_tau_s, power_db, profile
+    return delays, power_db, profile

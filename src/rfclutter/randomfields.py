@@ -153,6 +153,12 @@ def gaussian_field_rows(
     return rows
 
 
+def skip_field_rows(rng: np.random.Generator, n_rows: int, n_bins: int) -> None:
+    """Move ``rng`` past the draws of ``gaussian_field_rows(rng, n_rows,
+    n_bins, ...)`` without filtering them: its white noise is all it draws."""
+    rng.standard_normal((n_rows, n_bins))
+
+
 def correlated_lognormal_db(
     grid: AzimuthGrid, params: LognormalFieldParams, stream: RandomStream
 ) -> np.ndarray:

@@ -29,7 +29,7 @@ from rfclutter import clutter
 from rfclutter.antennas import AntennaPattern
 from rfclutter.clutter import AzimuthField, DelayAzimuthField, spin_operator
 from rfclutter.core import SPEED_OF_LIGHT, average_backscatter_ratio
-from rfclutter.randomfields import gaussian_field_rows, lognormal_mean_offset
+from rfclutter.randomfields import gaussian_field_rows, lognormal_mean_offset, skip_field_rows
 
 CARRIER = CarrierSpec(28e9)
 ROOM = RoomSpec(3.0, 3.0, t_rev_s=10e-9)
@@ -628,7 +628,8 @@ def test_streamed_delay_map_of_zero_reflectivity_room_is_minus_inf_without_warni
 
 def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
     # 922 live rows of 360 bins are 11 blocks of 91 rows; a budget of two
-    # blocks makes the noise pass skip and the phase pass redraw it
+    # blocks makes the streamed noise pass skip the noise and the phase pass
+    # redraw it
     agrid = AzimuthGrid(360)
     dgrid = DelayGrid.for_room(ROOM)
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(40.0, agrid)
@@ -637,17 +638,26 @@ def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
     held_field = gen_delay_azimuth_channel(*args[:5])
     held = clutter.probe_delay_map(*args)
     monkeypatch.setattr(clutter, "_HELD_ENTRIES", 2 * 91 * agrid.n_bins)
-    calls = []
-    def counted(rng, n_rows, n_bins, corr_bins):
-        calls.append(n_rows)
+    events = []
+    def drawn(rng, n_rows, n_bins, corr_bins):
+        events.append(("draw", n_rows))
         return gaussian_field_rows(rng, n_rows, n_bins, corr_bins)
-    monkeypatch.setattr(clutter, "gaussian_field_rows", counted)
+    def skipped(rng, n_rows, n_bins):
+        events.append(("skip", n_rows))
+        skip_field_rows(rng, n_rows, n_bins)
+    monkeypatch.setattr(clutter, "gaussian_field_rows", drawn)
+    monkeypatch.setattr(clutter, "skip_field_rows", skipped)
+    streamed = clutter.probe_delay_map(*args)
+    blocks = [n for kind, n in events if kind == "skip"]
+    assert len(blocks) >= 3
+    assert events == [("skip", n) for n in blocks] + [("draw", n) for n in blocks]
+    _assert_same_map(streamed, held)
+    # the held map writes its magnitudes into its own real part at any size
+    events.clear()
     redrawn = gen_delay_azimuth_channel(*args[:5])
-    n_blocks = len(calls) // 2
-    assert n_blocks >= 3 and calls == 2 * calls[:n_blocks]  # each block drawn twice
+    assert events == [("draw", n) for n in blocks]
     assert np.array_equal(redrawn.amplitudes, held_field.amplitudes)
     assert redrawn.p_v_db == held_field.p_v_db
-    _assert_same_map(clutter.probe_delay_map(*args), held)
 
 
 def test_streamed_delay_map_never_holds_a_complex_map():
