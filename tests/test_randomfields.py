@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as spstats
+from scipy.signal import fftconvolve
 
 from rfclutter import (
     AzimuthGrid,
@@ -13,7 +15,13 @@ from rfclutter import (
     derive_stream,
     lognormal_mean_offset,
 )
-from rfclutter.randomfields import gaussian_field_rows, skip_field_rows
+from rfclutter.config import load_config_tree, resolve_config
+from rfclutter.randomfields import (
+    _field_filter,
+    _wrapped_gaussian_kernel,
+    gaussian_field_rows,
+    skip_field_rows,
+)
 
 
 def test_mean_offset_values():
@@ -172,3 +180,63 @@ def test_grid_invariants():
     assert AzimuthGrid.default_for(1.0).delta_phi_deg == pytest.approx(0.2)
     with pytest.raises(ConfigurationError):
         AzimuthGrid.from_spacing(0.21)
+
+
+def test_field_filter_is_read_only_and_rows_match_the_inline_recipe():
+    kf, norm = _field_filter(720, 5.0)
+    assert not kf.flags.writeable
+    with pytest.raises(ValueError):
+        kf[0] = 0.0
+    kernel = _wrapped_gaussian_kernel(720, 5.0 / math.sqrt(2.0))
+    for _ in range(2):  # the first call may fill the memo, the second reads it
+        rows = gaussian_field_rows(derive_stream(8, "filter").generator(), 7, 720, 5.0)
+        white = derive_stream(8, "filter").generator().standard_normal((7, 720))
+        spectrum = np.fft.rfft(white, axis=1) * np.fft.rfft(kernel)[None, :]
+        ref = np.fft.irfft(spectrum, n=720, axis=1)
+        ref /= math.sqrt(float(np.sum(kernel**2)))
+        assert rows.tobytes() == ref.tobytes()
+    assert _field_filter(720, 5.0)[0] is kf
+
+
+def _fftconvolve_series(duration_s, sample_rate_hz, coherence_time_s, stream):
+    """The out-of-place recipe that complex_gaussian_series runs in place."""
+    n = int(round(duration_s * sample_rate_hz))
+    w = (coherence_time_s / math.sqrt(2.0)) * sample_rate_hz
+    m = int(math.ceil(6.0 * w))
+    rng = stream.generator()
+    white = (
+        rng.standard_normal(n + 2 * m) + 1j * rng.standard_normal(n + 2 * m)
+    ) / math.sqrt(2.0)
+    j = np.arange(-m, m + 1, dtype=float)
+    kernel = np.exp(-0.5 * (j / w) ** 2)
+    filtered = fftconvolve(white, kernel, mode="same")[m : m + n]
+    return filtered / math.sqrt(float(np.sum(kernel**2)))
+
+
+def _default_scene_series_args():
+    spec = resolve_config(load_config_tree(None)).scene_spec()
+    return spec.duration_s, spec.sample_rate_hz, spec.target.coherence_time_s
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2_000_000 / 40.0, 40.0, 0.1), _default_scene_series_args()],
+    ids=["target_fluctuation", "default-scene"],
+)
+@pytest.mark.parametrize("seed", [3, 1234])
+def test_series_bytes_equal_the_fftconvolve_recipe(args, seed):
+    xi = complex_gaussian_series(*args, derive_stream(seed, "fluct"))
+    ref = _fftconvolve_series(*args, derive_stream(seed, "fluct"))
+    assert xi.shape == ref.shape
+    assert xi.tobytes() == ref.tobytes()
+
+
+def test_series_peak_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        complex_gaussian_series(2_000_000 / 40.0, 40.0, 0.1, derive_stream(1, "peak"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the out-of-place steps peaked at 160 MB; the series itself is 32 MB
+    assert peak < 100e6
