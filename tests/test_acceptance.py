@@ -14,7 +14,7 @@ Criteria covered:
   7  spatial_decorrelation      spectra correlation at 0.1 m in [0.15, 0.45]
   8  autocorrelation_main_lobe  half-width within 1 deg of the pattern reference
   9  cdf_seed_stability         decile gap < 1 dB; spun dB std < raw 7 dB
-  10 reverberation_decay        fitted T_rev within 5%; exact zeros before onset
+  10 reverberation_decay        fitted T_rev within 5%; probed map -inf before onset
   11 target_fluctuation         E|xi|^2, exponential GOF, 0.1 s coherence
   12 scene_composition          triangular trace; link-budget peak; zero-RCS identity
   13 cli_determinism            byte-identical outputs across reruns
