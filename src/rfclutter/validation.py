@@ -11,10 +11,11 @@ fluctuation statistics, scene composition, and CLI determinism.  The
 thread pool of :func:`_workers` threads: one per core in the process's
 affinity mask, at most two, the count measured.  Each map draws from its own
 stream and the results are reduced in index order, so no draw and no sum
-changes order and the report's bytes do not depend on the worker count.  The other checks run
-serially: the one-row draws of :func:`_spun_ensemble` run Python code that
-holds the interpreter lock, and ``lognormal_unit_mean``'s 14 MB chunks would
-raise the suite's peak memory more than the threads save.  Report bytes are
+changes order and the report's bytes do not depend on the worker count.
+The other checks run serially: the one-row draws of :func:`_spun_ensemble`
+run Python code that holds the interpreter lock, and
+``lognormal_unit_mean``'s 14 MB chunks would raise the suite's peak memory
+more than the threads save.  Report bytes are
 reproducible for a fixed BLAS thread count; off-grid spins are matrix
 products whose last bits depend on it.
 """
