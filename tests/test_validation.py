@@ -24,10 +24,9 @@ def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_workers_are_capped_at_two(monkeypatch):
-    monkeypatch.setattr(validation.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert validation._workers() == 2
-    monkeypatch.setattr(validation.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert validation._workers() == 1
+    for mask, workers in ((set(range(64)), 2), ({0}, 1)):
+        monkeypatch.setattr(validation.os, "sched_getaffinity", lambda pid: mask, raising=False)
+        assert validation._workers() == workers
 
 
 def test_field_filter_memo_under_racing_workers():
