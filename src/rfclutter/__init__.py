@@ -22,6 +22,7 @@ from .clutter import (
     band_limit,
     gen_azimuth_channel,
     gen_delay_azimuth_channel,
+    location_phase,
     make_probe_waveform,
     pdp_envelope,
     spin_response,
@@ -40,14 +41,12 @@ from .core import (
     from_db,
     predict_room,
     to_db,
-    wavelength,
 )
 from .randomfields import (
     AzimuthGrid,
     LognormalFieldParams,
     RandomStream,
     complex_gaussian_series,
-    correlated_lognormal_db,
     derive_stream,
     lognormal_mean_offset,
 )

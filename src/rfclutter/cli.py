@@ -146,7 +146,7 @@ def _cmd_synth_azimuth(args) -> int:
     rows = []
     for k in range(cfg.ensemble):
         field = gen_azimuth_channel(
-            cfg.room, cfg.clutter, cfg.grid, (0.0, 0.0), derive_stream(cfg.seed, f"azimuth/{k}")
+            cfg.room, cfg.clutter, cfg.grid, derive_stream(cfg.seed, f"azimuth/{k}")
         )
         spec = spin_response(field, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
         rows += (f"{k},{_fmt(p)},{_fmt(db)}" for p, db in zip(spec.pointings_deg, spec.power_db))

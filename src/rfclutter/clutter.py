@@ -23,12 +23,12 @@ delay convolution.
 
 The draw runs in two passes.  The noise pass turns the white noise into real
 magnitudes, held as one float64 array of up to 2^22 entries (the budget of a
-spin operator's weights), or, when the whole complex map is held anyway, in
-its real part.  The phase pass then yields each complex row block as phasors
-times magnitudes.  A larger streamed map holds no magnitudes: its noise pass
-only draws the white noise, unfiltered, to reach the phases, and the phase
-pass replays the noise block by block from a copy of the generator taken at
-the start of the noise, so every block gets the same numbers as a held draw.
+spin operator's weights).  The phase pass then yields each complex row block
+as phasors times magnitudes.  A larger map holds no magnitudes: its noise
+pass only draws the white noise, unfiltered, to reach the phases, and the
+phase pass replays the noise block by block from a copy of the generator
+taken at the start of the noise, so every block gets the same numbers as
+held magnitudes would.  The size alone decides which way a draw goes.
 The phase pass feeds one consumer, :func:`_probe_rows`: the spin, the
 tap-wise delay convolution (carrying ``len(taps) - 1`` spun rows from block
 to block) and |.|^2.  :func:`probe_delay_map` streams it into float32 dB rows
@@ -51,7 +51,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,28 +155,15 @@ def location_phase(grid: AzimuthGrid, wavelength_m: float, move_m) -> np.ndarray
 class AzimuthField:
     """Complex backscatter arrival amplitudes on an azimuth grid.
 
-    ``amplitudes`` include the location phase factor exp(2j k . r); moving
-    the transceiver changes only phases, never per-bin magnitudes.
+    The same draw seen from a transceiver moved by (dx, dy) is ``amplitudes *
+    location_phase(grid, wavelength_m, (dx, dy))``: moving changes only
+    phases, never per-bin magnitudes.
     """
 
     grid: AzimuthGrid
     amplitudes: np.ndarray
     p_v_db: float
     p0: float
-    location_m: tuple[float, float]
-    wavelength_m: float
-
-    def relocate(self, location_m: tuple[float, float]) -> "AzimuthField":
-        """Same channel draw observed from a nearby transceiver position."""
-        move_m = (location_m[0] - self.location_m[0], location_m[1] - self.location_m[1])
-        return AzimuthField(
-            grid=self.grid,
-            amplitudes=self.amplitudes * location_phase(self.grid, self.wavelength_m, move_m),
-            p_v_db=self.p_v_db,
-            p0=self.p0,
-            location_m=(float(location_m[0]), float(location_m[1])),
-            wavelength_m=self.wavelength_m,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +172,6 @@ class SpunSpectrum:
 
     pointings_deg: np.ndarray
     power: np.ndarray
-    metadata: dict = dc_field(default_factory=dict)
 
     @property
     def power_db(self) -> np.ndarray:
@@ -193,15 +179,13 @@ class SpunSpectrum:
             return to_db(self.power)
 
 
-def _draw_rows(room, params, grid, stream, scale_sq, envelope, mags=None):
+def _draw_rows(room, params, grid, stream, scale_sq, envelope):
     """Draw rows r of magnitude sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10))
     and uniform phases; return (P_v, p0, blocks), where ``blocks`` yields
     (rows, complex rows) in row order, in the blocks of ``_row_blocks``.
 
     The noise pass runs here; the phase pass runs as ``blocks`` is read.
-    The magnitudes are written into ``mags`` if it is given (a float64
-    (rows, n_bins) array, such as the real part of the map the blocks are
-    copied into), else held up to ``_HELD_ENTRIES`` and replayed beyond it.
+    The magnitudes are held up to ``_HELD_ENTRIES`` and replayed beyond it.
     """
     fp = params.field_params
     corr_bins = fp.corr_bins(grid)
@@ -222,15 +206,14 @@ def _draw_rows(room, params, grid, stream, scale_sq, envelope, mags=None):
         z += row_log[block, None]
         return np.exp(z, out=z)
 
-    if mags is None and envelope.size * grid.n_bins <= _HELD_ENTRIES:
+    if envelope.size * grid.n_bins <= _HELD_ENTRIES:
         mags = np.empty((envelope.size, grid.n_bins))
-    if mags is not None:
         for block in blocks:
             mags[block] = magnitudes(rng, block)
     else:
         # too many to hold: skip past the noise to the phases, and replay it
         # block by block in step with them from a copy of its start state
-        replay = copy.deepcopy(rng)
+        mags, replay = None, copy.deepcopy(rng)
         for block in blocks:
             skip_field_rows(rng, block.stop - block.start, grid.n_bins)
 
@@ -247,21 +230,16 @@ def gen_azimuth_channel(
     room: RoomSpec,
     params: ClutterParams,
     grid: AzimuthGrid,
-    location_m: tuple[float, float] = (0.0, 0.0),
-    stream: RandomStream | None = None,
+    stream: RandomStream,
 ) -> AzimuthField:
-    """Draw one azimuth-only clutter channel instantiation: the one-row case
-    of :func:`gen_delay_azimuth_channel`, with per-bin magnitude
-    sqrt(2*pi/dphi) * sqrt(p0 * 10^(P_v/10) * 10^(P(phi)/10)).  A nonzero
-    ``location_m`` applies :meth:`AzimuthField.relocate` to the draw.
+    """Draw one azimuth-only clutter channel instantiation at the origin: the
+    one-row case of :func:`gen_delay_azimuth_channel`, with per-bin magnitude
+    sqrt(2*pi/dphi) * sqrt(p0 * 10^(P_v/10) * 10^(P(phi)/10)).
     """
-    if stream is None:
-        raise ValueError("a RandomStream is required for reproducible synthesis")
     scale_sq = TWO_PI / grid.delta_phi_rad
     p_v_db, p0, blocks = _draw_rows(room, params, grid, stream, scale_sq, np.ones(1))
     _, amplitudes = next(blocks)
-    field = AzimuthField(grid, amplitudes[0], p_v_db, p0, (0.0, 0.0), params.carrier.wavelength_m)
-    return field.relocate(location_m) if any(location_m) else field
+    return AzimuthField(grid, amplitudes[0], p_v_db, p0)
 
 
 def spin_operator(
@@ -407,11 +385,7 @@ def spin_response(
     """Spun power spectrum |Y|^2 / P_T over the given pointing angles."""
     pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
     y = spin_amplitudes(field, rx, tx, pointings, tx_pointing_deg)
-    return SpunSpectrum(
-        pointings_deg=pointings,
-        power=np.abs(y) ** 2,
-        metadata={"p_v_db": field.p_v_db, "p0": field.p0},
-    )
+    return SpunSpectrum(pointings_deg=pointings, power=np.abs(y) ** 2)
 
 
 def uniform_pointings(n: int = 148) -> np.ndarray:
@@ -478,11 +452,9 @@ class DelayAzimuthField:
     p0: float
 
 
-def _delay_rows(room, params, dgrid, agrid, stream, amplitudes=None):
+def _delay_rows(room, params, dgrid, agrid, stream):
     """The draw of :func:`gen_delay_azimuth_channel` as (onset row, P_v, p0,
-    blocks of :func:`_draw_rows` over the rows from the onset row on).  If
-    the map ``amplitudes`` is given, the magnitudes are written into its
-    real part."""
+    blocks of :func:`_draw_rows` over the rows from the onset row on)."""
     if abs(dgrid.onset_s - room.onset_s) > 1e-15:
         raise ConfigurationError("delay grid onset is inconsistent with the room")
     taus = dgrid.taus_s
@@ -490,8 +462,7 @@ def _delay_rows(room, params, dgrid, agrid, stream, amplitudes=None):
     onset = int(np.argmax(live))
     envelope = pdp_envelope(taus[live], room.distance_to_wall_m, room.t_rev_s)
     scale_sq = TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s
-    mags = None if amplitudes is None else amplitudes[onset:].real
-    return onset, *_draw_rows(room, params, agrid, stream, scale_sq, envelope, mags)
+    return onset, *_draw_rows(room, params, agrid, stream, scale_sq, envelope)
 
 
 def gen_delay_azimuth_channel(
@@ -508,13 +479,11 @@ def gen_delay_azimuth_channel(
     power following the reverberant decay envelope.  Delay bins are
     independent: delay correlation enters physically through the probing
     waveform.  This is the held case of the draw that :func:`probe_delay_map`
-    streams: the noise pass writes the magnitudes into the map's real part,
-    at any size, and the complex row blocks of the phase pass overwrite
-    them.  The draw order, the blocks and the two passes are in the module
-    docstring.
+    streams: the complex row blocks of the phase pass fill a zero map.  The
+    draw order, the blocks and the two passes are in the module docstring.
     """
     amplitudes = np.zeros((dgrid.n_bins, agrid.n_bins), dtype=complex)
-    onset, p_v_db, p0, blocks = _delay_rows(room, params, dgrid, agrid, stream, amplitudes)
+    onset, p_v_db, p0, blocks = _delay_rows(room, params, dgrid, agrid, stream)
     for rows, a in blocks:
         amplitudes[onset + rows.start : onset + rows.stop] = a
     return DelayAzimuthField(

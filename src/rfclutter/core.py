@@ -33,13 +33,6 @@ def from_db(x):
     return 10.0 ** (np.asarray(x) / 10.0) if np.ndim(x) else 10.0 ** (x / 10.0)
 
 
-def wavelength(frequency_hz: float) -> float:
-    """Carrier wavelength in meters."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return SPEED_OF_LIGHT / frequency_hz
-
-
 @dataclass(frozen=True)
 class CarrierSpec:
     """Carrier frequency with derived wavelength."""
@@ -224,7 +217,6 @@ def clutter_integral_quadrature(
     phi_rms_rad: float,
     theta_rms_rad: float,
     g_t: float = 1.0,
-    rel_tol: float = 1e-3,
 ) -> float:
     """Numerical evaluation of the beamspot-weighted clutter power integral.
 
@@ -240,7 +232,7 @@ def clutter_integral_quadrature(
     surface normal.  Limits are theta in [-pi/2, pi/2], phi in [-pi, pi].
 
     The trapezoid grid is refined until the result changes by less than
-    ``rel_tol``; failure to converge raises ``RuntimeError``.
+    0.1%; failure to converge raises ``RuntimeError``.
     """
     if d_s_m <= 0 or wavelength_m <= 0:
         raise ValueError("d_s and wavelength must be positive")
@@ -266,7 +258,7 @@ def clutter_integral_quadrature(
         cur = evaluate(n)
         if cur == prev == 0.0:
             return 0.0
-        if cur != 0.0 and abs(cur - prev) <= rel_tol * abs(cur):
+        if cur != 0.0 and abs(cur - prev) <= 1e-3 * abs(cur):
             return cur
         prev = cur
     raise RuntimeError("clutter quadrature did not converge to 0.1%")

@@ -170,20 +170,6 @@ def skip_field_rows(rng: np.random.Generator, n_rows: int, n_bins: int) -> None:
     rng.standard_normal((n_rows, n_bins))
 
 
-def correlated_lognormal_db(
-    grid: AzimuthGrid, params: LognormalFieldParams, stream: RandomStream
-) -> np.ndarray:
-    """One circularly wrapped Gaussian dB field on the azimuth grid.
-
-    Mean ``params.mu_db`` (unit-mean in linear power), standard deviation
-    ``params.sigma_db``, normalized autocorrelation
-    exp(-dphi^2 / (2 phi_rms^2)).
-    """
-    corr_bins = params.corr_bins(grid)
-    z = gaussian_field_rows(stream.generator(), 1, grid.n_bins, corr_bins)[0]
-    return params.mu_db + params.sigma_db * z
-
-
 def complex_gaussian_series(
     duration_s: float,
     sample_rate_hz: float,

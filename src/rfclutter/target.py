@@ -10,7 +10,7 @@ spinning receive antenna.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,14 +70,9 @@ class Trajectory:
 
     @classmethod
     def from_waypoints(cls, waypoints) -> "Trajectory":
-        """Build from [(t, (x, y)), ...] or [(t, x, y), ...] tuples."""
+        """Build from [(t, x, y), ...] tuples."""
         times, pos = [], []
-        for wp in waypoints:
-            if len(wp) == 2:
-                t, xy = wp
-                x, y = xy
-            else:
-                t, x, y = wp
+        for t, x, y in waypoints:
             times.append(float(t))
             pos.append((float(x), float(y)))
         return cls(np.asarray(times), np.asarray(pos))
@@ -172,7 +167,6 @@ class TimeAzimuthMap:
     power: np.ndarray
     spin_period_s: float
     sample_rate_hz: float
-    metadata: dict = dc_field(default_factory=dict)
 
     @property
     def power_db(self) -> np.ndarray:
@@ -221,7 +215,7 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     y_clut = np.empty(n, dtype=complex)
     for rot, (start, stop) in enumerate(zip(starts, [*starts[1:], n])):
         sub = clutter_stream.child(f"rotation/{rot}") if regenerate else clutter_stream
-        fld = gen_azimuth_channel(spec.room, spec.clutter, grid, (0.0, 0.0), sub)
+        fld = gen_azimuth_channel(spec.room, spec.clutter, grid, sub)
         sl = slice(start, stop)
         y_clut[sl] = spin_operator(
             grid, spec.rx, spec.tx, pointings[sl], spec.tx_pointing_deg
@@ -253,9 +247,4 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
         power=power,
         spin_period_s=spec.spin_period_s,
         sample_rate_hz=spec.sample_rate_hz,
-        metadata={
-            "master_seed": stream.master_seed,
-            "stream_label": stream.label,
-            "target_model": spec.target.model,
-        },
     )

@@ -152,7 +152,7 @@ def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=250):
     for start in range(0, n_draws, block):
         fields = [
             gen_azimuth_channel(
-                cfg.room, cfg.clutter, cfg.grid, (0.0, 0.0), derive_stream(seed, f"{label}/{i}")
+                cfg.room, cfg.clutter, cfg.grid, derive_stream(seed, f"{label}/{i}")
             )
             for i in range(start, min(start + block, n_draws))
         ]
@@ -407,9 +407,7 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
 
     # zero-RCS target reduces exactly to the clutter-only response
     grid = spec.rx.grid
-    fld = gen_azimuth_channel(
-        spec.room, spec.clutter, grid, (0.0, 0.0), stream.child("clutter")
-    )
+    fld = gen_azimuth_channel(spec.room, spec.clutter, grid, stream.child("clutter"))
     y = spin_amplitudes(fld, spec.rx, spec.tx, map_0.pointing_deg, spec.tx_pointing_deg)
     identity = bool(np.array_equal(np.abs(y) ** 2, map_0.power))
 

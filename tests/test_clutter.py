@@ -18,6 +18,7 @@ from rfclutter import (
     gaussian_horn,
     gen_azimuth_channel,
     gen_delay_azimuth_channel,
+    location_phase,
     make_probe_waveform,
     normalize_pattern,
     omni,
@@ -42,16 +43,21 @@ def _params(**kw):
 
 def test_channel_without_variation_has_flat_magnitude():
     params = _params(sigma_v_db=0.0, sigma_db=0.0)
-    field = gen_azimuth_channel(ROOM, params, GRID, (0.0, 0.0), derive_stream(1, "flat"))
+    field = gen_azimuth_channel(ROOM, params, GRID, derive_stream(1, "flat"))
     mags = np.abs(field.amplitudes)
     assert np.allclose(mags, mags[0], rtol=1e-12)
 
 
 def test_relocation_changes_phases_only():
-    field = gen_azimuth_channel(ROOM, _params(), GRID, (0.0, 0.0), derive_stream(2, "loc"))
-    moved = field.relocate((0.05, 0.0))
-    assert np.allclose(np.abs(moved.amplitudes), np.abs(field.amplitudes), rtol=1e-12)
-    assert not np.allclose(moved.amplitudes, field.amplitudes)
+    field = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(2, "loc"))
+    wl = CARRIER.wavelength_m
+    moved = field.amplitudes * location_phase(GRID, wl, (0.05, 0.0))
+    assert np.allclose(np.abs(moved), np.abs(field.amplitudes), rtol=1e-12)
+    assert not np.allclose(moved, field.amplitudes)
+    # no move is the identity, and two moves compose into their sum
+    assert np.all(location_phase(GRID, wl, (0.0, 0.0)) == 1.0)
+    twice = moved * location_phase(GRID, wl, (-0.02, 0.03))
+    assert np.allclose(twice, field.amplitudes * location_phase(GRID, wl, (0.03, 0.03)), rtol=1e-12)
 
 
 def test_channel_magnitude_autocorrelation_inherits_field_target():
@@ -59,7 +65,7 @@ def test_channel_magnitude_autocorrelation_inherits_field_target():
     lag = 5  # 1 degree on the default grid
     s_xx = s_lag = 0.0
     for i in range(1000):
-        field = gen_azimuth_channel(ROOM, params, GRID, (0.0, 0.0), derive_stream(3, f"m/{i}"))
+        field = gen_azimuth_channel(ROOM, params, GRID, derive_stream(3, f"m/{i}"))
         db = 20.0 * np.log10(np.abs(field.amplitudes))
         db = db - db.mean()  # removes the location-level offset per draw
         s_xx += (db**2).sum()
@@ -69,15 +75,15 @@ def test_channel_magnitude_autocorrelation_inherits_field_target():
 
 
 def test_channel_is_deterministic_per_seed():
-    a = gen_azimuth_channel(ROOM, _params(), GRID, (0.0, 0.0), derive_stream(4, "det"))
-    b = gen_azimuth_channel(ROOM, _params(), GRID, (0.0, 0.0), derive_stream(4, "det"))
+    a = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(4, "det"))
+    b = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(4, "det"))
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert a.p_v_db == b.p_v_db
 
 
 def test_channel_rejects_coarse_grid():
     with pytest.raises(ConfigurationError):
-        gen_azimuth_channel(ROOM, _params(), AzimuthGrid(90), (0.0, 0.0), derive_stream(1, "x"))
+        gen_azimuth_channel(ROOM, _params(), AzimuthGrid(90), derive_stream(1, "x"))
 
 
 def test_spin_single_arrival_traces_product_pattern():
@@ -86,10 +92,7 @@ def test_spin_single_arrival_traces_product_pattern():
     amplitudes = np.zeros(GRID.n_bins, dtype=complex)
     bin_idx = 450  # 90 degrees
     amplitudes[bin_idx] = 2.0 + 1.0j
-    field = AzimuthField(
-        grid=GRID, amplitudes=amplitudes, p_v_db=0.0, p0=1.0,
-        location_m=(0.0, 0.0), wavelength_m=CARRIER.wavelength_m,
-    )
+    field = AzimuthField(grid=GRID, amplitudes=amplitudes, p_v_db=0.0, p0=1.0)
     pointings = uniform_pointings(360)
     spec = spin_response(field, rx, tx, pointings)
     phi0 = GRID.centers_deg[bin_idx]
@@ -118,7 +121,7 @@ def test_spin_operator_matches_rows_and_explicit_sum(pointings):
     tx_pointing = 37.3
     amplitudes = np.stack([
         gen_azimuth_channel(
-            ROOM, _params(), GRID, (0.0, 0.0), derive_stream(14, f"op/{i}")
+            ROOM, _params(), GRID, derive_stream(14, f"op/{i}")
         ).amplitudes
         for i in range(3)
     ])
@@ -142,7 +145,7 @@ def test_spin_merges_pointings_a_last_bit_apart():
     # bit; the operator spins each once
     rx, tx = gaussian_horn(10.0, GRID), omni(GRID)
     first = uniform_pointings(148) + 0.05
-    field = gen_azimuth_channel(ROOM, _params(), GRID, (0.0, 0.0), derive_stream(16, "bit"))
+    field = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(16, "bit"))
     y = spin_operator(GRID, rx, tx, np.concatenate([first, np.nextafter(first, 360.0)]))(
         field.amplitudes
     )
@@ -157,7 +160,7 @@ def test_dense_off_grid_sweep_matches_its_parts():
     pointings = np.arange(12000) * 0.03 + 0.013
     amplitudes = np.stack([
         gen_azimuth_channel(
-            ROOM, _params(), grid, (0.0, 0.0), derive_stream(15, f"dense/{i}")
+            ROOM, _params(), grid, derive_stream(15, f"dense/{i}")
         ).amplitudes
         for i in range(3)
     ])
@@ -206,7 +209,7 @@ def test_random_off_grid_pointings_match_explicit_sum(n_offsets, repeats):
     assert np.unique(np.round(offsets, 9)).size == base.size  # each offset at `repeats` bins
     amplitudes = np.stack([
         gen_azimuth_channel(
-            ROOM, _params(), GRID, (0.0, 0.0), derive_stream(23, f"rand/{i}")
+            ROOM, _params(), GRID, derive_stream(23, f"rand/{i}")
         ).amplitudes
         for i in range(3)
     ])
@@ -236,7 +239,7 @@ def test_custom_pattern_reads_the_upper_sample_at_half_bin_ties():
 
 
 def test_spin_requires_pointings():
-    field = gen_azimuth_channel(ROOM, _params(), GRID, (0.0, 0.0), derive_stream(5, "p"))
+    field = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(5, "p"))
     with pytest.raises(ValueError):
         spin_response(field, gaussian_horn(10.0, GRID), omni(GRID), [])
 
@@ -247,7 +250,7 @@ def test_spin_calibration_monte_carlo():
     pointings = uniform_pointings(360)
     ratios = []
     for i in range(600):
-        field = gen_azimuth_channel(ROOM, params, GRID, (0.0, 0.0), derive_stream(6, f"cal/{i}"))
+        field = gen_azimuth_channel(ROOM, params, GRID, derive_stream(6, f"cal/{i}"))
         spec = spin_response(field, rx, tx, pointings)
         ratios.append(spec.power.mean() / (field.p0 * 10.0 ** (field.p_v_db / 10.0)))
     assert np.mean(ratios) == pytest.approx(1.0, abs=0.05)
@@ -259,7 +262,7 @@ def test_spun_db_spread_is_below_raw_sigma():
     pointings = uniform_pointings(148)
     stds = []
     for i in range(60):
-        field = gen_azimuth_channel(ROOM, params, GRID, (0.0, 0.0), derive_stream(7, f"s/{i}"))
+        field = gen_azimuth_channel(ROOM, params, GRID, derive_stream(7, f"s/{i}"))
         stds.append(spin_response(field, rx, tx, pointings).power_db.std())
     assert np.mean(stds) < params.sigma_db
 
@@ -273,7 +276,7 @@ def test_spin_calibration_stable_under_grid_refinement():
         rx, tx = gaussian_horn(10.0, grid), omni(grid)
         ratios = []
         for i in range(250):
-            field = gen_azimuth_channel(ROOM, params, grid, (0.0, 0.0), derive_stream(12, f"g/{i}"))
+            field = gen_azimuth_channel(ROOM, params, grid, derive_stream(12, f"g/{i}"))
             spec = spin_response(field, rx, tx, pointings)
             ratios.append(spec.power.mean() / (field.p0 * 10.0 ** (field.p_v_db / 10.0)))
         means.append(np.mean(ratios))
@@ -533,7 +536,8 @@ def test_band_limit_builds_streamed_weights_once(monkeypatch):
 
 def _reference_azimuth_channel(room, params, grid, location_m, stream):
     """The azimuth draw as one whole-row recipe: P_v, the field row, then
-    uniform(0, 2 pi) phases, with the location phase added to them."""
+    uniform(0, 2 pi) phases, with the phase of a move to ``location_m``
+    added to them."""
     rng = stream.generator()
     p_v_db = (
         lognormal_mean_offset(params.sigma_v_db)
@@ -558,11 +562,11 @@ def _reference_azimuth_channel(room, params, grid, location_m, stream):
 @pytest.mark.parametrize("location_m", [(0.0, 0.0), (0.05, -0.02)], ids=["origin", "moved"])
 def test_azimuth_draw_matches_reference_recipe(location_m):
     stream = derive_stream(28, "pin")
-    field = gen_azimuth_channel(ROOM, _params(), GRID, location_m, stream)
+    field = gen_azimuth_channel(ROOM, _params(), GRID, stream)
+    moved = field.amplitudes * location_phase(GRID, CARRIER.wavelength_m, location_m)
     expected, p_v_db = _reference_azimuth_channel(ROOM, _params(), GRID, location_m, stream)
     assert field.p_v_db == p_v_db
-    assert field.location_m == location_m
-    rel = np.abs(field.amplitudes - expected) / np.abs(expected)
+    rel = np.abs(moved - expected) / np.abs(expected)
     assert np.max(rel) <= 1e-12
 
 
@@ -571,7 +575,7 @@ def test_zero_reflectivity_room_draws_exact_zeros_without_warning():
     agrid = AzimuthGrid(360)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        az = gen_azimuth_channel(room, _params(), agrid, (0.0, 0.0), derive_stream(29, "z"))
+        az = gen_azimuth_channel(room, _params(), agrid, derive_stream(29, "z"))
         spun_db = spin_response(az, omni(agrid), omni(agrid), uniform_pointings(8)).power_db
         dl = gen_delay_azimuth_channel(
             room, _params(), DelayGrid.for_room(room), agrid, derive_stream(29, "z")
@@ -628,8 +632,7 @@ def test_streamed_delay_map_of_zero_reflectivity_room_is_minus_inf_without_warni
 
 def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
     # 922 live rows of 360 bins are 11 blocks of 91 rows; a budget of two
-    # blocks makes the streamed noise pass skip the noise and the phase pass
-    # redraw it
+    # blocks makes the noise pass skip the noise and the phase pass redraw it
     agrid = AzimuthGrid(360)
     dgrid = DelayGrid.for_room(ROOM)
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(40.0, agrid)
@@ -652,10 +655,10 @@ def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
     assert len(blocks) >= 3
     assert events == [("skip", n) for n in blocks] + [("draw", n) for n in blocks]
     _assert_same_map(streamed, held)
-    # the held map writes its magnitudes into its own real part at any size
+    # a held map over the budget skips and redraws its noise the same way
     events.clear()
     redrawn = gen_delay_azimuth_channel(*args[:5])
-    assert events == [("draw", n) for n in blocks]
+    assert events == [("skip", n) for n in blocks] + [("draw", n) for n in blocks]
     assert np.array_equal(redrawn.amplitudes, held_field.amplitudes)
     assert redrawn.p_v_db == held_field.p_v_db
 
@@ -675,7 +678,8 @@ def test_streamed_delay_map_never_holds_a_complex_map():
     )
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    # gen_delay_azimuth_channel and band_limit peak at 38 MB, holding the map
+    # gen_delay_azimuth_channel and band_limit peak at 36 MB, holding the map
+    # and its magnitudes
     assert peak < dgrid.n_bins * agrid.n_bins * np.dtype(complex).itemsize
 
 

@@ -12,25 +12,24 @@ from rfclutter import (
     fresnel_average_reflectivity,
     predict_room,
     to_db,
-    wavelength,
 )
 from rfclutter.antennas import HPBW_TO_RMS
 from rfclutter.core import SPEED_OF_LIGHT
 
-WL28 = wavelength(28e9)
+WL28 = CarrierSpec(28e9).wavelength_m
 
 
 def test_wavelength_values():
-    assert wavelength(28e9) == pytest.approx(0.010707, abs=5e-7)
-    assert wavelength(SPEED_OF_LIGHT) == 1.0
-    assert wavelength(3e9) == pytest.approx(0.099931, abs=5e-7)
+    assert CarrierSpec(28e9).wavelength_m == pytest.approx(0.010707, abs=5e-7)
+    assert CarrierSpec(SPEED_OF_LIGHT).wavelength_m == 1.0
+    assert CarrierSpec(3e9).wavelength_m == pytest.approx(0.099931, abs=5e-7)
 
 
 def test_wavelength_rejects_nonpositive():
     with pytest.raises(ValueError):
-        wavelength(0.0)
+        CarrierSpec(0.0)
     with pytest.raises(ValueError):
-        wavelength(-1e9)
+        CarrierSpec(-1e9)
 
 
 def test_average_backscatter_reference_values():

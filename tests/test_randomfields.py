@@ -11,7 +11,6 @@ from rfclutter import (
     ConfigurationError,
     LognormalFieldParams,
     complex_gaussian_series,
-    correlated_lognormal_db,
     derive_stream,
     lognormal_mean_offset,
 )
@@ -63,9 +62,15 @@ def test_child_streams_compose_labels():
     )
 
 
+def _field_db(grid, params, stream):
+    """One dB field row as the channel draws build it: mu + sigma * z."""
+    z = gaussian_field_rows(stream.generator(), 1, grid.n_bins, params.corr_bins(grid))[0]
+    return params.mu_db + params.sigma_db * z
+
+
 def test_zero_sigma_field_is_exactly_zero_db():
     grid = AzimuthGrid(1800)
-    field = correlated_lognormal_db(grid, LognormalFieldParams(0.0, 1.0), derive_stream(1, "z"))
+    field = _field_db(grid, LognormalFieldParams(0.0, 1.0), derive_stream(1, "z"))
     assert np.all(field == 0.0)
 
 
@@ -74,7 +79,7 @@ def test_field_is_unit_mean_in_linear_power():
     params = LognormalFieldParams(7.0, 1.0)
     total, count = 0.0, 0
     for i in range(3000):
-        f = correlated_lognormal_db(grid, params, derive_stream(2, f"um/{i}"))
+        f = _field_db(grid, params, derive_stream(2, f"um/{i}"))
         lin = 10.0 ** (f / 10.0)
         total += lin.sum()
         count += lin.size
@@ -88,7 +93,7 @@ def test_field_autocorrelation_matches_gaussian_target():
     s_x = s_xx = s_lag = 0.0
     n = 0
     for i in range(800):
-        f = correlated_lognormal_db(grid, params, derive_stream(3, f"ac/{i}"))
+        f = _field_db(grid, params, derive_stream(3, f"ac/{i}"))
         s_x += f.sum()
         s_xx += (f**2).sum()
         s_lag += (f * np.roll(f, -lag)).sum()
@@ -103,7 +108,7 @@ def test_field_is_circular_no_seam():
     params = LognormalFieldParams(7.0, 1.0)
     first, last, second = [], [], []
     for i in range(4000):
-        f = correlated_lognormal_db(grid, params, derive_stream(4, f"c/{i}"))
+        f = _field_db(grid, params, derive_stream(4, f"c/{i}"))
         first.append(f[0])
         last.append(f[-1])
         second.append(f[1])
@@ -119,11 +124,7 @@ def test_field_grid_refinement_stability():
     def pooled(n_bins, tag):
         rows = []
         for i in range(1000):
-            rows.append(
-                correlated_lognormal_db(
-                    AzimuthGrid(n_bins), params, derive_stream(5, f"{tag}/{i}")
-                )
-            )
+            rows.append(_field_db(AzimuthGrid(n_bins), params, derive_stream(5, f"{tag}/{i}")))
         return np.quantile(np.concatenate(rows), quantiles)
 
     coarse = pooled(1800, "coarse")
@@ -134,7 +135,7 @@ def test_field_grid_refinement_stability():
 def test_field_rejects_under_resolved_grid():
     grid = AzimuthGrid.from_spacing(2.0)
     with pytest.raises(ConfigurationError):
-        correlated_lognormal_db(grid, LognormalFieldParams(7.0, 1.0), derive_stream(1, "x"))
+        _field_db(grid, LognormalFieldParams(7.0, 1.0), derive_stream(1, "x"))
 
 
 def test_gaussian_field_rows_unit_variance():

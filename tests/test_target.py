@@ -93,7 +93,7 @@ def test_zero_rcs_scene_equals_clutter_only():
     stream = derive_stream(21, "scene")
     tmap = compose_scene(spec, stream)
     grid = AzimuthGrid.default_for(spec.clutter.phi_rms_deg)
-    field = gen_azimuth_channel(spec.room, spec.clutter, grid, (0.0, 0.0), stream.child("clutter"))
+    field = gen_azimuth_channel(spec.room, spec.clutter, grid, stream.child("clutter"))
     y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg, 0.0)
     assert np.array_equal(tmap.power, np.abs(y) ** 2)
 
@@ -270,6 +270,6 @@ def test_regenerated_clutter_is_redrawn_where_the_rotation_index_changes():
     for r in range(5):
         sel = rotation == r
         sub = stream.child("clutter").child(f"rotation/{r}")
-        field = gen_azimuth_channel(spec.room, spec.clutter, GRID, (0.0, 0.0), sub)
+        field = gen_azimuth_channel(spec.room, spec.clutter, GRID, sub)
         y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg[sel], 0.0)
         assert np.array_equal(tmap.power[sel], np.abs(y) ** 2)
