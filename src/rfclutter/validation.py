@@ -17,14 +17,18 @@ run Python code that holds the interpreter lock, and
 ``lognormal_unit_mean``'s 14 MB chunks would raise the suite's peak memory
 more than the threads save.  Report bytes are
 reproducible for a fixed BLAS thread count; off-grid spins are matrix
-products whose last bits depend on it.
+products whose last bits depend on it.  Before each check, :func:`run_checks`
+settles glibc's heap (:func:`_settle_heap`), so the suite's peak memory
+does not depend on where earlier checks' freed blocks happened to lie.
 """
 
 from __future__ import annotations
 
+import ctypes
 import filecmp
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -114,6 +118,38 @@ class ValidationReport:
             ],
         }
         return out
+
+
+# glibc's mallopt parameters, and the block size from which malloc maps each
+# block on its own: above a reverberation map's 5.9 MB of magnitudes and a
+# 250-draw stack's 7.2 MB, which the checks allocate and free over and over,
+# and below the 14-32 MB field chunks, spin weights and fluctuation series
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 8 << 20
+
+
+def _settle_heap() -> None:
+    """Start a check from the memory the process holds, not from the layout
+    of what earlier checks freed (glibc only; elsewhere a no-op).
+
+    glibc's default mmap threshold rises to the largest mapped block freed
+    so far, up to 32 MiB, and blocks under it come from heaps that keep
+    their freed pages.  Which large arrays landed in a heap then turned on
+    the exact sequence of earlier allocations, down to a few bytes, and the
+    suite's peak RSS took one of two values 31 MB apart from run to run of
+    the same code.  Here blocks of
+    ``_MMAP_THRESHOLD`` and more are always mapped and unmapped when freed;
+    the heaps, every thread's arena included, keep their free pages within
+    a check and hand them all back (``malloc_trim``) before the next.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "malloc_trim"):  # glibc, not musl
+        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        libc.mallopt(_M_TRIM_THRESHOLD, -1)  # no trimming but this one
+        libc.malloc_trim(0)
 
 
 def _defaults() -> RunConfig:
@@ -534,6 +570,7 @@ def run_checks(
         raise ValueError(f"unknown check(s): {unknown}; known: {list(CHECKS)}")
     results = []
     for name in names:
+        _settle_heap()
         start = time.perf_counter()
         passed, stat, target, details = CHECKS[name](master_seed)
         elapsed = time.perf_counter() - start

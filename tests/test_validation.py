@@ -1,11 +1,16 @@
 """The thread fan-out of the acceptance checks: report bytes that do not
 depend on the worker count, a capped worker count, shared memos that survive
-racing workers, and a ported causality check that still catches a fault."""
+racing workers, large blocks mapped on their own after the heap is settled,
+and a ported causality check that still catches a fault."""
 
+import ctypes
 import json
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,44 @@ def test_workers_are_capped_at_two(monkeypatch):
     for mask, workers in ((set(range(64)), 2), ({0}, 1)):
         monkeypatch.setattr(validation.os, "sched_getaffinity", lambda pid: mask, raising=False)
         assert validation._workers() == workers
+
+
+_MAPPED_AFTER_SETTLING = """
+import ctypes
+import numpy as np
+from rfclutter import validation
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(n, ctypes.c_size_t) for n in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+big = np.ones(30 << 17)  # 30 MiB, mapped, then freed
+del big
+validation._settle_heap()
+before = mallinfo2().hblkhd
+block = np.ones(9 << 17)  # 9 MiB
+print(mallinfo2().hblkhd - before >= block.nbytes)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+    reason="glibc's malloc only",
+)
+def test_settled_heap_maps_large_blocks_whatever_was_freed_before():
+    """In a fresh interpreter, a freed 30 MiB block raises glibc's default
+    mmap threshold past 9 MiB; after _settle_heap a 9 MiB array is mapped on
+    its own all the same."""
+    src = str(Path(validation.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _MAPPED_AFTER_SETTLING],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "True"
 
 
 def test_field_filter_memo_under_racing_workers():
