@@ -6,7 +6,6 @@ from .antennas import (
     AntennaPattern,
     gaussian_horn,
     load_pattern_csv,
-    normalize_pattern,
     omni,
     pattern_autocorrelation,
     tabulated,
@@ -39,7 +38,6 @@ from .core import (
     clutter_integral_quadrature,
     fresnel_average_reflectivity,
     from_db,
-    predict_room,
     to_db,
 )
 from .randomfields import (
@@ -51,12 +49,10 @@ from .randomfields import (
     lognormal_mean_offset,
 )
 from .stats import (
-    EmpiricalCDF,
     SurveyReport,
     SurveyRow,
     azimuth_autocorrelation,
     correlation_half_width,
-    empirical_cdf,
     fit_reverberation,
     load_room_survey,
     spatial_correlation,

@@ -1,4 +1,5 @@
-"""Azimuth antenna patterns.
+"""Azimuth antenna patterns: a Gaussian horn, omni, or tabulated from
+measured gain samples (a config's ``csv`` kind).
 
 Field patterns are kept on the simulator's azimuth grid, normalized so the
 discrete power integral sum(|f|^2) * dphi_rad equals 1.  A pattern can also
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import ConfigurationError
 from .randomfields import AzimuthGrid
 
 HPBW_TO_RMS = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))  # power-pattern RMS / HPBW
@@ -71,8 +73,8 @@ def _gaussian_wrapped_power(distance_deg, rms_deg):
 class AntennaPattern:
     """Azimuth field pattern |f(phi)| with unit total power.
 
-    ``kind`` is one of ``gaussian`` (horn main lobe), ``omni``, ``tabulated``
-    (from gain samples) or ``custom`` (normalized raw field samples).
+    ``kind`` is one of ``gaussian`` (horn main lobe), ``omni`` or
+    ``tabulated`` (from gain samples).
     """
 
     grid: AzimuthGrid
@@ -83,41 +85,27 @@ class AntennaPattern:
     _tab_az_deg: np.ndarray | None = dc_field(default=None, repr=False)
     _tab_gain_db: np.ndarray | None = dc_field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "omni", "tabulated"):
+            raise ValueError(f"unknown pattern kind {self.kind!r}")
+
     @property
     def power(self) -> np.ndarray:
         return self.field**2
 
-    @property
-    def rms_width_deg(self) -> float | None:
-        if self.hpbw_deg is None:
-            return None
-        return self.hpbw_deg * HPBW_TO_RMS
-
     def _raw_power(self, offset_deg) -> np.ndarray:
-        """Unnormalized power at azimuth offsets (degrees) from boresight.
-
-        A ``custom`` pattern reads its nearest grid sample.  The offset is
-        taken in bins rounded to 1e-9, so rounding noise cannot split a tie:
-        an offset half way between two samples (to 1e-9 bin) reads the upper
-        one.  Offsets a whole number of bins apart therefore read the same
-        samples shifted, which the spin operator relies on.
-        """
+        """Unnormalized power at azimuth offsets (degrees) from boresight."""
         d = _wrap_deg(offset_deg)
         if self.kind == "gaussian":
             return _gaussian_wrapped_power(np.abs(d), self.hpbw_deg * HPBW_TO_RMS)
         if self.kind == "omni":
             return np.ones_like(d)
-        if self.kind == "tabulated":
-            az = self._tab_az_deg
-            gain = self._tab_gain_db
-            ext_az = np.concatenate([az, [az[0] + 360.0]])
-            ext_gain = np.concatenate([gain, [gain[0]]])
-            db = np.interp(np.asarray(offset_deg, dtype=float) % 360.0, ext_az, ext_gain)
-            return 10.0 ** (db / 10.0)
-        # custom: nearest grid sample (already normalized field), ties up
-        bins = np.round(np.asarray(offset_deg, dtype=float) % 360.0 / self.grid.delta_phi_deg, 9)
-        idx = np.floor(bins + 0.5).astype(int) % self.grid.n_bins
-        return self.power[idx] / self._scale
+        az = self._tab_az_deg
+        gain = self._tab_gain_db
+        ext_az = np.concatenate([az, [az[0] + 360.0]])
+        ext_gain = np.concatenate([gain, [gain[0]]])
+        db = np.interp(np.asarray(offset_deg, dtype=float) % 360.0, ext_az, ext_gain)
+        return 10.0 ** (db / 10.0)
 
     def field_at(self, offset_deg) -> np.ndarray:
         """|f| at arbitrary azimuth offsets (degrees) from boresight."""
@@ -129,17 +117,14 @@ class AntennaPattern:
 
         The Gaussian horn assumes the same beamwidth in elevation, giving
         2 / rms^2; omni is unity; tabulated patterns carry absolute dBi and
-        are used verbatim; custom patterns fall back to the azimuthal
-        directive gain 2*pi*max|f|^2.
+        are used verbatim.
         """
         if self.kind == "gaussian":
             s_rad = math.radians(self.hpbw_deg * HPBW_TO_RMS)
             return 2.0 / s_rad**2
         if self.kind == "omni":
             return 1.0
-        if self.kind == "tabulated":
-            return float(10.0 ** (np.max(self._tab_gain_db) / 10.0))
-        return float(2.0 * math.pi * np.max(self.power))
+        return float(10.0 ** (np.max(self._tab_gain_db) / 10.0))
 
     def gain_at(self, offset_deg) -> np.ndarray:
         """Power gain at azimuth offsets, scaled so the peak equals
@@ -149,11 +134,7 @@ class AntennaPattern:
             return np.ones_like(raw)
         if self.kind == "tabulated":
             return raw  # already absolute gain
-        if self.kind == "gaussian":
-            peak = float(self._raw_power(0.0))
-        else:
-            peak = float(np.max(self.power) / self._scale)
-        return self.peak_directivity * raw / peak
+        return self.peak_directivity * raw / float(self._raw_power(0.0))
 
 
 def _normalize(grid: AzimuthGrid, raw_power_on_grid: np.ndarray) -> float:
@@ -221,32 +202,30 @@ def tabulated(azimuth_deg, gain_db, grid: AzimuthGrid) -> AntennaPattern:
 
 
 def load_pattern_csv(path, grid: AzimuthGrid) -> AntennaPattern:
-    """Read a two-column CSV with header ``azimuth_deg,gain_db``."""
+    """Read a two-column CSV with header ``azimuth_deg,gain_db``.
+
+    A malformed row raises a ConfigurationError naming ``<file>:<line>``.
+    """
+    try:
+        with open(Path(path), newline="", encoding="utf-8") as fh:
+            numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    reader = csv.reader(line for _, line in numbered)
+    if [h.strip() for h in next(reader, [])] != ["azimuth_deg", "gain_db"]:
+        raise ConfigurationError(f"{path}: expected header 'azimuth_deg,gain_db'")
     az, gain = [], []
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, [])
-        if [h.strip() for h in header] != ["azimuth_deg", "gain_db"]:
-            raise ValueError(f"{path}: expected header 'azimuth_deg,gain_db'")
-        for row in reader:
-            if not row:
-                continue
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != 2:
+                raise ValueError(f"expected 2 fields, got {len(row)}")
             az.append(float(row[0]))
             gain.append(float(row[1]))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{numbered[reader.line_num - 1][0]}: {exc}") from None
     return tabulated(az, gain, grid)
-
-
-def normalize_pattern(raw_field, grid: AzimuthGrid) -> AntennaPattern:
-    """Normalize raw field samples on the grid to unit total power."""
-    f = np.asarray(raw_field, dtype=float)
-    if f.shape != (grid.n_bins,):
-        raise ValueError(f"expected {grid.n_bins} field samples, got shape {f.shape}")
-    if np.any(f < 0) or np.any(~np.isfinite(f)):
-        raise ValueError("field samples must be finite and nonnegative")
-    if not np.any(f > 0):
-        raise ValueError("all-zero pattern cannot be normalized")
-    scale = _normalize(grid, f**2)
-    return AntennaPattern(grid=grid, kind="custom", field=f * math.sqrt(scale), _scale=scale)
 
 
 def pattern_autocorrelation(pattern: AntennaPattern):

@@ -11,8 +11,9 @@ feeding that metadata back as ``--config`` reproduces the run byte for byte.
 
 Units in output files: angles in degrees, powers in dB relative to the
 transmit power, delays in nanoseconds.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error (a bad config leaf names its dotted key, a
-bad survey row its ``<file>:<line>``), 3 runtime error.
+failure, 2 configuration error (a bad config leaf names its dotted key, an
+unreadable input file its path, a bad survey or pattern row its
+``<file>:<line>``), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -208,12 +209,14 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    names = [n.strip() for n in args.checks.split(",") if n.strip()] if args.checks else None
+    names = None
+    if args.checks is not None:  # given but naming no check is an error, not "all"
+        names = [n.strip() for n in args.checks.split(",") if n.strip()]
     cfg = _resolve(args)
     report = run_checks(names=names, master_seed=cfg.seed, log=print)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "validation_report.json", report.to_dict(include_runtimes=False))
+    _write_json(out / "validation_report.json", report.to_dict())
     _write_json(
         out / "validation_runtimes.json", {r.name: round(r.runtime_s, 3) for r in report.results}
     )
@@ -275,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - map everything else to exit 3

@@ -264,9 +264,7 @@ def spin_operator(
 
     A pointing p = phi_m + f has its sub-bin offset f in [-dphi/2, dphi/2].
     Rows whose f agree to 1e-9 deg are exact rolls of one kernel, the f_R row
-    of the first of them; a ``custom`` rx resolves half-bin ties the same
-    way in every row (see ``AntennaPattern._raw_power``), so a roll equals
-    the direct evaluation.  Building costs one f_R evaluation per grid bin
+    of the first of them.  Building costs one f_R evaluation per grid bin
     and distinct offset: 148 pointings on 1800 bins have 37 offsets and
     build in about 3 ms (one Xeon core, NumPy 2.4), 1440 have 5.  Kernels
     written twice over are held within the same 2^22 entries as a weight
@@ -498,41 +496,28 @@ class ProbeWaveform:
     samples: np.ndarray
     delta_t_s: float
     bandwidth_hz: float
-    shape: str
 
 
 def make_probe_waveform(
-    bandwidth_hz: float,
-    sample_rate_hz: float | None = None,
-    shape: str = "hamming",
-    samples=None,
+    bandwidth_hz: float, sample_rate_hz: float | None = None, shape: str = "hamming"
 ) -> ProbeWaveform:
     """Probing waveform of duration 1/bandwidth, normalized to unit energy.
 
-    ``shape`` is ``hamming``, ``rect`` or ``tabulated`` (pass ``samples``).
-    The sample rate defaults to 20x the bandwidth and must be at least 10x.
+    ``shape`` is ``hamming`` or ``rect``.  The sample rate defaults to 20x
+    the bandwidth and must be at least 10x.
     """
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive")
     rate = 20.0 * bandwidth_hz if sample_rate_hz is None else float(sample_rate_hz)
     if rate < 10.0 * bandwidth_hz:
         raise ConfigurationError("waveform under-resolved: need sample_rate >= 10*bandwidth")
-    dt = 1.0 / rate
-    if shape == "tabulated":
-        if samples is None:
-            raise ValueError("tabulated waveform needs samples")
-        x = np.asarray(samples, dtype=complex)
-        if x.size < 2:
-            raise ValueError("tabulated waveform needs >= 2 samples")
-    elif shape in ("hamming", "rect"):
-        n = int(round(rate / bandwidth_hz)) + 1  # (n-1)*dt == 1/bandwidth
-        x = np.hamming(n).astype(complex) if shape == "hamming" else np.ones(n, dtype=complex)
-    else:
+    if shape not in ("hamming", "rect"):
         raise ValueError(f"unknown waveform shape {shape!r}")
+    dt = 1.0 / rate
+    n = int(round(rate / bandwidth_hz)) + 1  # (n-1)*dt == 1/bandwidth
+    x = np.hamming(n).astype(complex) if shape == "hamming" else np.ones(n, dtype=complex)
     energy = float(np.sum(np.abs(x) ** 2) * dt)
-    return ProbeWaveform(
-        samples=x / math.sqrt(energy), delta_t_s=dt, bandwidth_hz=bandwidth_hz, shape=shape
-    )
+    return ProbeWaveform(samples=x / math.sqrt(energy), delta_t_s=dt, bandwidth_hz=bandwidth_hz)
 
 
 @dataclass(frozen=True, eq=False)

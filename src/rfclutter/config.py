@@ -220,9 +220,11 @@ def load_config_tree(path=None, overrides=None) -> dict:
     tree = {}
     if path is not None:
         try:
-            tree = json.loads(Path(path).read_text())
+            tree = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
         if isinstance(tree, dict) and "config" in tree and "versions" in tree:
             tree = tree["config"]
     return _merge(SCHEMA, _merge(SCHEMA, DEFAULT_CONFIG, tree, ""), overrides or {}, "")
@@ -240,11 +242,11 @@ def _check_tree(schema: dict, tree: dict, path: str = "") -> None:
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """Name ``path`` in a ValueError or OSError from building objects out of
-    checked leaves: an error that involves more than one key, or a file."""
+    """Name ``path`` in a ValueError from building objects out of checked
+    leaves: an error that involves more than one key, or a file."""
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"config {path}: {exc}") from None
 
 

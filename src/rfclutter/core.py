@@ -171,28 +171,15 @@ def average_backscatter_ratio(d_s_m: float, wavelength_m: float, gamma_sq: float
     return gamma_sq * (wavelength_m / (FOUR_PI * d_s_m)) ** 2
 
 
-def _fresnel_power(theta: np.ndarray, eps_r: float, polarization: str) -> np.ndarray:
-    cos_t = np.cos(theta)
-    root = np.sqrt(eps_r - np.sin(theta) ** 2)
-    if polarization == "te":
-        r = (cos_t - root) / (cos_t + root)
-    elif polarization == "tm":
-        r = (eps_r * cos_t - root) / (eps_r * cos_t + root)
-    else:
-        raise ValueError(f"unknown polarization {polarization!r}")
-    return r * r
-
-
-def fresnel_average_reflectivity(eps_r: float, polarization: str = "te") -> float:
-    """Fresnel power reflectivity of an air-dielectric interface, averaged
+def fresnel_average_reflectivity(eps_r: float) -> float:
+    """TE Fresnel power reflectivity of an air-dielectric interface, averaged
     over incidence angles uniform on [0, 90] degrees.
 
-    Defaults to the perpendicular (TE) component: with vertically polarized
-    antennas and vertical wall surfaces, the field is perpendicular to the
-    horizontal plane of incidence.  The TE average for eps_r = 3 is 0.255,
-    matching the 0.25 conventionally assigned to drywall/wood surroundings.
-    ``polarization`` may also be ``"tm"`` or ``"unpolarized"`` (equal-weight
-    TE/TM mean, noticeably lower because of the Brewster null).
+    Only the perpendicular (TE) component is modelled: with vertically
+    polarized antennas and vertical wall surfaces, the field is
+    perpendicular to the horizontal plane of incidence.  The TE average for
+    eps_r = 3 is 0.255, matching the 0.25 conventionally assigned to
+    drywall/wood surroundings.
     """
     if eps_r < 1.0:
         raise ValueError(f"relative permittivity must be >= 1, got {eps_r}")
@@ -200,14 +187,11 @@ def fresnel_average_reflectivity(eps_r: float, polarization: str = "te") -> floa
         return 0.0
     nodes, weights = np.polynomial.legendre.leggauss(256)
     theta = 0.25 * math.pi * (nodes + 1.0)  # map [-1, 1] -> [0, pi/2]
-    if polarization == "unpolarized":
-        vals = 0.5 * (
-            _fresnel_power(theta, eps_r, "te") + _fresnel_power(theta, eps_r, "tm")
-        )
-    else:
-        vals = _fresnel_power(theta, eps_r, polarization)
+    cos_t = np.cos(theta)
+    root = np.sqrt(eps_r - np.sin(theta) ** 2)
+    r = (cos_t - root) / (cos_t + root)
     # mean over theta: integral / (pi/2), with the affine-map Jacobi factor
-    return float(np.sum(weights * vals) * 0.25 * math.pi / (0.5 * math.pi))
+    return float(np.sum(weights * (r * r)) * 0.25 * math.pi / (0.5 * math.pi))
 
 
 def clutter_integral_quadrature(
@@ -262,15 +246,3 @@ def clutter_integral_quadrature(
             return cur
         prev = cur
     raise RuntimeError("clutter quadrature did not converge to 0.1%")
-
-
-def predict_room(room: RoomSpec, carrier: CarrierSpec, label: str = "") -> PredictionRecord:
-    """Closed-form average backscatter prediction for one room, in dB."""
-    d_s = room.distance_to_wall_m
-    gamma_sq = room.surface.reflectivity()
-    ratio = average_backscatter_ratio(d_s, carrier.wavelength_m, gamma_sq)
-    if ratio <= 0.0:
-        raise ValueError("zero reflectivity has no finite dB prediction")
-    return PredictionRecord(
-        label=label, d_s_m=d_s, gamma_sq=gamma_sq, p0_db=float(to_db(ratio))
-    )

@@ -84,12 +84,6 @@ class AzimuthGrid:
             )
         return cls(n)
 
-    @classmethod
-    def default_for(cls, phi_rms_deg: float) -> "AzimuthGrid":
-        """Grid resolving a correlation scale with 5 bins per phi_rms."""
-        n = max(4, int(math.ceil(360.0 / (phi_rms_deg / 5.0))))
-        return cls(n)
-
 
 def lognormal_mean_offset(sigma_db: float) -> float:
     """dB mean that gives a unit-mean linear power for a Gaussian dB spread.

@@ -1,8 +1,8 @@
 """Statistical machinery for validating the synthesized channels.
 
-Empirical CDFs, spatial correlation of spun spectra across nearby
-transceiver positions, azimuth autocorrelation of spectra, exponential-decay
-fitting of delay profiles, and the room-survey prediction report.
+Spatial correlation of spun spectra across nearby transceiver positions,
+azimuth autocorrelation of spectra, exponential-decay fitting of delay
+profiles, and the room-survey prediction report.
 The correlations take arrays of dB spectra whose last axis is the pointing
 sweep, and normalize each spectrum along that axis.
 """
@@ -28,29 +28,6 @@ from .core import (
 )
 
 BEST_FIT_REFLECTIVITIES = (1.0, 0.25)  # metal / dielectric surroundings
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalCDF:
-    """Right-continuous empirical CDF of a sample."""
-
-    support: np.ndarray
-    fractions: np.ndarray
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.support, np.asarray(x, dtype=float), side="right")
-        out = idx / self.support.size
-        return float(out) if np.ndim(x) == 0 else out
-
-    def quantile(self, q):
-        return np.quantile(self.support, q)
-
-
-def empirical_cdf(samples) -> EmpiricalCDF:
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
-    if x.size == 0:
-        raise ValueError("empty sample")
-    return EmpiricalCDF(support=x, fractions=np.arange(1, x.size + 1) / x.size)
 
 
 def _normalize_db_rows(rows_db: np.ndarray) -> np.ndarray:
@@ -168,8 +145,11 @@ def load_room_survey(path=None) -> list[SurveyRow]:
     A malformed row raises a ConfigurationError naming ``<file>:<line>``.
     """
     src = Path(path) if path is not None else _survey_data_path()
-    with open(src, newline="") as fh:
-        numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    try:
+        with open(src, newline="", encoding="utf-8") as fh:
+            numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{src}: {exc}") from None
     reader = csv.DictReader(line for _, line in numbered)
     expected = "label,n_links,dim_a_m,dim_b_m,d_s_m,measured_median_db,material".split(",")
     if reader.fieldnames != expected:
@@ -177,6 +157,8 @@ def load_room_survey(path=None) -> list[SurveyRow]:
     rows = []
     for rec in reader:
         try:
+            if None in rec:  # DictReader's key for the fields past the header's
+                raise ValueError(f"expected {len(expected)} fields, got more")
             numbers = [float(rec[key]) for key in expected[2:6]]
             row = SurveyRow(rec["label"], int(rec["n_links"]), *numbers, rec["material"])
             if not (0.0 < row.d_s_m < math.inf and math.isfinite(row.measured_median_db)):

@@ -48,6 +48,7 @@ from .clutter import (
 )
 from .config import RunConfig, load_config_tree, resolve_config
 from .core import (
+    ConfigurationError,
     RoomSpec,
     Surface,
     average_backscatter_ratio,
@@ -101,8 +102,9 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_dict(self, include_runtimes: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The report without runtimes, which are wall-clock data."""
+        return {
             "master_seed": self.master_seed,
             "passed": self.passed,
             "checks": [
@@ -112,12 +114,10 @@ class ValidationReport:
                     "statistic": r.statistic,
                     "target": r.target,
                     "details": r.details,
-                    **({"runtime_s": r.runtime_s} if include_runtimes else {}),
                 }
                 for r in self.results
             ],
         }
-        return out
 
 
 # glibc's mallopt parameters, and the block size from which malloc maps each
@@ -566,8 +566,9 @@ def run_checks(
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown check(s): {unknown}; known: {list(CHECKS)}")
+    if unknown or not names:
+        problem = f"unknown check(s): {unknown}" if unknown else "no check named"
+        raise ConfigurationError(f"{problem}; known: {list(CHECKS)}")
     results = []
     for name in names:
         _settle_heap()

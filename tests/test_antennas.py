@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rfclutter import (
+    AntennaPattern,
     AzimuthGrid,
     gaussian_horn,
     load_pattern_csv,
-    normalize_pattern,
     omni,
     pattern_autocorrelation,
     tabulated,
@@ -36,9 +36,10 @@ def test_gaussian_horn_half_power_at_half_beamwidth():
 
 def test_gaussian_horn_peak_density():
     p = gaussian_horn(10.0, GRID)
-    assert p.rms_width_deg == pytest.approx(4.2466, abs=1e-3)
+    rms_deg = p.hpbw_deg * HPBW_TO_RMS
+    assert rms_deg == pytest.approx(4.2466, abs=1e-3)
     # unit-power Gaussian peak: 1 / (sqrt(2 pi) * rms_rad)
-    expected = 1.0 / (math.sqrt(2.0 * math.pi) * math.radians(p.rms_width_deg))
+    expected = 1.0 / (math.sqrt(2.0 * math.pi) * math.radians(rms_deg))
     assert float(p.field_at(0.0) ** 2) == pytest.approx(expected, rel=1e-3)
     assert float(p.field_at(0.0) ** 2) == pytest.approx(5.38, abs=0.01)
 
@@ -54,35 +55,16 @@ def test_gaussian_symmetry_is_bin_exact():
     assert np.array_equal(f[1:], f[1:][::-1])  # bins i and n-i mirror around boresight
 
 
+def test_pattern_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown pattern kind"):
+        AntennaPattern(grid=GRID, kind="custom", field=np.ones(GRID.n_bins))
+
+
 def test_gaussian_horn_rejects_bad_beamwidth():
     with pytest.raises(ValueError):
         gaussian_horn(0.0, GRID)
     with pytest.raises(ValueError):
         gaussian_horn(180.0, GRID)
-
-
-def test_normalize_pattern_scale_invariance():
-    rng = np.random.default_rng(3)
-    raw = rng.uniform(0.0, 2.0, GRID.n_bins)
-    a = normalize_pattern(raw, GRID)
-    b = normalize_pattern(7.0 * raw, GRID)
-    assert np.allclose(a.field, b.field, rtol=1e-12)
-    assert _unit_power_sum(a) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_normalize_pattern_idempotent():
-    p = gaussian_horn(10.0, GRID)
-    again = normalize_pattern(p.field, GRID)
-    assert np.allclose(again.field, p.field, rtol=1e-12)
-
-
-def test_normalize_pattern_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        normalize_pattern(np.zeros(GRID.n_bins), GRID)
-    bad = np.ones(GRID.n_bins)
-    bad[3] = -0.1
-    with pytest.raises(ValueError):
-        normalize_pattern(bad, GRID)
 
 
 def test_autocorrelation_matches_brute_force():

@@ -165,7 +165,15 @@ def test_validate_subset(tmp_path):
 
 def test_validate_unknown_check(tmp_path):
     rc = run(["validate", "--checks", "nope", "--out", str(tmp_path / "v")])
-    assert rc == 3
+    assert rc == 2
+
+
+@pytest.mark.parametrize("checks", [",", ""])
+def test_validate_checks_naming_nothing_exits_2(tmp_path, capsys, checks):
+    out = tmp_path / "v"
+    assert run(["validate", "--checks", checks, "--out", str(out)]) == 2
+    assert "no check named" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_reports_failure_with_exit_one(tmp_path, monkeypatch):

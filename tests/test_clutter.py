@@ -11,6 +11,7 @@ from rfclutter import (
     ClutterParams,
     ConfigurationError,
     DelayGrid,
+    ProbeWaveform,
     RoomSpec,
     Surface,
     band_limit,
@@ -20,7 +21,6 @@ from rfclutter import (
     gen_delay_azimuth_channel,
     location_phase,
     make_probe_waveform,
-    normalize_pattern,
     omni,
     pdp_envelope,
     spin_response,
@@ -34,11 +34,18 @@ from rfclutter.randomfields import gaussian_field_rows, lognormal_mean_offset, s
 
 CARRIER = CarrierSpec(28e9)
 ROOM = RoomSpec(3.0, 3.0, t_rev_s=10e-9)
-GRID = AzimuthGrid.default_for(1.0)
+GRID = AzimuthGrid(1800)
 
 
 def _params(**kw):
     return ClutterParams(carrier=CARRIER, **kw)
+
+
+def _unit_energy_probe(samples, bandwidth_hz, delta_t_s=0.1e-9):
+    """A probe of arbitrary complex samples, scaled to unit energy."""
+    x = np.asarray(samples, dtype=complex)
+    x = x / math.sqrt(float(np.sum(np.abs(x) ** 2) * delta_t_s))
+    return ProbeWaveform(samples=x, delta_t_s=delta_t_s, bandwidth_hz=bandwidth_hz)
 
 
 def test_channel_without_variation_has_flat_magnitude():
@@ -220,24 +227,6 @@ def test_random_off_grid_pointings_match_explicit_sum(n_offsets, repeats):
     assert np.max(np.abs(spun - explicit)) <= 1e-12 * np.max(np.abs(explicit))
 
 
-def test_custom_pattern_reads_the_upper_sample_at_half_bin_ties():
-    # 1440 pointings on 1800 bins sit 1.25 n bins round: every other one is a
-    # half bin off the grid, where f_R(phi_i - p) is a tie between samples
-    grid = AzimuthGrid(1800)
-    rng = np.random.default_rng(21)
-    rx, tx = normalize_pattern(rng.random(grid.n_bins) ** 4, grid), gaussian_horn(40.0, grid)
-    pointings = uniform_pointings(1440)
-    amplitudes = rng.standard_normal((3, 2 * grid.n_bins)).view(complex)
-    spun = spin_operator(grid, rx, tx, pointings, 20.0)(amplitudes)
-    # the sample nearest phi_i - p, ties up: index i + floor((2 - 5 n) / 4)
-    shift = (2 - 5 * np.arange(pointings.size)) // 4
-    samples = rx.field[(np.arange(grid.n_bins)[None, :] + shift[:, None]) % grid.n_bins]
-    phi = grid.centers_deg
-    assert np.allclose(rx.field_at(phi[None, :] - pointings[:, None]), samples, rtol=1e-15, atol=0)
-    explicit = grid.delta_phi_rad * (amplitudes @ (samples * tx.field_at(phi - 20.0)).T)
-    assert np.max(np.abs(spun - explicit)) <= 1e-12 * np.max(np.abs(explicit))
-
-
 def test_spin_requires_pointings():
     field = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(5, "p"))
     with pytest.raises(ValueError):
@@ -363,9 +352,6 @@ def test_probe_waveform_normalization():
 
 
 def test_probe_waveform_scale_invariant_and_guarded():
-    a = make_probe_waveform(1e9, shape="tabulated", samples=np.hamming(21))
-    b = make_probe_waveform(1e9, shape="tabulated", samples=5.0 * np.hamming(21))
-    assert np.allclose(a.samples, b.samples, rtol=1e-12)
     with pytest.raises(ConfigurationError):
         make_probe_waveform(1e9, sample_rate_hz=5e9)
 
@@ -494,9 +480,8 @@ def test_band_limit_matches_explicit_reference(pointings):
     field = gen_delay_azimuth_channel(ROOM, _params(), dgrid, agrid, derive_stream(19, "bl"))
     # a complex probe sampled on the delay grid, so its taps are its samples
     t = np.linspace(-1.0, 1.0, 11)
-    probe = make_probe_waveform(
-        1e9, sample_rate_hz=10e9, shape="tabulated",
-        samples=np.hamming(11) * (1.0 + 0.3 * t) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)),
+    probe = _unit_energy_probe(
+        np.hamming(11) * (1.0 + 0.3 * t) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)), 1e9
     )
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(60.0, agrid)
     resp = band_limit(field, probe, rx, tx, pointings, tx_pointing_deg=20.0)
@@ -693,9 +678,8 @@ def test_band_limit_with_more_taps_than_block_rows_matches_explicit_reference():
     amplitudes[dgrid.taus_s < dgrid.onset_s] = 0.0
     field = DelayAzimuthField(dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=0.0, p0=1.0)
     t = np.linspace(-1.0, 1.0, 41)
-    probe = make_probe_waveform(
-        0.25e9, sample_rate_hz=10e9, shape="tabulated",
-        samples=np.hamming(41) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)),
+    probe = _unit_energy_probe(
+        np.hamming(41) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)), 0.25e9
     )
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(60.0, agrid)
     pointings = uniform_pointings(1440)

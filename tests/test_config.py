@@ -233,8 +233,12 @@ SURVEY_HEADER = "label,n_links,dim_a_m,dim_b_m,d_s_m,measured_median_db,material
         "room,1,3,3,near,-66.7,metal",
         "room,x,3,3,1.5,-66.7,metal",
         "room,1,3,3,1.5,,metal",
+        "room,1,3,3,1.5,-66.7,metal,9",
     ],
-    ids=["gamma-above-1", "eps-below-1", "unknown-tag", "text-d_s", "text-n_links", "empty-field"],
+    ids=[
+        "gamma-above-1", "eps-below-1", "unknown-tag", "text-d_s", "text-n_links", "empty-field",
+        "extra-field",
+    ],
 )
 def test_bad_survey_row_exits_2_naming_file_and_line(tmp_path, row):
     survey = tmp_path / "survey.csv"
@@ -252,6 +256,36 @@ def test_zero_reflectivity_survey_row_exits_2(tmp_path, material):
     out = tmp_path / "o"
     rc, err = _run(["predict", "--survey", str(survey), "--out", str(out)])
     assert rc == 2 and f"{survey}:3:" in err and "zero reflectivity" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option", [("synth-azimuth", "--config"), ("predict", "--survey")]
+)
+def test_input_path_that_is_a_directory_exits_2_naming_it(tmp_path, command, option):
+    out = tmp_path / "o"
+    rc, err = _run([command, option, str(tmp_path), "--out", str(out)])
+    assert rc == 2 and f"{tmp_path}:" in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_2_naming_it(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_bytes(b'{"room": {"material": "\xff"}}')
+    rc, err = _run(["synth-azimuth", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2 and f"{cfg}:" in err and "utf-8" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row", ["90", "90,-3,7", "90,loud"], ids=["one-field", "three-fields", "text"]
+)
+def test_bad_pattern_row_exits_2_naming_file_and_line(tmp_path, row):
+    pattern, cfg, out = tmp_path / "pattern.csv", tmp_path / "cfg.json", tmp_path / "o"
+    pattern.write_text("# comment\nazimuth_deg,gain_db\n0,0\n" + row + "\n180,-6\n")
+    cfg.write_text(json.dumps({"antennas": {"rx": {"kind": "csv", "path": str(pattern)}}}))
+    rc, err = _run(["synth-azimuth", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2 and "antennas.rx.path" in err and f"{pattern}:4:" in err
     assert not out.exists()
 
 

@@ -178,7 +178,6 @@ def test_grid_invariants():
     g = AzimuthGrid.from_spacing(0.2)
     assert g.n_bins == 1800
     assert g.n_bins * g.delta_phi_deg == pytest.approx(360.0, abs=1e-12)
-    assert AzimuthGrid.default_for(1.0).delta_phi_deg == pytest.approx(0.2)
     with pytest.raises(ConfigurationError):
         AzimuthGrid.from_spacing(0.21)
 

@@ -5,7 +5,6 @@ from rfclutter import (
     CarrierSpec,
     SurveyRow,
     azimuth_autocorrelation,
-    empirical_cdf,
     fit_reverberation,
     load_room_survey,
     spatial_correlation,
@@ -14,17 +13,6 @@ from rfclutter import (
 from rfclutter.core import from_db, to_db
 
 CARRIER = CarrierSpec(28e9)
-
-
-def test_empirical_cdf_basics():
-    cdf = empirical_cdf([1.0, 2.0, 3.0])
-    assert cdf(2.0) == pytest.approx(2.0 / 3.0)
-    assert cdf(3.0) == 1.0
-    assert cdf(0.5) == 0.0
-    const = empirical_cdf([4.0] * 10)
-    assert const(3.999) == 0.0 and const(4.0) == 1.0
-    with pytest.raises(ValueError):
-        empirical_cdf([])
 
 
 def test_spatial_correlation_identity_and_negation():

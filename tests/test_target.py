@@ -92,7 +92,7 @@ def test_zero_rcs_scene_equals_clutter_only():
     spec = _demo_scene(target=TargetSpec(sigma0_dbsm=-math.inf))
     stream = derive_stream(21, "scene")
     tmap = compose_scene(spec, stream)
-    grid = AzimuthGrid.default_for(spec.clutter.phi_rms_deg)
+    grid = AzimuthGrid(1800)
     field = gen_azimuth_channel(spec.room, spec.clutter, grid, stream.child("clutter"))
     y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg, 0.0)
     assert np.array_equal(tmap.power, np.abs(y) ** 2)
