@@ -31,7 +31,6 @@ from .core import (
     SPEED_OF_LIGHT,
     CarrierSpec,
     ConfigurationError,
-    PredictionRecord,
     RoomSpec,
     Surface,
     average_backscatter_ratio,

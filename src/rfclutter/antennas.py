@@ -8,14 +8,12 @@ be evaluated off-grid, which lets the spinning receiver point anywhere.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field as dc_field
-from pathlib import Path
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, read_csv_rows
 from .randomfields import AzimuthGrid
 
 HPBW_TO_RMS = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))  # power-pattern RMS / HPBW
@@ -130,8 +128,6 @@ class AntennaPattern:
         """Power gain at azimuth offsets, scaled so the peak equals
         :attr:`peak_directivity`."""
         raw = self._raw_power(offset_deg)
-        if self.kind == "omni":
-            return np.ones_like(raw)
         if self.kind == "tabulated":
             return raw  # already absolute gain
         return self.peak_directivity * raw / float(self._raw_power(0.0))
@@ -182,23 +178,10 @@ def tabulated(azimuth_deg, gain_db, grid: AzimuthGrid) -> AntennaPattern:
         raise ValueError("azimuth and gain samples must be finite")
     if np.any(np.diff(az) <= 0) or az[0] < 0 or az[-1] >= 360.0:
         raise ValueError("azimuth samples must be strictly increasing in [0, 360)")
-    p = AntennaPattern(
-        grid=grid,
-        kind="tabulated",
-        field=np.empty(0),
-        _tab_az_deg=az,
-        _tab_gain_db=gain,
-    )
+    p = AntennaPattern(grid, "tabulated", np.empty(0), _tab_az_deg=az, _tab_gain_db=gain)
     raw = p._raw_power(grid.centers_deg)
     scale = _normalize(grid, raw)
-    return AntennaPattern(
-        grid=grid,
-        kind="tabulated",
-        field=np.sqrt(raw * scale),
-        _scale=scale,
-        _tab_az_deg=az,
-        _tab_gain_db=gain,
-    )
+    return replace(p, field=np.sqrt(raw * scale), _scale=scale)
 
 
 def load_pattern_csv(path, grid: AzimuthGrid) -> AntennaPattern:
@@ -206,25 +189,13 @@ def load_pattern_csv(path, grid: AzimuthGrid) -> AntennaPattern:
 
     A malformed row raises a ConfigurationError naming ``<file>:<line>``.
     """
-    try:
-        with open(Path(path), newline="", encoding="utf-8") as fh:
-            numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    reader = csv.reader(line for _, line in numbered)
-    if [h.strip() for h in next(reader, [])] != ["azimuth_deg", "gain_db"]:
-        raise ConfigurationError(f"{path}: expected header 'azimuth_deg,gain_db'")
     az, gain = [], []
-    for row in reader:
-        if not row:
-            continue
+    for line, (az_text, gain_text) in read_csv_rows(path, ("azimuth_deg", "gain_db")):
         try:
-            if len(row) != 2:
-                raise ValueError(f"expected 2 fields, got {len(row)}")
-            az.append(float(row[0]))
-            gain.append(float(row[1]))
+            az.append(float(az_text))
+            gain.append(float(gain_text))
         except ValueError as exc:
-            raise ConfigurationError(f"{path}:{numbered[reader.line_num - 1][0]}: {exc}") from None
+            raise ConfigurationError(f"{path}:{line}: {exc}") from None
     return tabulated(az, gain, grid)
 
 

@@ -31,7 +31,7 @@ import scipy
 from . import __version__
 from .clutter import gen_azimuth_channel, probe_delay_map, spin_response, uniform_pointings
 from .config import load_config_tree, resolve_config
-from .core import ConfigurationError, to_db
+from .core import ConfigurationError, power_db
 from .randomfields import derive_stream
 from .stats import load_room_survey, survey_report
 from .target import compose_scene
@@ -57,8 +57,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return f"{x:.9g}"
 
 
@@ -128,13 +126,13 @@ def _resolve(args):
 def _cmd_predict(args) -> int:
     cfg = _resolve(args)
     rows = load_room_survey(args.survey)
-    report = survey_report(rows, cfg.carrier)
+    report = survey_report(rows, cfg.clutter.carrier)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "predictions.csv", "label,d_s_m,gamma_sq,p0_db,measured_db,error_db", [
-        f"{rec.label},{_fmt(rec.d_s_m)},{_fmt(rec.gamma_sq)},"
-        f"{_fmt(rec.p0_db)},{_fmt(rec.measured_median_db)},{_fmt(err)}"
-        for rec, err in zip(report.records, report.errors_db)
+        f"{row.label},{_fmt(row.d_s_m)},{_fmt(g)},"
+        f"{_fmt(p0)},{_fmt(row.measured_median_db)},{_fmt(err)}"
+        for row, g, p0, err in zip(report.rows, report.gamma_sq, report.p0_db, report.errors_db)
     ])
     _write_meta(out, "predict", cfg.tree)
     print(f"predict: {len(rows)} rooms, RMS error {report.rms_db:.2f} dB -> {out}")
@@ -162,22 +160,20 @@ def _cmd_synth_azimuth(args) -> int:
 def _cmd_synth_delay(args) -> int:
     cfg = _resolve(args)
     pointings = uniform_pointings(cfg.pointings_per_rotation)
-    delays, power_db, profile = probe_delay_map(
+    delays, map_db, profile = probe_delay_map(
         cfg.room, cfg.clutter, cfg.delay_grid, cfg.grid, derive_stream(cfg.seed, "delay/0"),
         cfg.probe, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg,
     )
-    with np.errstate(divide="ignore"):
-        profile_db = to_db(profile)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid_binary(out, "delay_azimuth_map", power_db, {
+    _write_grid_binary(out, "delay_azimuth_map", map_db, {
         "delay_ns": _axis(delays * 1e9), "pointing_deg": _axis(pointings),
     })
     _write_csv(out / "delay_profile.csv", "delay_ns,mean_power_db", [
-        f"{_fmt(t * 1e9)},{_fmt(db)}" for t, db in zip(delays, profile_db)
+        f"{_fmt(t * 1e9)},{_fmt(db)}" for t, db in zip(delays, power_db(profile))
     ])
     _write_meta(out, "synth-delay", cfg.tree)
-    print(f"synth-delay: {power_db.shape[0]} delay bins x {power_db.shape[1]} pointings -> {out}")
+    print(f"synth-delay: {map_db.shape[0]} delay bins x {map_db.shape[1]} pointings -> {out}")
     return 0
 
 
@@ -193,9 +189,7 @@ def _cmd_scene(args) -> int:
     ])
     rot_times, pointing_bins, image = tmap.folded()
     if image.size:
-        with np.errstate(divide="ignore"):
-            image_db = to_db(image)
-        _write_grid_binary(out, "scene_map", image_db, {
+        _write_grid_binary(out, "scene_map", power_db(image), {
             "rotation_start_s": _axis(rot_times), "pointing_deg": _axis(pointing_bins),
         })
     else:

@@ -62,7 +62,7 @@ from .core import (
     ConfigurationError,
     RoomSpec,
     average_backscatter_ratio,
-    to_db,
+    power_db,
 )
 from .randomfields import (
     LN10_OVER_20,
@@ -75,10 +75,6 @@ from .randomfields import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# sounder-style spin schedule: full rotation every 0.2 s at 740 samples/s
-DEFAULT_SPIN_PERIOD_S = 0.2
-DEFAULT_SAMPLE_RATE_HZ = 740.0
 
 # row blocks of about 32k elements keep a block's temporaries in L2
 _BLOCK_ELEMENTS = 1 << 15
@@ -175,8 +171,7 @@ class SpunSpectrum:
 
     @property
     def power_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return to_db(self.power)
+        return power_db(self.power)
 
 
 def _draw_rows(room, params, grid, stream, scale_sq, envelope):
@@ -426,6 +421,11 @@ class DelayGrid:
     def taus_s(self) -> np.ndarray:
         return np.arange(self.n_bins) * self.delta_tau_s
 
+    @property
+    def onset_bin(self) -> int:
+        """The first bin at or after the onset (``n_bins`` if none is)."""
+        return int(np.searchsorted(self.taus_s, self.onset_s))
+
     @classmethod
     def for_room(
         cls,
@@ -455,10 +455,8 @@ def _delay_rows(room, params, dgrid, agrid, stream):
     blocks of :func:`_draw_rows` over the rows from the onset row on)."""
     if abs(dgrid.onset_s - room.onset_s) > 1e-15:
         raise ConfigurationError("delay grid onset is inconsistent with the room")
-    taus = dgrid.taus_s
-    live = taus >= dgrid.onset_s  # the onset starts a suffix
-    onset = int(np.argmax(live))
-    envelope = pdp_envelope(taus[live], room.distance_to_wall_m, room.t_rev_s)
+    onset = dgrid.onset_bin
+    envelope = pdp_envelope(dgrid.taus_s[onset:], room.distance_to_wall_m, room.t_rev_s)
     scale_sq = TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s
     return onset, *_draw_rows(room, params, agrid, stream, scale_sq, envelope)
 
@@ -530,8 +528,7 @@ class DelayAzimuthResponse:
 
     @property
     def power_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return to_db(self.power)
+        return power_db(self.power)
 
     def mean_profile(self) -> np.ndarray:
         """Pointing-averaged delay profile, linear power."""
@@ -553,15 +550,6 @@ def _resample_waveform(waveform: ProbeWaveform, delta_tau_s: float) -> np.ndarra
     )
     energy = float(np.sum(np.abs(x) ** 2) * delta_tau_s)
     return x / math.sqrt(energy)
-
-
-def _leading_zero_rows(a: np.ndarray) -> int:
-    """Number of all-zero rows at the top of ``a``, scanned block by block."""
-    for block in _row_blocks(a.shape[0], a.shape[1]):
-        nonzero = a[block].any(axis=1)
-        if nonzero.any():
-            return block.start + int(np.argmax(nonzero))
-    return a.shape[0]
 
 
 def _probe(dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg):
@@ -619,18 +607,18 @@ def band_limit(
     in delay with the waveform, returning |.|^2 per (delay, pointing).
 
     This is the held case of the pipeline that :func:`probe_delay_map`
-    streams.  The map's rows from the first nonzero one on go, in row blocks
+    streams.  The map's rows from its grid's onset bin on go, in row blocks
     of about 32k elements, through one :func:`spin_operator` and a direct,
     not FFT, delay convolution: each waveform tap adds its multiple of the
     spun rows into zeros, and the last ``len(taps) - 1`` spun rows of a
-    block are carried into the next.  Bins before the first nonzero row (the
-    onset, for a drawn map) are never computed and stay exactly 0.
+    block are carried into the next.  The map must be zero before the onset
+    bin, as a drawn map is; those bins are never computed and stay exactly 0.
     """
     pointings = field.agrid.centers_deg if pointings_deg is None else pointings_deg
     pointings, delays, probe = _probe(
         field.dgrid, field.agrid, waveform, rx, tx, pointings, tx_pointing_deg
     )
-    lead = _leading_zero_rows(field.amplitudes)
+    lead = field.dgrid.onset_bin
     live = field.amplitudes[lead:]
     blocks = ((rows, live[rows]) for rows in _row_blocks(live.shape[0], field.agrid.n_bins))
     power = np.zeros((delays.size, pointings.size))
@@ -664,11 +652,10 @@ def probe_delay_map(
     """
     onset, _, _, blocks = _delay_rows(room, params, dgrid, agrid, stream)
     pointings, delays, probe = _probe(dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg)
-    power_db = np.full((delays.size, pointings.size), -np.inf, dtype=np.float32)
+    map_db = np.full((delays.size, pointings.size), -np.inf, dtype=np.float32)
     profile = np.zeros(delays.size)
     for rows, power in probe(blocks):
         out = slice(onset + rows.start, onset + rows.stop)
         profile[out] = power.mean(axis=1)
-        with np.errstate(divide="ignore"):
-            power_db[out] = to_db(power)
-    return delays, power_db, profile
+        map_db[out] = power_db(power)
+    return delays, map_db, profile

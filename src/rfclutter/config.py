@@ -256,7 +256,6 @@ class RunConfig:
 
     tree: dict
     room: RoomSpec
-    carrier: CarrierSpec
     clutter: ClutterParams
     grid: AzimuthGrid
     rx: AntennaPattern
@@ -300,7 +299,8 @@ def _pattern(node: dict, grid: AzimuthGrid, path: str) -> AntennaPattern:
 
 def resolve_config(tree: dict) -> RunConfig:
     """Check every leaf of a merged config tree, then build the simulator
-    objects from it."""
+    objects from it, the scene spec included, so that a rule across keys
+    fails every command alike."""
     _check_tree(SCHEMA, tree)
     room_t, delay_t, probe_t, spin = tree["room"], tree["delay"], tree["probe"], tree["spin"]
     with _naming("room"):
@@ -328,8 +328,8 @@ def resolve_config(tree: dict) -> RunConfig:
         probe = make_probe_waveform(
             bandwidth, float(probe_t["oversample"]) * bandwidth, probe_t["shape"]
         )
-    return RunConfig(
-        tree=tree, room=room, carrier=carrier, clutter=clutter, grid=grid,
+    cfg = RunConfig(
+        tree=tree, room=room, clutter=clutter, grid=grid,
         rx=_pattern(tree["antennas"]["rx"], grid, "antennas.rx"),
         tx=_pattern(tree["antennas"]["tx"], grid, "antennas.tx"),
         tx_pointing_deg=float(tree["antennas"]["tx_pointing_deg"]),
@@ -341,3 +341,5 @@ def resolve_config(tree: dict) -> RunConfig:
         seed=tree["seed"],
         ensemble=tree["ensemble"],
     )
+    cfg.scene_spec()  # every command checks the scene's cross-key rules too
+    return cfg

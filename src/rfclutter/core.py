@@ -4,10 +4,13 @@ The average monostatic clutter return of an indoor scene is abstracted to a
 single distance-to-wall and a single surface power reflectivity.  This module
 holds that closed form, the Fresnel machinery that maps a material class onto
 a reflectivity, and a numerical-quadrature cross-check of the closed form.
+It also holds what the other modules share: the dB conversions (with
+:func:`power_db` for powers that may be 0) and the CSV reader :func:`read_csv_rows`.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -20,12 +23,41 @@ FOUR_PI = 4.0 * math.pi
 
 
 class ConfigurationError(ValueError):
-    """A grid/sampling configuration cannot resolve the requested model."""
+    """An input the run cannot use (a config key or keys, an input file or row,
+    a command-line option); the message names it, and the CLI exits 2."""
 
 
 def to_db(x):
     """Linear power ratio -> dB."""
     return 10.0 * np.log10(x)
+
+
+def power_db(x):
+    """Linear power -> dB, where an exact 0 is -inf without a warning."""
+    with np.errstate(divide="ignore"):
+        return to_db(x)
+
+
+def read_csv_rows(path, header):
+    """Yield (line number, fields) for each nonblank row of the UTF-8 CSV file
+    ``path`` after its ``header``; ``#`` lines are skipped but counted.  An
+    unreadable file, another header or a row of another field count raises a
+    ConfigurationError naming ``<file>`` or ``<file>:<line>``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    reader = csv.reader(line for _, line in numbered)
+    if [h.strip() for h in next(reader, [])] != list(header):
+        raise ConfigurationError(f"{path}: expected header {','.join(header)}")
+    for fields in filter(None, reader):  # blank rows are empty lists
+        line = numbered[reader.line_num - 1][0]
+        if len(fields) != len(header):
+            raise ConfigurationError(
+                f"{path}:{line}: expected {len(header)} fields, got {len(fields)}"
+            )
+        yield line, fields
 
 
 def from_db(x):
@@ -141,17 +173,6 @@ class RoomSpec:
     def onset_s(self) -> float:
         """Round-trip delay to the nearest wall."""
         return 2.0 * self.distance_to_wall_m / SPEED_OF_LIGHT
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One room's predicted average backscatter ratio, in dB."""
-
-    label: str
-    d_s_m: float
-    gamma_sq: float
-    p0_db: float
-    measured_median_db: float | None = None
 
 
 def average_backscatter_ratio(d_s_m: float, wavelength_m: float, gamma_sq: float) -> float:

@@ -9,7 +9,6 @@ sweep, and normalize each spectrum along that axis.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -21,9 +20,9 @@ from .antennas import _wrap_deg
 from .core import (
     CarrierSpec,
     ConfigurationError,
-    PredictionRecord,
     Surface,
     average_backscatter_ratio,
+    read_csv_rows,
     to_db,
 )
 
@@ -139,34 +138,25 @@ def _survey_data_path() -> Path:
     return Path(resources.files("rfclutter").joinpath("data/room_survey.csv"))
 
 
+_SURVEY_HEADER = "label,n_links,dim_a_m,dim_b_m,d_s_m,measured_median_db,material".split(",")
+
+
 def load_room_survey(path=None) -> list[SurveyRow]:
     """Read the shipped room-survey CSV (or another file of the same schema).
 
     A malformed row raises a ConfigurationError naming ``<file>:<line>``.
     """
     src = Path(path) if path is not None else _survey_data_path()
-    try:
-        with open(src, newline="", encoding="utf-8") as fh:
-            numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"{src}: {exc}") from None
-    reader = csv.DictReader(line for _, line in numbered)
-    expected = "label,n_links,dim_a_m,dim_b_m,d_s_m,measured_median_db,material".split(",")
-    if reader.fieldnames != expected:
-        raise ConfigurationError(f"{src}: expected header {','.join(expected)}")
     rows = []
-    for rec in reader:
+    for line, (label, n_links, *numbers, material) in read_csv_rows(src, _SURVEY_HEADER):
         try:
-            if None in rec:  # DictReader's key for the fields past the header's
-                raise ValueError(f"expected {len(expected)} fields, got more")
-            numbers = [float(rec[key]) for key in expected[2:6]]
-            row = SurveyRow(rec["label"], int(rec["n_links"]), *numbers, rec["material"])
+            row = SurveyRow(label, int(n_links), *map(float, numbers), material)
             if not (0.0 < row.d_s_m < math.inf and math.isfinite(row.measured_median_db)):
                 raise ValueError("d_s_m must be finite and positive, measured_median_db finite")
             if row.material != "bestfit" and Surface.from_tag(row.material).reflectivity() <= 0:
                 raise ValueError(f"material {row.material}: zero reflectivity has no finite dB")
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{src}:{numbered[reader.line_num - 1][0]}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigurationError(f"{src}:{line}: {exc}") from None
         rows.append(row)
     if not rows:
         raise ConfigurationError(f"{src}: no survey rows")
@@ -175,9 +165,12 @@ def load_room_survey(path=None) -> list[SurveyRow]:
 
 @dataclass(frozen=True, eq=False)
 class SurveyReport:
-    """Per-room prediction errors and their RMS."""
+    """Each surveyed room's chosen reflectivity, predicted average ratio
+    p0_db and prediction - measured error, and the errors' RMS."""
 
-    records: list[PredictionRecord]
+    rows: list[SurveyRow]
+    gamma_sq: np.ndarray
+    p0_db: np.ndarray
     errors_db: np.ndarray
     rms_db: float
 
@@ -192,32 +185,18 @@ def survey_report(
     """
     if not rows:
         raise ValueError("no survey rows")
-    records, errors = [], []
+    chosen = []
     for row in rows:
         if force_best_fit or row.material == "bestfit":
             candidates = BEST_FIT_REFLECTIVITIES
         else:
             candidates = (Surface.from_tag(row.material).reflectivity(),)
-        best = None
-        for g in candidates:
-            p0_db = float(
-                to_db(average_backscatter_ratio(row.d_s_m, carrier.wavelength_m, g))
-            )
-            err = p0_db - row.measured_median_db
-            if best is None or abs(err) < abs(best[1]):
-                best = ((g, p0_db), err)
-        (g, p0_db), err = best
-        records.append(
-            PredictionRecord(
-                label=row.label,
-                d_s_m=row.d_s_m,
-                gamma_sq=g,
-                p0_db=p0_db,
-                measured_median_db=row.measured_median_db,
-            )
-        )
-        errors.append(err)
-    errors = np.asarray(errors)
-    return SurveyReport(
-        records=records, errors_db=errors, rms_db=float(np.sqrt(np.mean(errors**2)))
-    )
+        predicted = [
+            (g, float(to_db(average_backscatter_ratio(row.d_s_m, carrier.wavelength_m, g))))
+            for g in candidates
+        ]
+        # the first of equally close candidates wins
+        g, p0_db = min(predicted, key=lambda c: abs(c[1] - row.measured_median_db))
+        chosen.append((g, p0_db, p0_db - row.measured_median_db))
+    gamma_sq, p0_db, errors = map(np.asarray, zip(*chosen))
+    return SurveyReport(rows, gamma_sq, p0_db, errors, float(np.sqrt(np.mean(errors**2))))

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antennas import AntennaPattern
-from .clutter import (
-    DEFAULT_SAMPLE_RATE_HZ,
-    DEFAULT_SPIN_PERIOD_S,
-    ClutterParams,
-    gen_azimuth_channel,
-    spin_operator,
-)
-from .core import CarrierSpec, RoomSpec, to_db
+from .clutter import ClutterParams, gen_azimuth_channel, spin_operator
+from .core import CarrierSpec, RoomSpec, power_db
 from .randomfields import RandomStream, complex_gaussian_series
 
 FOUR_PI_CUBED = (4.0 * math.pi) ** 3
@@ -104,27 +98,26 @@ def target_response(
     r_m,
     bearing_deg,
     spec: TargetSpec,
-    xi,
     carrier: CarrierSpec,
     rx: AntennaPattern,
     tx: AntennaPattern,
     pointing_deg,
     tx_pointing_deg: float = 0.0,
 ):
-    """Instantaneous target echo power ratio P/P_T.
+    """Mean target echo power ratio P/P_T.
 
-    lambda^2 * sigma0 * |xi|^2 * G_T * G_R / ((4 pi)^3 R^4), with antenna
-    gains read from the patterns at the target bearing.  The constant model
-    fixes |xi|^2 = 1.  Range, bearing, xi and pointing may be arrays that
-    broadcast together, giving an array; scalars give a float.
+    lambda^2 * sigma0 * G_T * G_R / ((4 pi)^3 R^4), with antenna gains read
+    from the patterns at the target bearing.  The instantaneous echo power
+    is this mean scaled by |xi|^2, the fluctuation's power, which the
+    constant model fixes at 1.  Range, bearing and pointing may be arrays
+    that broadcast together, giving an array; scalars give a float.
     """
     if np.any(np.asarray(r_m) <= 0):
         raise ValueError("target range must be positive")
-    xi_sq = 1.0 if spec.model == "constant" else np.abs(xi) ** 2
     g_r = rx.gain_at(bearing_deg - pointing_deg)
     g_t = tx.gain_at(bearing_deg - tx_pointing_deg)
     wl = carrier.wavelength_m
-    p = wl**2 * spec.sigma0_m2 * xi_sq * g_t * g_r / (FOUR_PI_CUBED * r_m**4)
+    p = wl**2 * spec.sigma0_m2 * g_t * g_r / (FOUR_PI_CUBED * r_m**4)
     return float(p) if np.ndim(p) == 0 else p
 
 
@@ -138,11 +131,11 @@ class SceneSpec:
     trajectory: Trajectory
     rx: AntennaPattern
     tx: AntennaPattern
-    spin_period_s: float = DEFAULT_SPIN_PERIOD_S
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
-    duration_s: float = 4.0
-    tx_pointing_deg: float = 0.0
-    regenerate_clutter_per_rotation: bool = False
+    spin_period_s: float
+    sample_rate_hz: float
+    duration_s: float
+    tx_pointing_deg: float
+    regenerate_clutter_per_rotation: bool
 
     def __post_init__(self):
         if self.spin_period_s <= 0 or self.sample_rate_hz <= 0 or self.duration_s <= 0:
@@ -170,8 +163,7 @@ class TimeAzimuthMap:
 
     @property
     def power_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return to_db(self.power)
+        return power_db(self.power)
 
     @property
     def samples_per_rotation(self) -> int:
@@ -194,8 +186,9 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
 
     The clutter channel is drawn on the receive pattern's grid and held
     static for the scene unless regenerated per rotation; the target echo,
-    of power :func:`target_response`, is added coherently with the two-way
-    geometric phase -2 (2 pi / lambda) R(t); |.|^2 is recorded per sample.
+    sqrt(:func:`target_response`) times the fluctuation xi (1 for the
+    constant model), is added coherently with the two-way geometric phase
+    -2 (2 pi / lambda) R(t); |.|^2 is recorded per sample.
     """
     n = int(round(spec.duration_s * spec.sample_rate_hz))
     times = np.arange(n) / spec.sample_rate_hz
@@ -235,7 +228,7 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     r, bearing = trajectory_state(spec.trajectory, times)
     carrier = spec.clutter.carrier
     amp_sq = target_response(
-        r, bearing, spec.target, 1.0, carrier, spec.rx, spec.tx, pointings, spec.tx_pointing_deg
+        r, bearing, spec.target, carrier, spec.rx, spec.tx, pointings, spec.tx_pointing_deg
     )
     geom_phase = -2.0 * (2.0 * math.pi / carrier.wavelength_m) * r
     y_target = np.sqrt(amp_sq) * xi * np.exp(1j * geom_phase)

@@ -71,7 +71,7 @@ from .stats import (
     spatial_correlation,
     survey_report,
 )
-from .target import SceneSpec, TargetSpec, Trajectory, compose_scene, trajectory_state
+from .target import TargetSpec, Trajectory, compose_scene, trajectory_state
 
 DEFAULT_VALIDATION_SEED = 1234
 
@@ -201,7 +201,7 @@ def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=250):
 
 def check_survey_prediction_rms(seed: int) -> tuple[bool, float, str, dict]:
     rows = load_room_survey()
-    report = survey_report(rows, _defaults().carrier, force_best_fit=True)
+    report = survey_report(rows, _defaults().clutter.carrier, force_best_fit=True)
     rms = report.rms_db
     details = {
         "n_rooms": len(rows),
@@ -211,7 +211,7 @@ def check_survey_prediction_rms(seed: int) -> tuple[bool, float, str, dict]:
 
 
 def check_quadrature_agreement(seed: int) -> tuple[bool, float, str, dict]:
-    wl = _defaults().carrier.wavelength_m
+    wl = _defaults().clutter.carrier.wavelength_m
     closed = average_backscatter_ratio(1.5, wl, 1.0)
     ratios = {}
     for hpbw in (5.0, 10.0, 20.0):
@@ -466,12 +466,12 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
     trace_ok = n_detect >= n_rot // 2 and median_err <= 5.0 and sweep >= 30.0
 
     # constant-fluctuation peak against the hand-evaluated link budget
-    wl = cfg.carrier.wavelength_m
+    wl = cfg.clutter.carrier.wavelength_m
     peak_room = RoomSpec(30.0, 20.0, d_s_m=5.0, surface=Surface.explicit(0.0))
     peak_traj = Trajectory.from_waypoints([(0.0, 5.0, -4.0), (8.0, 5.0, 4.0)])
-    peak_spec = SceneSpec(
+    peak_spec = replace(
+        spec,
         room=peak_room,
-        clutter=spec.clutter,
         target=TargetSpec(sigma0_dbsm=-8.0, model="constant"),
         trajectory=peak_traj,
         rx=omni(grid),

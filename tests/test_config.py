@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -175,6 +177,7 @@ def test_invalid_leaf_exits_2_naming_its_key(key, data):
         ({"room": {"width_m": -1}}, "room.width_m"),
         ({"delay": {"span_after_onset_ns": -1}}, "delay.span_after_onset_ns"),
         ({"probe": {"oversample": 0.5}}, "probe.oversample"),
+        ({"scene": {"duration_s": 100}}, "scene"),
     ],
 )
 @pytest.mark.parametrize("command", ["predict", "synth-azimuth", "synth-delay", "scene"])
@@ -312,3 +315,19 @@ def test_derived_linear_value_must_be_a_positive_finite_double(tmp_path, key, re
         assert not out.exists()
     for value in accepted:
         config.resolve_config(config.load_config_tree(None, _fragment(key, value)))
+
+
+@pytest.mark.parametrize(
+    "scene", [None, {"duration_s": 1.0, "regenerate_clutter_per_rotation": True}]
+)
+def test_benchmark_setup_probe_resolves_a_config(tmp_path, scene):
+    # the benchmark's setup_s probe resolves a config and builds its scene
+    # spec in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-B", "perfbench/setup_probe.py"]
+    if scene is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": scene}))
+        argv.append(str(cfg))
+    run = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

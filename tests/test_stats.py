@@ -125,8 +125,8 @@ def test_survey_report_metal_monotone_in_distance():
         [SurveyRow(r.label, r.n_links, r.dim_a_m, r.dim_b_m, r.d_s_m, r.measured_median_db, "metal") for r in rows],
         CARRIER,
     )
-    by_distance = sorted(forced.records, key=lambda rec: rec.d_s_m)
-    preds = [rec.p0_db for rec in by_distance]
+    by_distance = sorted(zip(forced.rows, forced.p0_db), key=lambda pair: pair[0].d_s_m)
+    preds = [p0_db for _, p0_db in by_distance]
     assert all(b <= a for a, b in zip(preds, preds[1:]))
     # best-fit never does worse than forced metal
     assert survey_report(rows, CARRIER, force_best_fit=True).rms_db <= forced.rms_db + 1e-12
@@ -136,10 +136,10 @@ def test_survey_full_report_rms():
     report = survey_report(load_room_survey(), CARRIER, force_best_fit=True)
     assert report.rms_db == pytest.approx(2.0, abs=0.1)
     assert report.rms_db <= 3.0
-    assert len(report.records) == 14
+    assert len(report.rows) == len(report.p0_db) == 14
 
 
 def test_survey_best_fit_uses_both_materials():
     report = survey_report(load_room_survey(), CARRIER, force_best_fit=True)
-    gammas = {rec.gamma_sq for rec in report.records}
+    gammas = set(report.gamma_sq.tolist())
     assert gammas == {1.0, 0.25}
