@@ -124,9 +124,9 @@ class ClutterParams:
     """Statistical parameters of the clutter channel."""
 
     carrier: CarrierSpec
-    sigma_v_db: float = 4.0  # location-level spread of the local average
-    sigma_db: float = 7.0  # azimuthal spread about the local average
-    phi_rms_deg: float = 1.0  # azimuth correlation scale
+    sigma_v_db: float  # location-level spread of the local average
+    sigma_db: float  # azimuthal spread about the local average
+    phi_rms_deg: float  # azimuth correlation scale
 
     def __post_init__(self):
         if self.sigma_v_db < 0 or self.sigma_db < 0:
@@ -242,7 +242,7 @@ def spin_operator(
     rx: AntennaPattern,
     tx: AntennaPattern,
     pointings_deg,
-    tx_pointing_deg: float = 0.0,
+    tx_pointing_deg: float,
 ):
     """The spin as a function from (..., n_bins) amplitudes on ``grid`` to
     (..., n_pointings) complex spun amplitudes (see the module docstring).
@@ -362,7 +362,7 @@ def spin_amplitudes(
     rx: AntennaPattern,
     tx: AntennaPattern,
     pointings_deg,
-    tx_pointing_deg: float = 0.0,
+    tx_pointing_deg: float,
 ) -> np.ndarray:
     """Complex spun response Y at each receive pointing; see :func:`spin_operator`."""
     return spin_operator(field.grid, rx, tx, pointings_deg, tx_pointing_deg)(field.amplitudes)
@@ -373,7 +373,7 @@ def spin_response(
     rx: AntennaPattern,
     tx: AntennaPattern,
     pointings_deg,
-    tx_pointing_deg: float = 0.0,
+    tx_pointing_deg: float,
 ) -> SpunSpectrum:
     """Spun power spectrum |Y|^2 / P_T over the given pointing angles."""
     pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
@@ -381,7 +381,7 @@ def spin_response(
     return SpunSpectrum(pointings_deg=pointings, power=np.abs(y) ** 2)
 
 
-def uniform_pointings(n: int = 148) -> np.ndarray:
+def uniform_pointings(n: int) -> np.ndarray:
     """n uniformly spaced pointing angles covering a full rotation."""
     return np.arange(n) * (360.0 / n)
 
@@ -430,10 +430,11 @@ class DelayGrid:
     def for_room(
         cls,
         room: RoomSpec,
-        delta_tau_s: float = 0.1e-9,
-        span_after_onset_s: float | None = None,
+        delta_tau_s: float,
+        span_after_onset_s: float | None,
     ) -> "DelayGrid":
-        """Grid reaching the -40 dB point of the decay by default."""
+        """Bins of ``delta_tau_s`` from 0 to ``span_after_onset_s`` past the
+        onset, or to the -40 dB point of the decay when that is None."""
         onset = room.onset_s
         span = 9.21 * room.t_rev_s if span_after_onset_s is None else span_after_onset_s
         return cls(delta_tau_s=delta_tau_s, tau_max_s=onset + span, onset_s=onset)
@@ -495,24 +496,26 @@ class ProbeWaveform:
     delta_t_s: float
     bandwidth_hz: float
 
+    def check_resolved_by(self, delta_tau_s: float) -> None:
+        """Raise unless delay bins of ``delta_tau_s`` are no wider than a sample."""
+        if self.delta_t_s > delta_tau_s * (1.0 + 1e-9):
+            raise ConfigurationError("waveform sample interval must not exceed the delay bin width")
 
-def make_probe_waveform(
-    bandwidth_hz: float, sample_rate_hz: float | None = None, shape: str = "hamming"
-) -> ProbeWaveform:
+
+def make_probe_waveform(bandwidth_hz: float, sample_rate_hz: float, shape: str) -> ProbeWaveform:
     """Probing waveform of duration 1/bandwidth, normalized to unit energy.
 
-    ``shape`` is ``hamming`` or ``rect``.  The sample rate defaults to 20x
-    the bandwidth and must be at least 10x.
+    ``shape`` is ``hamming`` or ``rect``; the sample rate must be at least
+    10x the bandwidth.
     """
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive")
-    rate = 20.0 * bandwidth_hz if sample_rate_hz is None else float(sample_rate_hz)
-    if rate < 10.0 * bandwidth_hz:
+    if sample_rate_hz < 10.0 * bandwidth_hz:
         raise ConfigurationError("waveform under-resolved: need sample_rate >= 10*bandwidth")
     if shape not in ("hamming", "rect"):
         raise ValueError(f"unknown waveform shape {shape!r}")
-    dt = 1.0 / rate
-    n = int(round(rate / bandwidth_hz)) + 1  # (n-1)*dt == 1/bandwidth
+    dt = 1.0 / sample_rate_hz
+    n = int(round(sample_rate_hz / bandwidth_hz)) + 1  # (n-1)*dt == 1/bandwidth
     x = np.hamming(n).astype(complex) if shape == "hamming" else np.ones(n, dtype=complex)
     energy = float(np.sum(np.abs(x) ** 2) * dt)
     return ProbeWaveform(samples=x / math.sqrt(energy), delta_t_s=dt, bandwidth_hz=bandwidth_hz)
@@ -537,10 +540,7 @@ class DelayAzimuthResponse:
 
 def _resample_waveform(waveform: ProbeWaveform, delta_tau_s: float) -> np.ndarray:
     """Waveform samples on the delay grid, renormalized to unit energy."""
-    if waveform.delta_t_s > delta_tau_s * (1.0 + 1e-9):
-        raise ConfigurationError(
-            "waveform sample interval must not exceed the delay bin width"
-        )
+    waveform.check_resolved_by(delta_tau_s)
     if abs(waveform.delta_t_s - delta_tau_s) <= 1e-15:
         return waveform.samples.copy()
     t_old = np.arange(waveform.samples.size) * waveform.delta_t_s
@@ -600,8 +600,8 @@ def band_limit(
     waveform: ProbeWaveform,
     rx: AntennaPattern,
     tx: AntennaPattern,
-    pointings_deg=None,
-    tx_pointing_deg: float = 0.0,
+    pointings_deg,
+    tx_pointing_deg: float,
 ) -> DelayAzimuthResponse:
     """Probe the clutter map: convolve in angle with the antenna patterns and
     in delay with the waveform, returning |.|^2 per (delay, pointing).
@@ -614,9 +614,8 @@ def band_limit(
     block are carried into the next.  The map must be zero before the onset
     bin, as a drawn map is; those bins are never computed and stay exactly 0.
     """
-    pointings = field.agrid.centers_deg if pointings_deg is None else pointings_deg
     pointings, delays, probe = _probe(
-        field.dgrid, field.agrid, waveform, rx, tx, pointings, tx_pointing_deg
+        field.dgrid, field.agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg
     )
     lead = field.dgrid.onset_bin
     live = field.amplitudes[lead:]
@@ -637,7 +636,7 @@ def probe_delay_map(
     rx: AntennaPattern,
     tx: AntennaPattern,
     pointings_deg,
-    tx_pointing_deg: float = 0.0,
+    tx_pointing_deg: float,
 ):
     """Draw a delay-azimuth map and probe it, streamed: return (delays_s,
     power dB as float32 of shape (n_delay, n_pointing), mean profile).

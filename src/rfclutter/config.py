@@ -263,29 +263,14 @@ class RunConfig:
     tx_pointing_deg: float
     delay_grid: DelayGrid
     probe: ProbeWaveform
-    spin_period_s: float
-    sample_rate_hz: float
+    scene: SceneSpec
     pointings_per_rotation: int
     seed: int
     ensemble: int
 
     def scene_spec(self) -> SceneSpec:
-        """The ``scene`` subtree as a SceneSpec; cross-key errors name ``scene``."""
-        scn = self.tree["scene"]
-        target = scn["target"]
-        with _naming("scene"):
-            return SceneSpec(
-                room=self.room, clutter=self.clutter, rx=self.rx, tx=self.tx,
-                target=TargetSpec(
-                    float(target["rcs_dbsm"]), float(target["coherence_time_s"]), target["model"]
-                ),
-                trajectory=Trajectory.from_waypoints(scn["waypoints"]),
-                spin_period_s=self.spin_period_s,
-                sample_rate_hz=self.sample_rate_hz,
-                duration_s=float(scn["duration_s"]),
-                tx_pointing_deg=self.tx_pointing_deg,
-                regenerate_clutter_per_rotation=scn["regenerate_clutter_per_rotation"],
-            )
+        """The ``scene`` subtree as the SceneSpec that resolve_config checked."""
+        return self.scene
 
 
 def _pattern(node: dict, grid: AzimuthGrid, path: str) -> AntennaPattern:
@@ -300,9 +285,11 @@ def _pattern(node: dict, grid: AzimuthGrid, path: str) -> AntennaPattern:
 def resolve_config(tree: dict) -> RunConfig:
     """Check every leaf of a merged config tree, then build the simulator
     objects from it, the scene spec included, so that a rule across keys
-    fails every command alike."""
+    fails every command alike: the probe against the delay grid names
+    ``probe``, the scene's rules name ``scene``."""
     _check_tree(SCHEMA, tree)
     room_t, delay_t, probe_t, spin = tree["room"], tree["delay"], tree["probe"], tree["spin"]
+    scn, target = tree["scene"], tree["scene"]["target"]
     with _naming("room"):
         room = RoomSpec(
             width_m=float(room_t["width_m"]),
@@ -328,18 +315,26 @@ def resolve_config(tree: dict) -> RunConfig:
         probe = make_probe_waveform(
             bandwidth, float(probe_t["oversample"]) * bandwidth, probe_t["shape"]
         )
-    cfg = RunConfig(
-        tree=tree, room=room, clutter=clutter, grid=grid,
-        rx=_pattern(tree["antennas"]["rx"], grid, "antennas.rx"),
-        tx=_pattern(tree["antennas"]["tx"], grid, "antennas.tx"),
-        tx_pointing_deg=float(tree["antennas"]["tx_pointing_deg"]),
-        delay_grid=delay_grid,
-        probe=probe,
-        spin_period_s=float(spin["period_s"]),
-        sample_rate_hz=float(spin["sample_rate_hz"]),
-        pointings_per_rotation=spin["pointings_per_rotation"],
-        seed=tree["seed"],
+        probe.check_resolved_by(delay_grid.delta_tau_s)
+    rx = _pattern(tree["antennas"]["rx"], grid, "antennas.rx")
+    tx = _pattern(tree["antennas"]["tx"], grid, "antennas.tx")
+    tx_pointing_deg = float(tree["antennas"]["tx_pointing_deg"])
+    with _naming("scene"):
+        scene = SceneSpec(
+            room=room, clutter=clutter, rx=rx, tx=tx,
+            target=TargetSpec(
+                float(target["rcs_dbsm"]), float(target["coherence_time_s"]), target["model"]
+            ),
+            trajectory=Trajectory.from_waypoints(scn["waypoints"]),
+            spin_period_s=float(spin["period_s"]),
+            sample_rate_hz=float(spin["sample_rate_hz"]),
+            duration_s=float(scn["duration_s"]),
+            tx_pointing_deg=tx_pointing_deg,
+            regenerate_clutter_per_rotation=scn["regenerate_clutter_per_rotation"],
+        )
+    return RunConfig(
+        tree=tree, room=room, clutter=clutter, grid=grid, rx=rx, tx=tx,
+        tx_pointing_deg=tx_pointing_deg, delay_grid=delay_grid, probe=probe, scene=scene,
+        pointings_per_rotation=spin["pointings_per_rotation"], seed=tree["seed"],
         ensemble=tree["ensemble"],
     )
-    cfg.scene_spec()  # every command checks the scene's cross-key rules too
-    return cfg

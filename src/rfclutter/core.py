@@ -144,16 +144,16 @@ class Surface:
 class RoomSpec:
     """Room geometry and surface description.
 
-    ``d_s_m`` is the distance to the nearest illuminated wall; when omitted it
-    defaults to half the smaller room dimension.  ``t_rev_s`` is the
-    reverberation time of the diffuse echo decay and is a direct input.
+    ``d_s_m`` is the distance to the nearest illuminated wall, or None for
+    half the smaller room dimension.  ``t_rev_s`` is the reverberation time
+    of the diffuse echo decay and is a direct input.
     """
 
     width_m: float
     length_m: float
-    d_s_m: float | None = None
-    surface: Surface = Surface("metal")
-    t_rev_s: float = 1e-8
+    d_s_m: float | None
+    surface: Surface
+    t_rev_s: float
 
     def __post_init__(self):
         if self.width_m <= 0 or self.length_m <= 0:

@@ -164,6 +164,14 @@ def skip_field_rows(rng: np.random.Generator, n_rows: int, n_bins: int) -> None:
     rng.standard_normal((n_rows, n_bins))
 
 
+def check_coherence_resolved(coherence_time_s: float, sample_rate_hz: float) -> None:
+    """Raise unless samples at ``sample_rate_hz`` resolve the coherence time."""
+    if coherence_time_s < 2.0 / sample_rate_hz:
+        raise ConfigurationError(
+            "coherence time under-resolved: need coherence_time >= 2 / sample_rate"
+        )
+
+
 def complex_gaussian_series(
     duration_s: float,
     sample_rate_hz: float,
@@ -190,10 +198,7 @@ def complex_gaussian_series(
     n = int(round(duration_s * sample_rate_hz))
     if n < 2:
         raise ValueError("need duration * sample_rate >= 2")
-    if coherence_time_s < 2.0 / sample_rate_hz:
-        raise ConfigurationError(
-            "coherence time under-resolved: need coherence_time >= 2 / sample_rate"
-        )
+    check_coherence_resolved(coherence_time_s, sample_rate_hz)
     dt = 1.0 / sample_rate_hz
     w = (coherence_time_s / math.sqrt(2.0)) / dt  # kernel RMS, samples
     m = int(math.ceil(6.0 * w))

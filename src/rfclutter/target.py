@@ -17,7 +17,7 @@ import numpy as np
 from .antennas import AntennaPattern
 from .clutter import ClutterParams, gen_azimuth_channel, spin_operator
 from .core import CarrierSpec, RoomSpec, power_db
-from .randomfields import RandomStream, complex_gaussian_series
+from .randomfields import RandomStream, check_coherence_resolved, complex_gaussian_series
 
 FOUR_PI_CUBED = (4.0 * math.pi) ** 3
 
@@ -26,9 +26,9 @@ FOUR_PI_CUBED = (4.0 * math.pi) ** 3
 class TargetSpec:
     """Mean radar cross-section and fluctuation model of the target."""
 
-    sigma0_dbsm: float = -8.0
-    coherence_time_s: float = 0.1
-    model: str = "swerling1"  # or "constant"
+    sigma0_dbsm: float
+    coherence_time_s: float
+    model: str  # "swerling1" or "constant"
 
     def __post_init__(self):
         if self.coherence_time_s <= 0:
@@ -102,7 +102,7 @@ def target_response(
     rx: AntennaPattern,
     tx: AntennaPattern,
     pointing_deg,
-    tx_pointing_deg: float = 0.0,
+    tx_pointing_deg: float,
 ):
     """Mean target echo power ratio P/P_T.
 
@@ -145,6 +145,7 @@ class SceneSpec:
         t0, t1 = self.trajectory.span_s
         if t0 > 0.0 or t1 < self.duration_s:
             raise ValueError("trajectory must cover the scene duration")
+        check_coherence_resolved(self.target.coherence_time_s, self.sample_rate_hz)
 
 
 @dataclass(frozen=True, eq=False)

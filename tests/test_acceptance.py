@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every test runs the corresponding validation check at its stated tolerance
-with the default validation seed, so this module and the ``validate``
+with the default config's seed, so this module and the ``validate``
 subcommand enforce the same contract.
 
 Criteria covered:
@@ -22,11 +22,14 @@ Criteria covered:
 
 import pytest
 
-from rfclutter.validation import CHECKS, DEFAULT_VALIDATION_SEED, run_checks
+from rfclutter.config import load_config_tree, resolve_config
+from rfclutter.validation import CHECKS, run_checks
+
+DEFAULTS = resolve_config(load_config_tree(None))
 
 
 def _run(name):
-    report = run_checks([name], master_seed=DEFAULT_VALIDATION_SEED)
+    report = run_checks([name], master_seed=DEFAULTS.seed)
     result = report.results[0]
     print(result.summary())
     assert result.passed, f"{result.summary()} details={result.details}"

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ import pytest
 from rfclutter import (
     AzimuthGrid,
     CarrierSpec,
-    ClutterParams,
     ConfigurationError,
     DelayGrid,
     ProbeWaveform,
-    RoomSpec,
     Surface,
     band_limit,
     derive_stream,
@@ -29,16 +28,21 @@ from rfclutter import (
 from rfclutter import clutter
 from rfclutter.antennas import AntennaPattern
 from rfclutter.clutter import AzimuthField, DelayAzimuthField, spin_operator
+from rfclutter.config import load_config_tree, resolve_config
 from rfclutter.core import SPEED_OF_LIGHT, average_backscatter_ratio
 from rfclutter.randomfields import gaussian_field_rows, lognormal_mean_offset, skip_field_rows
 
+DEFAULTS = resolve_config(load_config_tree(None))
 CARRIER = CarrierSpec(28e9)
-ROOM = RoomSpec(3.0, 3.0, t_rev_s=10e-9)
+ROOM = DEFAULTS.room  # 3 m x 3 m, metal, 10 ns
 GRID = AzimuthGrid(1800)
+# the delay bin width these tests were written at: 0.1e-9 is one ulp below
+# DEFAULTS.delay_grid's 0.1 * 1e-9, and their row counts depend on it
+DELTA_TAU_S = 0.1e-9
 
 
 def _params(**kw):
-    return ClutterParams(carrier=CARRIER, **kw)
+    return replace(DEFAULTS.clutter, **kw)
 
 
 def _unit_energy_probe(samples, bandwidth_hz, delta_t_s=0.1e-9):
@@ -101,7 +105,7 @@ def test_spin_single_arrival_traces_product_pattern():
     amplitudes[bin_idx] = 2.0 + 1.0j
     field = AzimuthField(grid=GRID, amplitudes=amplitudes, p_v_db=0.0, p0=1.0)
     pointings = uniform_pointings(360)
-    spec = spin_response(field, rx, tx, pointings)
+    spec = spin_response(field, rx, tx, pointings, 0.0)
     phi0 = GRID.centers_deg[bin_idx]
     expected = (
         abs(amplitudes[bin_idx]) ** 2
@@ -153,7 +157,7 @@ def test_spin_merges_pointings_a_last_bit_apart():
     rx, tx = gaussian_horn(10.0, GRID), omni(GRID)
     first = uniform_pointings(148) + 0.05
     field = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(16, "bit"))
-    y = spin_operator(GRID, rx, tx, np.concatenate([first, np.nextafter(first, 360.0)]))(
+    y = spin_operator(GRID, rx, tx, np.concatenate([first, np.nextafter(first, 360.0)]), 0.0)(
         field.amplitudes
     )
     assert np.array_equal(y[:148], y[148:])
@@ -172,9 +176,11 @@ def test_dense_off_grid_sweep_matches_its_parts():
         for i in range(3)
     ])
     tracemalloc.start()
-    spin = spin_operator(grid, rx, tx, pointings, 12.0)
-    kept = tracemalloc.get_traced_memory()[0]
-    tracemalloc.stop()
+    try:
+        spin = spin_operator(grid, rx, tx, pointings, 12.0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     assert kept < 4e6  # the held matrix would be 35 MB
     dense = spin(amplitudes)
     parts = np.concatenate(
@@ -196,7 +202,7 @@ def test_off_grid_build_evaluates_rx_once_per_sub_bin_offset(monkeypatch, n_poin
         samples.append(np.size(offset_deg))
         return field_at(self, offset_deg)
     monkeypatch.setattr(AntennaPattern, "field_at", counted)
-    spin_operator(grid, rx, tx, uniform_pointings(n_pointings))
+    spin_operator(grid, rx, tx, uniform_pointings(n_pointings), 0.0)
     assert sum(samples) <= (n_offsets + 1) * grid.n_bins
 
 
@@ -230,7 +236,7 @@ def test_random_off_grid_pointings_match_explicit_sum(n_offsets, repeats):
 def test_spin_requires_pointings():
     field = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(5, "p"))
     with pytest.raises(ValueError):
-        spin_response(field, gaussian_horn(10.0, GRID), omni(GRID), [])
+        spin_response(field, gaussian_horn(10.0, GRID), omni(GRID), [], 0.0)
 
 
 def test_spin_calibration_monte_carlo():
@@ -240,7 +246,7 @@ def test_spin_calibration_monte_carlo():
     ratios = []
     for i in range(600):
         field = gen_azimuth_channel(ROOM, params, GRID, derive_stream(6, f"cal/{i}"))
-        spec = spin_response(field, rx, tx, pointings)
+        spec = spin_response(field, rx, tx, pointings, 0.0)
         ratios.append(spec.power.mean() / (field.p0 * 10.0 ** (field.p_v_db / 10.0)))
     assert np.mean(ratios) == pytest.approx(1.0, abs=0.05)
 
@@ -252,7 +258,7 @@ def test_spun_db_spread_is_below_raw_sigma():
     stds = []
     for i in range(60):
         field = gen_azimuth_channel(ROOM, params, GRID, derive_stream(7, f"s/{i}"))
-        stds.append(spin_response(field, rx, tx, pointings).power_db.std())
+        stds.append(spin_response(field, rx, tx, pointings, 0.0).power_db.std())
     assert np.mean(stds) < params.sigma_db
 
 
@@ -266,7 +272,7 @@ def test_spin_calibration_stable_under_grid_refinement():
         ratios = []
         for i in range(250):
             field = gen_azimuth_channel(ROOM, params, grid, derive_stream(12, f"g/{i}"))
-            spec = spin_response(field, rx, tx, pointings)
+            spec = spin_response(field, rx, tx, pointings, 0.0)
             ratios.append(spec.power.mean() / (field.p0 * 10.0 ** (field.p_v_db / 10.0)))
         means.append(np.mean(ratios))
     assert means[0] == pytest.approx(1.0, abs=0.08)
@@ -275,14 +281,14 @@ def test_spin_calibration_stable_under_grid_refinement():
 
 def test_reverberation_fit_stable_under_delay_refinement():
     agrid = AzimuthGrid(360)
-    probe = make_probe_waveform(1e9)
+    probe = DEFAULTS.probe
     rx, tx = gaussian_horn(10.0, agrid), omni(agrid)
     for delta_tau in (0.1e-9, 0.05e-9):
-        dgrid = DelayGrid.for_room(ROOM, delta_tau_s=delta_tau)
+        dgrid = DelayGrid.for_room(ROOM, delta_tau, None)
         estimates = []
         for i in range(10):
             field = gen_delay_azimuth_channel(ROOM, _params(), dgrid, agrid, derive_stream(13, f"r/{i}"))
-            resp = band_limit(field, probe, rx, tx, uniform_pointings(72))
+            resp = band_limit(field, probe, rx, tx, uniform_pointings(72), 0.0)
             from rfclutter import fit_reverberation
 
             estimates.append(fit_reverberation(resp.delays_s, resp.mean_profile(), dgrid.onset_s))
@@ -297,8 +303,8 @@ def test_pdp_envelope_reference_points():
 
 
 def test_delay_grid_onset():
-    room = RoomSpec(6.0, 6.0, t_rev_s=10e-9)  # d_s = 3 m
-    dgrid = DelayGrid.for_room(room)
+    room = replace(ROOM, width_m=6.0, length_m=6.0)  # d_s = 3 m
+    dgrid = DelayGrid.for_room(room, DELTA_TAU_S, None)
     assert dgrid.onset_s == pytest.approx(20.01e-9, abs=5e-12)
     assert dgrid.tau_max_s == pytest.approx(dgrid.onset_s + 9.21 * 10e-9, rel=1e-12)
     with pytest.raises(ValueError):
@@ -307,7 +313,7 @@ def test_delay_grid_onset():
 
 def test_delay_map_is_causal_and_decays():
     agrid = AzimuthGrid(360)
-    dgrid = DelayGrid.for_room(ROOM)
+    dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     params = _params()
     pre = dgrid.taus_s < dgrid.onset_s
     live = ~pre
@@ -343,7 +349,7 @@ def test_delay_map_checks_onset_consistency():
 
 
 def test_probe_waveform_normalization():
-    probe = make_probe_waveform(1e9)
+    probe = DEFAULTS.probe
     assert probe.samples.size == 21
     duration = (probe.samples.size - 1) * probe.delta_t_s
     assert duration == pytest.approx(1e-9, rel=1e-12)
@@ -353,7 +359,7 @@ def test_probe_waveform_normalization():
 
 def test_probe_waveform_scale_invariant_and_guarded():
     with pytest.raises(ConfigurationError):
-        make_probe_waveform(1e9, sample_rate_hz=5e9)
+        make_probe_waveform(1e9, 5e9, "hamming")
 
 
 def test_band_limit_impulse_reproduces_waveform():
@@ -367,9 +373,9 @@ def test_band_limit_impulse_reproduces_waveform():
     field = DelayAzimuthField(
         dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=0.0, p0=1.0
     )
-    probe = make_probe_waveform(1e9, sample_rate_hz=10e9)  # dt == delta_tau
+    probe = make_probe_waveform(1e9, 10e9, "hamming")  # dt == delta_tau
     rx, tx = omni(agrid), omni(agrid)
-    resp = band_limit(field, probe, rx, tx, pointings_deg=[agrid.centers_deg[k_phi]])
+    resp = band_limit(field, probe, rx, tx, [agrid.centers_deg[k_phi]], 0.0)
     profile = resp.power[:, 0]
     expected = np.zeros_like(profile)
     expected[k_tau : k_tau + probe.samples.size] = np.abs(probe.samples) ** 2
@@ -383,13 +389,13 @@ def test_band_limit_impulse_reproduces_waveform():
 
 def test_band_limit_profile_peaks_at_onset_and_decays():
     agrid = AzimuthGrid(360)
-    dgrid = DelayGrid.for_room(ROOM)
-    probe = make_probe_waveform(1e9)
+    dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
+    probe = DEFAULTS.probe
     rx, tx = gaussian_horn(10.0, agrid), omni(agrid)
     profile = None
     for i in range(5):  # average a few draws to beat single-map speckle
         field = gen_delay_azimuth_channel(ROOM, _params(), dgrid, agrid, derive_stream(9, f"bl/{i}"))
-        resp = band_limit(field, probe, rx, tx, uniform_pointings(72))
+        resp = band_limit(field, probe, rx, tx, uniform_pointings(72), 0.0)
         assert np.all(resp.power[resp.delays_s < dgrid.onset_s] == 0.0)
         profile = resp.mean_profile() if profile is None else profile + resp.mean_profile()
     # the ideal averaged profile peaks one waveform duration past onset
@@ -400,11 +406,11 @@ def test_band_limit_profile_peaks_at_onset_and_decays():
 
 def test_band_limit_rejects_coarse_waveform():
     agrid = AzimuthGrid(360)
-    slow = make_probe_waveform(1e9, sample_rate_hz=1e9 * 10)  # dt = 0.1 ns
-    fine = DelayGrid.for_room(ROOM, delta_tau_s=0.05e-9)
+    slow = make_probe_waveform(1e9, 1e9 * 10, "hamming")  # dt = 0.1 ns
+    fine = DelayGrid.for_room(ROOM, 0.05e-9, None)
     fine_field = gen_delay_azimuth_channel(ROOM, _params(), fine, agrid, derive_stream(10, "cw"))
     with pytest.raises(ConfigurationError):
-        band_limit(fine_field, slow, omni(agrid), omni(agrid))
+        band_limit(fine_field, slow, omni(agrid), omni(agrid), agrid.centers_deg, 0.0)
 
 
 def _reference_delay_map(room, params, dgrid, agrid, stream):
@@ -433,7 +439,7 @@ def _reference_delay_map(room, params, dgrid, agrid, stream):
 
 def test_delay_map_draws_match_whole_map_reference():
     agrid = AzimuthGrid(360)
-    dgrid = DelayGrid.for_room(ROOM)
+    dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     n_live = int(np.count_nonzero(dgrid.taus_s >= dgrid.onset_s))
     assert n_live % (clutter._BLOCK_ELEMENTS // agrid.n_bins) != 0  # a partial last block
     stream = derive_stream(17, "pin")
@@ -476,7 +482,7 @@ def _explicit_band_limit(field, taps, rx, tx, pointings, tx_pointing):
 )
 def test_band_limit_matches_explicit_reference(pointings):
     agrid = AzimuthGrid(360)
-    dgrid = DelayGrid.for_room(ROOM)
+    dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     field = gen_delay_azimuth_channel(ROOM, _params(), dgrid, agrid, derive_stream(19, "bl"))
     # a complex probe sampled on the delay grid, so its taps are its samples
     t = np.linspace(-1.0, 1.0, 11)
@@ -502,7 +508,7 @@ def test_band_limit_builds_streamed_weights_once(monkeypatch):
     amplitudes = rng.standard_normal((dgrid.n_bins, 2 * agrid.n_bins)).view(complex)
     amplitudes[dgrid.taus_s < dgrid.onset_s] = 0.0
     field = DelayAzimuthField(dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=0.0, p0=1.0)
-    probe = make_probe_waveform(1e9)
+    probe = DEFAULTS.probe
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(40.0, agrid)
     held = np.concatenate(
         [band_limit(field, probe, rx, tx, part, 12.0).power for part in np.split(pointings, 2)],
@@ -556,15 +562,14 @@ def test_azimuth_draw_matches_reference_recipe(location_m):
 
 
 def test_zero_reflectivity_room_draws_exact_zeros_without_warning():
-    room = RoomSpec(3.0, 3.0, surface=Surface.explicit(0.0), t_rev_s=10e-9)
+    room = replace(ROOM, surface=Surface.explicit(0.0))
     agrid = AzimuthGrid(360)
+    dgrid = DelayGrid.for_room(room, DELTA_TAU_S, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         az = gen_azimuth_channel(room, _params(), agrid, derive_stream(29, "z"))
-        spun_db = spin_response(az, omni(agrid), omni(agrid), uniform_pointings(8)).power_db
-        dl = gen_delay_azimuth_channel(
-            room, _params(), DelayGrid.for_room(room), agrid, derive_stream(29, "z")
-        )
+        spun_db = spin_response(az, omni(agrid), omni(agrid), uniform_pointings(8), 0.0).power_db
+        dl = gen_delay_azimuth_channel(room, _params(), dgrid, agrid, derive_stream(29, "z"))
     assert az.p0 == 0.0 and np.all(az.amplitudes == 0.0)
     assert np.all(spun_db == -np.inf)
     assert dl.p0 == 0.0 and np.all(dl.amplitudes == 0.0)
@@ -591,21 +596,23 @@ def _assert_same_map(streamed, held):
 )
 def test_streamed_delay_map_equals_held(n_pointings, tx_hpbw, tx_pointing, bandwidth_hz):
     agrid = AzimuthGrid(1800)
-    dgrid = DelayGrid.for_room(ROOM)
+    dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     rx = gaussian_horn(10.0, agrid)
     tx = omni(agrid) if tx_hpbw is None else gaussian_horn(tx_hpbw, agrid)
+    probe = make_probe_waveform(bandwidth_hz, 20 * bandwidth_hz, "hamming")
     args = (ROOM, _params(), dgrid, agrid, derive_stream(30, "stream"),
-            make_probe_waveform(bandwidth_hz), rx, tx, uniform_pointings(n_pointings), tx_pointing)
+            probe, rx, tx, uniform_pointings(n_pointings), tx_pointing)
     streamed = clutter.probe_delay_map(*args)
     _assert_same_map(streamed, _held_delay_map(*args))
     assert np.all(np.isfinite(streamed[1][dgrid.n_bins // 2]))
 
 
 def test_streamed_delay_map_of_zero_reflectivity_room_is_minus_inf_without_warning():
-    room = RoomSpec(3.0, 3.0, surface=Surface.explicit(0.0), t_rev_s=10e-9)
+    room = replace(ROOM, surface=Surface.explicit(0.0))
     agrid = AzimuthGrid(360)
-    args = (room, _params(), DelayGrid.for_room(room), agrid, derive_stream(31, "z"),
-            make_probe_waveform(1e9), gaussian_horn(10.0, agrid), omni(agrid),
+    dgrid = DelayGrid.for_room(room, DELTA_TAU_S, None)
+    args = (room, _params(), dgrid, agrid, derive_stream(31, "z"),
+            DEFAULTS.probe, gaussian_horn(10.0, agrid), omni(agrid),
             uniform_pointings(148), 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -619,9 +626,10 @@ def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
     # 922 live rows of 360 bins are 11 blocks of 91 rows; a budget of two
     # blocks makes the noise pass skip the noise and the phase pass redraw it
     agrid = AzimuthGrid(360)
-    dgrid = DelayGrid.for_room(ROOM)
+    dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(40.0, agrid)
-    args = (ROOM, _params(), dgrid, agrid, derive_stream(32, "redraw"), make_probe_waveform(4e9),
+    probe = make_probe_waveform(4e9, 80e9, "hamming")
+    args = (ROOM, _params(), dgrid, agrid, derive_stream(32, "redraw"), probe,
             rx, tx, uniform_pointings(148) + 0.1, 20.0)
     held_field = gen_delay_azimuth_channel(*args[:5])
     held = clutter.probe_delay_map(*args)
@@ -650,19 +658,21 @@ def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
 
 def test_streamed_delay_map_never_holds_a_complex_map():
     # a 40 ns room on the 1 degree grid: 3785 x 360 complex map, 21.8 MB
-    room = RoomSpec(3.0, 3.0, t_rev_s=40e-9)
+    room = replace(ROOM, t_rev_s=40e-9)
     agrid = AzimuthGrid(360)
-    dgrid = DelayGrid.for_room(room)
+    dgrid = DelayGrid.for_room(room, DELTA_TAU_S, None)
     rx, tx = gaussian_horn(10.0, agrid), omni(agrid)
     pointings = uniform_pointings(148)
-    spin_operator(agrid, rx, tx, pointings)  # held by the operator cache, not by the map
+    spin_operator(agrid, rx, tx, pointings, 0.0)  # held by the operator cache, not by the map
     tracemalloc.start()
-    clutter.probe_delay_map(
-        room, _params(), dgrid, agrid, derive_stream(33, "mem"), make_probe_waveform(1e9),
-        rx, tx, pointings,
-    )
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        clutter.probe_delay_map(
+            room, _params(), dgrid, agrid, derive_stream(33, "mem"), DEFAULTS.probe,
+            rx, tx, pointings, 0.0,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     # gen_delay_azimuth_channel and band_limit peak at 36 MB, holding the map
     # and its magnitudes
     assert peak < dgrid.n_bins * agrid.n_bins * np.dtype(complex).itemsize

@@ -3,9 +3,12 @@ value that applies to it with exit 2, naming the leaf's dotted key, before
 any output is written."""
 
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from rfclutter import cli, config
+from rfclutter import cli, clutter, config, core, target, validation
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -178,6 +181,10 @@ def test_invalid_leaf_exits_2_naming_its_key(key, data):
         ({"delay": {"span_after_onset_ns": -1}}, "delay.span_after_onset_ns"),
         ({"probe": {"oversample": 0.5}}, "probe.oversample"),
         ({"scene": {"duration_s": 100}}, "scene"),
+        # samples of 50 ns against 0.1 ns delay bins
+        ({"probe": {"bandwidth_ghz": 0.001}}, "probe"),
+        # 0.74 samples per coherence time at 740 Hz
+        ({"scene": {"target": {"coherence_time_s": 0.001}}}, "scene"),
     ],
 )
 @pytest.mark.parametrize("command", ["predict", "synth-azimuth", "synth-delay", "scene"])
@@ -222,6 +229,53 @@ def test_default_config_is_derived_from_the_schema():
     assert tree == config.DEFAULT_CONFIG
     assert tree["antennas"]["rx"] == {"kind": "gaussian", "hpbw_deg": 10.0}
     config.resolve_config(tree)
+
+
+# parameters whose values are SCHEMA leaves, and band_limit's pointings: no
+# signature gives them a default, so a schema default changed alone reaches
+# every caller
+SCHEMA_PARAMETERS = [
+    (core.RoomSpec, ["d_s_m", "surface", "t_rev_s"]),
+    (clutter.ClutterParams, ["sigma_v_db", "sigma_db", "phi_rms_deg"]),
+    (target.TargetSpec, ["sigma0_dbsm", "coherence_time_s", "model"]),
+    (clutter.uniform_pointings, ["n"]),
+    (clutter.DelayGrid.for_room, ["delta_tau_s", "span_after_onset_s"]),
+    (clutter.make_probe_waveform, ["sample_rate_hz", "shape"]),
+    (clutter.spin_operator, ["tx_pointing_deg"]),
+    (clutter.spin_amplitudes, ["tx_pointing_deg"]),
+    (clutter.spin_response, ["tx_pointing_deg"]),
+    (clutter.band_limit, ["pointings_deg", "tx_pointing_deg"]),
+    (clutter.probe_delay_map, ["tx_pointing_deg"]),
+    (target.target_response, ["tx_pointing_deg"]),
+    (validation.run_checks, ["master_seed"]),
+]
+
+
+@pytest.mark.parametrize(
+    "func, names", SCHEMA_PARAMETERS, ids=[f.__qualname__ for f, _ in SCHEMA_PARAMETERS]
+)
+def test_no_schema_default_hides_in_a_signature(func, names):
+    params = inspect.signature(func).parameters
+    assert {n: params[n].default for n in names} == dict.fromkeys(names, inspect.Parameter.empty)
+
+
+def test_validation_keeps_no_seed_of_its_own():
+    assert not hasattr(validation, "DEFAULT_VALIDATION_SEED")
+
+
+def test_resolved_config_keeps_the_scene_it_checked():
+    fields = {f.name for f in dataclasses.fields(config.RunConfig)}
+    assert not fields & {"spin_period_s", "sample_rate_hz"}
+    cfg = config.resolve_config(config.load_config_tree(None))
+    assert cfg.scene_spec() is cfg.scene
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    [example] = re.findall(r"```python\n(.*?)```", library.split("\n## ", 1)[0], re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out
 
 
 SURVEY_HEADER = "label,n_links,dim_a_m,dim_b_m,d_s_m,measured_median_db,material\n"

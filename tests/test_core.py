@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from rfclutter import (
     to_db,
 )
 from rfclutter.antennas import HPBW_TO_RMS
+from rfclutter.config import load_config_tree, resolve_config
 from rfclutter.core import SPEED_OF_LIGHT
 
+DEFAULTS = resolve_config(load_config_tree(None))
 WL28 = CarrierSpec(28e9).wavelength_m
 
 
@@ -133,14 +136,14 @@ def _p0_db(room, carrier):
 
 def test_predict_room_defaults_and_values():
     carrier = CarrierSpec(28e9)
-    office = RoomSpec(3.0, 3.0)
+    office = DEFAULTS.room  # 3 m x 3 m, metal
     assert office.distance_to_wall_m == 1.5
     assert _p0_db(office, carrier) == pytest.approx(-64.9, abs=0.05)
 
-    cafeteria = RoomSpec(30.0, 20.0, d_s_m=10.0)
+    cafeteria = replace(office, width_m=30.0, length_m=20.0, d_s_m=10.0)
     assert _p0_db(cafeteria, carrier) == pytest.approx(-81.4, abs=0.05)
 
-    dull = _p0_db(RoomSpec(3.0, 3.0, surface=Surface.explicit(0.25)), carrier)
+    dull = _p0_db(replace(office, surface=Surface.explicit(0.25)), carrier)
     assert dull == pytest.approx(-70.9, abs=0.05)
     assert dull == pytest.approx(_p0_db(office, carrier) + 10 * math.log10(0.25), abs=1e-9)
 
@@ -149,17 +152,17 @@ def test_predict_room_default_wall_distance_is_half_min_dimension():
     rng = np.random.default_rng(11)
     for _ in range(20):
         w, l = rng.uniform(2, 40, size=2)
-        room = RoomSpec(w, l)
+        room = RoomSpec(w, l, d_s_m=None, surface=Surface.metal(), t_rev_s=10e-9)
         assert room.distance_to_wall_m == 0.5 * min(w, l)
 
 
 def test_room_and_surface_validation():
     with pytest.raises(ValueError):
-        RoomSpec(0.0, 3.0)
+        replace(DEFAULTS.room, width_m=0.0)
     with pytest.raises(ValueError):
-        RoomSpec(3.0, 3.0, d_s_m=-1.0)
+        replace(DEFAULTS.room, d_s_m=-1.0)
     with pytest.raises(ValueError):
-        RoomSpec(3.0, 3.0, t_rev_s=0.0)
+        replace(DEFAULTS.room, t_rev_s=0.0)
     with pytest.raises(ValueError):
         Surface.dielectric(0.5)
     with pytest.raises(ValueError):

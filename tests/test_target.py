@@ -7,11 +7,8 @@ import pytest
 from rfclutter import (
     AzimuthGrid,
     CarrierSpec,
-    ClutterParams,
-    RoomSpec,
     SceneSpec,
     Surface,
-    TargetSpec,
     Trajectory,
     complex_gaussian_series,
     compose_scene,
@@ -24,10 +21,14 @@ from rfclutter import (
 )
 from rfclutter.antennas import AntennaPattern
 from rfclutter.clutter import _build_spin_operator, spin_amplitudes
+from rfclutter.config import load_config_tree, resolve_config
 
+DEFAULTS = resolve_config(load_config_tree(None))
+TARGET = DEFAULTS.scene_spec().target  # -8 dBsm, 0.1 s, Swerling I
 CARRIER = CarrierSpec(28e9)
 GRID = AzimuthGrid(1800)
 OMNI = omni(GRID)
+NO_CLUTTER = replace(DEFAULTS.room, surface=Surface.explicit(0.0))
 
 
 def test_trajectory_interpolation():
@@ -49,8 +50,8 @@ def test_trajectory_validation():
 
 
 def test_target_response_link_budget():
-    spec = TargetSpec(sigma0_dbsm=-8.0, model="constant")
-    p = target_response(5.0, 0.0, spec, CARRIER, OMNI, OMNI, pointing_deg=0.0)
+    spec = replace(TARGET, sigma0_dbsm=-8.0, model="constant")
+    p = target_response(5.0, 0.0, spec, CARRIER, OMNI, OMNI, pointing_deg=0.0, tx_pointing_deg=0.0)
     # independent evaluation of the radar equation
     wl = CARRIER.wavelength_m
     expected = wl**2 * 10.0 ** (-0.8) / ((4.0 * math.pi) ** 3 * 5.0**4)
@@ -59,23 +60,23 @@ def test_target_response_link_budget():
 
 
 def test_target_response_inverse_fourth_power():
-    spec = TargetSpec(model="constant")
-    p1 = target_response(5.0, 0.0, spec, CARRIER, OMNI, OMNI, 0.0)
-    p2 = target_response(10.0, 0.0, spec, CARRIER, OMNI, OMNI, 0.0)
+    spec = replace(TARGET, model="constant")
+    p1 = target_response(5.0, 0.0, spec, CARRIER, OMNI, OMNI, 0.0, 0.0)
+    p2 = target_response(10.0, 0.0, spec, CARRIER, OMNI, OMNI, 0.0, 0.0)
     assert 10.0 * math.log10(p2 / p1) == pytest.approx(-12.04, abs=0.01)
 
 
 def test_target_response_zero_fluctuation_and_domain():
-    spec = TargetSpec(model="swerling1")
+    spec = replace(TARGET, model="swerling1")
     with pytest.raises(ValueError):
-        target_response(0.0, 0.0, spec, CARRIER, OMNI, OMNI, 0.0)
+        target_response(0.0, 0.0, spec, CARRIER, OMNI, OMNI, 0.0, 0.0)
 
 
 def _demo_scene(**overrides):
     base = dict(
-        room=RoomSpec(3.0, 3.0),
-        clutter=ClutterParams(carrier=CARRIER),
-        target=TargetSpec(),
+        room=DEFAULTS.room,
+        clutter=DEFAULTS.clutter,
+        target=TARGET,
         trajectory=Trajectory.from_waypoints(
             [(0.0, 1.4, -0.6), (1.0, 0.25, 0.35), (2.0, 1.4, -0.6)]
         ),
@@ -92,7 +93,7 @@ def _demo_scene(**overrides):
 
 
 def test_zero_rcs_scene_equals_clutter_only():
-    spec = _demo_scene(target=TargetSpec(sigma0_dbsm=-math.inf))
+    spec = _demo_scene(target=replace(TARGET, sigma0_dbsm=-math.inf))
     stream = derive_stream(21, "scene")
     tmap = compose_scene(spec, stream)
     grid = AzimuthGrid(1800)
@@ -104,9 +105,9 @@ def test_zero_rcs_scene_equals_clutter_only():
 def test_static_target_leaves_persistent_ridge():
     traj = Trajectory.from_waypoints([(0.0, 2.298, 1.928), (2.0, 2.298, 1.928)])  # 40 deg, R=3
     spec = _demo_scene(
-        room=RoomSpec(8.0, 8.0, surface=Surface.explicit(0.0)),
+        room=replace(DEFAULTS.room, width_m=8.0, length_m=8.0, surface=Surface.explicit(0.0)),
         trajectory=traj,
-        target=TargetSpec(sigma0_dbsm=10.0, model="constant"),
+        target=replace(TARGET, sigma0_dbsm=10.0, model="constant"),
     )
     tmap = compose_scene(spec, derive_stream(22, "ridge"))
     spr = tmap.samples_per_rotation
@@ -127,17 +128,17 @@ def test_swerling_scene_power_statistics():
     # time-averaged fluctuating echo matches the constant-model echo; a short
     # coherence time packs many independent fluctuations into the window
     spec = _demo_scene(
-        room=RoomSpec(3.0, 3.0, surface=Surface.explicit(0.0)),
+        room=NO_CLUTTER,
         trajectory=Trajectory.from_waypoints([(0.0, 0.0, 2.0), (200.0, 0.0, 2.0)]),
         rx=OMNI,
         duration_s=200.0,
         sample_rate_hz=200.0,
-        target=TargetSpec(model="swerling1", coherence_time_s=0.01),
+        target=replace(TARGET, model="swerling1", coherence_time_s=0.01),
     )
     stream = derive_stream(23, "swerling")
     fluct = compose_scene(spec, stream)
     const = compose_scene(
-        replace(spec, target=TargetSpec(model="constant", coherence_time_s=0.01)), stream
+        replace(spec, target=replace(spec.target, model="constant")), stream
     )
     assert fluct.power.mean() == pytest.approx(const.power.mean(), rel=0.04)
 
@@ -146,8 +147,8 @@ def test_target_peak_monotone_in_rcs():
     peaks = []
     for rcs in (-20.0, -14.0, -8.0, -2.0):
         spec = _demo_scene(
-            room=RoomSpec(3.0, 3.0, surface=Surface.explicit(0.0)),
-            target=TargetSpec(sigma0_dbsm=rcs, model="constant"),
+            room=NO_CLUTTER,
+            target=replace(TARGET, sigma0_dbsm=rcs, model="constant"),
         )
         tmap = compose_scene(spec, derive_stream(24, "mono"))
         peaks.append(tmap.power.max())
@@ -188,7 +189,7 @@ def test_regenerated_clutter_differs_per_rotation_but_stays_deterministic():
 def test_scene_power_is_the_link_budget():
     # without clutter, each sample's power is target_response at its range,
     # bearing, fluctuation and pointing
-    spec = _demo_scene(room=RoomSpec(3.0, 3.0, surface=Surface.explicit(0.0)), duration_s=1.0)
+    spec = _demo_scene(room=NO_CLUTTER, duration_s=1.0)
     assert spec.rx.kind == "gaussian"
     stream = derive_stream(30, "budget")
     tmap = compose_scene(spec, stream)
@@ -198,7 +199,8 @@ def test_scene_power_is_the_link_budget():
     )
     expected = [
         target_response(
-            *trajectory_state(spec.trajectory, t), spec.target, CARRIER, spec.rx, spec.tx, p
+            *trajectory_state(spec.trajectory, t), spec.target, CARRIER, spec.rx, spec.tx, p,
+            spec.tx_pointing_deg,
         ) * abs(x) ** 2
         for t, x, p in zip(tmap.times_s, xi, tmap.pointing_deg)
     ]
@@ -263,7 +265,7 @@ def test_regenerated_clutter_is_redrawn_where_the_rotation_index_changes():
     spec = _demo_scene(
         sample_rate_hz=743.7,
         duration_s=1.0,
-        target=TargetSpec(sigma0_dbsm=-math.inf),
+        target=replace(TARGET, sigma0_dbsm=-math.inf),
         regenerate_clutter_per_rotation=True,
     )
     stream = derive_stream(35, "regen")

@@ -4,23 +4,15 @@ arguments and results; a traced name or attribute that is gone from the
 package fails those runs, so it fails here first."""
 
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from rfclutter import (
-    AzimuthGrid,
-    CarrierSpec,
-    ClutterParams,
-    DelayGrid,
-    RoomSpec,
-    derive_stream,
-    gaussian_horn,
-    make_probe_waveform,
-    omni,
-    uniform_pointings,
-)
+from rfclutter import AzimuthGrid, DelayGrid, derive_stream, gaussian_horn, omni, uniform_pointings
+from rfclutter.config import load_config_tree, resolve_config
 
+DEFAULTS = resolve_config(load_config_tree(None))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -48,7 +40,7 @@ def test_every_counting_hook_reads_what_it_needs():
     tracer = _tracer_namespace()["Tracer"]()
     clutter = importlib.import_module("rfclutter.clutter")
     randomfields = importlib.import_module("rfclutter.randomfields")
-    room, params = RoomSpec(3.0, 3.0, t_rev_s=2e-9), ClutterParams(carrier=CarrierSpec(28e9))
+    room, params = replace(DEFAULTS.room, t_rev_s=2e-9), DEFAULTS.clutter
     agrid = AzimuthGrid(720)
     rx, tx = gaussian_horn(10.0, agrid), omni(agrid)
     pointings = uniform_pointings(36)
@@ -56,12 +48,12 @@ def test_every_counting_hook_reads_what_it_needs():
     try:
         rx.field_at(np.array([0.0, 1.5]))
         field = clutter.gen_azimuth_channel(room, params, agrid, derive_stream(1, "trace"))
-        clutter.spin_amplitudes(field, rx, tx, pointings)
+        clutter.spin_amplitudes(field, rx, tx, pointings, DEFAULTS.tx_pointing_deg)
         randomfields.gaussian_field_rows(np.random.default_rng(1), 2, 64, 3.0)
         dmap = clutter.gen_delay_azimuth_channel(
-            room, params, DelayGrid.for_room(room), agrid, derive_stream(2, "trace")
+            room, params, DelayGrid.for_room(room, 0.1e-9, None), agrid, derive_stream(2, "trace")
         )
-        clutter.band_limit(dmap, make_probe_waveform(1e9), rx, tx, pointings)
+        clutter.band_limit(dmap, DEFAULTS.probe, rx, tx, pointings, DEFAULTS.tx_pointing_deg)
     finally:
         tracer.uninstall()
     hooks = ["field_samples", "spin_pointings", "field_rows", "delay_bytes", "band_limit_bytes"]
