@@ -66,4 +66,15 @@ from .target import (
     target_response,
     trajectory_state,
 )
-from .validation import CheckResult, ValidationReport, run_checks
+
+# The acceptance suite loads scipy.stats, about 1 s of import that only
+# ``validate`` needs, so it is imported when one of its names is first used.
+_VALIDATION_NAMES = ("CheckResult", "ValidationReport", "run_checks")
+
+
+def __getattr__(name):
+    if name in _VALIDATION_NAMES:
+        from . import validation
+
+        return getattr(validation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,6 @@ from .core import ConfigurationError, power_db
 from .randomfields import derive_stream
 from .stats import load_room_survey, survey_report
 from .target import compose_scene
-from .validation import run_checks
 
 UNITS_COMMENT = "# units: angles deg, power dB re transmit, delay ns\n"
 
@@ -203,6 +202,8 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validation import run_checks  # scipy.stats: about 1 s of import
+
     names = None
     if args.checks is not None:  # given but naming no check is an error, not "all"
         names = [n.strip() for n in args.checks.split(",") if n.strip()]

@@ -15,15 +15,17 @@ changes order and the report's bytes do not depend on the worker count.
 The other checks run serially: the one-row draws of :func:`_spun_ensemble`
 run Python code that holds the interpreter lock, and
 ``lognormal_unit_mean``'s 14 MB chunks would raise the suite's peak memory
-more than the threads save.  Report bytes are
-reproducible for a fixed BLAS thread count; off-grid spins are matrix
-products whose last bits depend on it.  Before each check, :func:`run_checks`
-settles glibc's heap (:func:`_settle_heap`), so the suite's peak memory
-does not depend on where earlier checks' freed blocks happened to lie.
+more than the threads save.  Off-grid spins are matrix products whose last
+bits depend on the BLAS thread count, so :func:`run_checks` runs the checks
+on one thread of NumPy's bundled OpenBLAS (:func:`_one_blas_thread`).
+Before each check it settles glibc's heap (:func:`_settle_heap`), so the
+suite's peak memory does not depend on where earlier checks' freed blocks
+happened to lie.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import filecmp
 import math
@@ -32,6 +34,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from scipy import stats as spstats
@@ -146,6 +149,35 @@ def _settle_heap() -> None:
         libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         libc.mallopt(_M_TRIM_THRESHOLD, -1)  # no trimming but this one
         libc.malloc_trim(0)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of NumPy's bundled OpenBLAS, then restore
+    its thread count.
+
+    OpenBLAS splits a product differently at each thread count, which moves
+    the last bits of the off-grid spins and so of three reported statistics.
+    The OpenBLAS that the NumPy wheels bundle (``libscipy_openblas64_``)
+    exports ``scipy_openblas_set_num_threads64_``; with any other BLAS this
+    does nothing, and report bytes hold for a fixed thread count only.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libs.glob("libscipy_openblas64_*"))
+    lib = ctypes.CDLL(str(paths[0])) if paths else None  # the copy NumPy loaded
+    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        yield
+        return
+    get_threads = lib.scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads = lib.scipy_openblas_set_num_threads64_
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _defaults() -> RunConfig:
@@ -501,7 +533,6 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
 
 def check_cli_determinism(seed: int) -> tuple[bool, float, str, dict]:
     import tempfile
-    from pathlib import Path
 
     from . import cli
 
@@ -569,20 +600,21 @@ def run_checks(names=None, *, master_seed: int, log=None) -> ValidationReport:
         problem = f"unknown check(s): {unknown}" if unknown else "no check named"
         raise ConfigurationError(f"{problem}; known: {list(CHECKS)}")
     results = []
-    for name in names:
-        _settle_heap()
-        start = time.perf_counter()
-        passed, stat, target, details = CHECKS[name](master_seed)
-        elapsed = time.perf_counter() - start
-        result = CheckResult(
-            name=name,
-            passed=passed,
-            statistic=float(stat),
-            target=target,
-            runtime_s=elapsed,
-            details=details,
-        )
-        if log is not None:
-            log(result.summary())
-        results.append(result)
+    with _one_blas_thread():
+        for name in names:
+            _settle_heap()
+            start = time.perf_counter()
+            passed, stat, target, details = CHECKS[name](master_seed)
+            elapsed = time.perf_counter() - start
+            result = CheckResult(
+                name=name,
+                passed=passed,
+                statistic=float(stat),
+                target=target,
+                runtime_s=elapsed,
+                details=details,
+            )
+            if log is not None:
+                log(result.summary())
+            results.append(result)
     return ValidationReport(master_seed=master_seed, results=results)

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from rfclutter import cli
+import rfclutter
+from rfclutter import cli, validation
 
 
 def run(args):
@@ -306,3 +311,37 @@ def test_coarse_grid_exits_2_naming_the_grid_key(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "grid.delta_phi_deg" in err and "correlation scale" in err
     assert not out.exists()
+
+
+# modules that only ``validate`` may load: scipy.stats is about 1 s of import
+_HEAVY_MODULES = ("scipy.stats", "scipy.fft", "rfclutter.validation")
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import rfclutter",
+        "import rfclutter.cli",
+        "from rfclutter import cli; assert cli.main(['scene', '--out', sys.argv[1]]) == 0",
+    ],
+    ids=["package", "cli", "scene"],
+)
+def test_commands_other_than_validate_load_no_heavy_module(tmp_path, statement):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = f"import sys\n{statement}\nprint(*[m for m in {_HEAVY_MODULES!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == ""
+
+
+def test_package_imports_the_validation_names_on_first_use():
+    from rfclutter import CheckResult, ValidationReport, run_checks
+
+    assert (run_checks, CheckResult, ValidationReport) == (
+        validation.run_checks, validation.CheckResult, validation.ValidationReport,
+    )
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rfclutter.no_such_name

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import stats as spstats
 from scipy.signal import fftconvolve
 
@@ -16,6 +17,7 @@ from rfclutter import (
 )
 from rfclutter.config import load_config_tree, resolve_config
 from rfclutter.randomfields import (
+    _fast_len,
     _field_filter,
     _wrapped_gaussian_kernel,
     gaussian_field_rows,
@@ -229,6 +231,30 @@ def test_series_bytes_equal_the_fftconvolve_recipe(args, seed):
     ref = _fftconvolve_series(*args, derive_stream(seed, "fluct"))
     assert xi.shape == ref.shape
     assert xi.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "args, seed",
+    [
+        ((2_000_000 / 40.0, 40.0, 0.1), 42),
+        (_default_scene_series_args(), 42),
+        # odd transform lengths (189 and 6237), where the kernel spectrum's
+        # conjugate half has no Nyquist bin
+        *(((3.0, 40.0, 0.1), seed) for seed in (3, 42, 1234)),
+        *(((5.0, 740.0, 0.2), seed) for seed in (3, 42, 1234)),
+    ],
+)
+def test_series_bytes_equal_the_fftconvolve_recipe_at_more_seeds_and_lengths(args, seed):
+    xi = complex_gaussian_series(*args, derive_stream(seed, "fluct"))
+    ref = _fftconvolve_series(*args, derive_stream(seed, "fluct"))
+    assert xi.tobytes() == ref.tobytes()
+
+
+def test_fast_len_equals_scipy_next_fast_len():
+    small = range(1, 5000)
+    large = np.random.default_rng(16).integers(1, 3_000_001, 2000)
+    for n in (*small, *map(int, large)):
+        assert _fast_len(n) == scipy.fft.next_fast_len(n, real=False), n
 
 
 def test_series_peak_memory_is_bounded():

@@ -28,6 +28,36 @@ def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     assert reports[0] == reports[1]
 
 
+_SPIN_HEAVY_REPORT = """
+import json
+from rfclutter import validation
+checks = ["spatial_decorrelation", "autocorrelation_main_lobe", "cdf_seed_stability"]
+print(json.dumps(validation.run_checks(checks, master_seed=3).to_dict()))
+"""
+
+
+@pytest.mark.skipif(
+    np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas",
+    reason="NumPy's bundled scipy-openblas only",
+)
+def test_report_bytes_do_not_depend_on_the_blas_thread_count():
+    """Off-grid spins are matrix products whose last bits move with
+    OpenBLAS's thread count; at seed 3 these three statistics did before
+    run_checks pinned it."""
+    src = str(Path(validation.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+    reports = [
+        subprocess.run(
+            [sys.executable, "-c", _SPIN_HEAVY_REPORT],
+            env={**env, **extra}, capture_output=True, text=True, check=True,
+        ).stdout
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})
+    ]
+    assert reports[0] == reports[1]
+
+
 def test_workers_are_capped_at_two(monkeypatch):
     for mask, workers in ((set(range(64)), 2), ({0}, 1)):
         monkeypatch.setattr(validation.os, "sched_getaffinity", lambda pid: mask, raising=False)
