@@ -20,6 +20,7 @@ from .clutter import (
     SpunSpectrum,
     band_limit,
     gen_azimuth_channel,
+    gen_azimuth_channels,
     gen_delay_azimuth_channel,
     location_phase,
     make_probe_waveform,

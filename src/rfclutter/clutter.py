@@ -12,19 +12,27 @@ one another, so f_R is evaluated once per distinct offset.
 
 Channel draws
 -------------
-An azimuth channel is the one-row case of a delay-azimuth map, with a unit
-envelope: both are drawn by :func:`_draw_rows`.  A draw takes from its stream
-in a fixed order: P_v, then the white noise of every row's dB field, then
-every row's uniform phases.  Maps are drawn, spun and band-limited in row
-blocks of about 32k elements, so a block's temporaries stay in L2; the block
-size changes no draw.  Rows before the echo onset are never drawn: they are
-exact zeros in the map and stay exact zeros through the spin and the direct
-delay convolution.
+A draw takes from its stream in a fixed order: P_v, then the white noise of
+every row's dB field, then every row's uniform phases.  The noise is filtered
+into the field by :func:`~rfclutter.randomfields.filter_field_rows`, turned
+into magnitudes by :func:`_magnitudes` and given its phases by
+:func:`_unit_phasors`, in row blocks of about 32k elements, so a block's
+temporaries stay in L2; each row's values are the same bits in any block, so
+the block size changes no draw.
 
-The draw runs in two passes.  The noise pass turns the white noise into real
-magnitudes, held as one float64 array of up to 2^22 entries (the budget of a
-spin operator's weights).  The phase pass then yields each complex row block
-as phasors times magnitudes.  A larger map holds no magnitudes: its noise
+Azimuth channels are drawn many streams at a time by
+:func:`gen_azimuth_channels`: each stream's P_v, noise row and phase row are
+drawn from its own generator in that order, and the arithmetic then runs
+over the stacked rows.  :func:`gen_azimuth_channel` is its one-stream case.
+A delay-azimuth map is many rows of one stream, with one P_v, drawn by
+:func:`_draw_rows`.  Maps are drawn, spun and band-limited in row blocks.
+Rows before the echo onset are never drawn: they are exact zeros in the map
+and stay exact zeros through the spin and the direct delay convolution.
+
+A map's draw runs in two passes.  The noise pass turns the white noise into
+real magnitudes, held as one float64 array of up to 2^22 entries (the budget
+of a spin operator's weights).  The phase pass then yields each complex row
+block as phasors times magnitudes.  A larger map holds no magnitudes: its noise
 pass only draws the white noise, unfiltered, to reach the phases, and the
 phase pass replays the noise block by block from a copy of the generator
 taken at the start of the noise, so every block gets the same numbers as
@@ -69,6 +77,7 @@ from .randomfields import (
     AzimuthGrid,
     LognormalFieldParams,
     RandomStream,
+    filter_field_rows,
     gaussian_field_rows,
     lognormal_mean_offset,
     skip_field_rows,
@@ -174,6 +183,36 @@ class SpunSpectrum:
         return power_db(self.power)
 
 
+def _backscatter_ratio(room, params) -> float:
+    """p0, the room's average backscatter ratio at the clutter's carrier."""
+    return average_backscatter_ratio(
+        room.distance_to_wall_m, params.carrier.wavelength_m, room.surface.reflectivity()
+    )
+
+
+def _location_level_db(params, rng) -> float:
+    """P_v, the first draw of a stream: the location-level dB offset."""
+    return lognormal_mean_offset(params.sigma_v_db) + params.sigma_v_db * rng.standard_normal()
+
+
+def _row_log(params, p_v_db, power):
+    """log |h| - c sigma z per row, for rows of mean power ``power`` (scale,
+    p0 and envelope) at the location level ``p_v_db``.
+
+    |h| = exp(c z + row_log) with field_dB = mu + sigma z and c = ln(10)/20;
+    a zero power gives row_log = -inf and exact zeros.
+    """
+    with np.errstate(divide="ignore"):
+        return LN10_OVER_20 * (p_v_db + params.field_params.mu_db) + 0.5 * np.log(power)
+
+
+def _magnitudes(z, params, row_log):
+    """Magnitudes exp(c sigma z + row_log) of unit field rows ``z``, in place."""
+    z *= LN10_OVER_20 * params.sigma_db
+    z += row_log[:, None]
+    return np.exp(z, out=z)
+
+
 def _draw_rows(room, params, grid, stream, scale_sq, envelope):
     """Draw rows r of magnitude sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10))
     and uniform phases; return (P_v, p0, blocks), where ``blocks`` yields
@@ -182,24 +221,16 @@ def _draw_rows(room, params, grid, stream, scale_sq, envelope):
     The noise pass runs here; the phase pass runs as ``blocks`` is read.
     The magnitudes are held up to ``_HELD_ENTRIES`` and replayed beyond it.
     """
-    fp = params.field_params
-    corr_bins = fp.corr_bins(grid)
+    corr_bins = params.field_params.corr_bins(grid)
     rng = stream.generator()
-    p_v_db = lognormal_mean_offset(params.sigma_v_db) + params.sigma_v_db * rng.standard_normal()
-    p0 = average_backscatter_ratio(
-        room.distance_to_wall_m, params.carrier.wavelength_m, room.surface.reflectivity()
-    )
-    # |h| = exp(c z + row_log) with field_dB = mu + sigma z and c = ln(10)/20;
-    # a zero p0 or envelope gives row_log = -inf and exact zeros
-    with np.errstate(divide="ignore"):
-        row_log = LN10_OVER_20 * (p_v_db + fp.mu_db) + 0.5 * np.log(scale_sq * p0 * envelope)
+    p_v_db = _location_level_db(params, rng)
+    p0 = _backscatter_ratio(room, params)
+    row_log = _row_log(params, p_v_db, scale_sq * p0 * envelope)
     blocks = _row_blocks(envelope.size, grid.n_bins)
 
     def magnitudes(noise, block):
         z = gaussian_field_rows(noise, block.stop - block.start, grid.n_bins, corr_bins)
-        z *= LN10_OVER_20 * fp.sigma_db
-        z += row_log[block, None]
-        return np.exp(z, out=z)
+        return _magnitudes(z, params, row_log[block])
 
     if envelope.size * grid.n_bins <= _HELD_ENTRIES:
         mags = np.empty((envelope.size, grid.n_bins))
@@ -221,6 +252,42 @@ def _draw_rows(room, params, grid, stream, scale_sq, envelope):
     return p_v_db, p0, phased()
 
 
+def gen_azimuth_channels(
+    room: RoomSpec,
+    params: ClutterParams,
+    grid: AzimuthGrid,
+    streams,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Draw one azimuth-only clutter channel at the origin from each of
+    ``streams``: return (amplitudes of shape (n_streams, n_bins), P_v of
+    shape (n_streams,), p0).  Per-bin magnitudes are
+    sqrt(2*pi/dphi) * sqrt(p0 * 10^(P_v/10) * 10^(P(phi)/10)).
+
+    Each stream's generator draws P_v, its noise row and its phase row, in
+    that order; the filter, the magnitudes and the phasors then run over the
+    stacked rows in the blocks of ``_row_blocks``.  Row i is the bits that
+    ``streams[i]`` drawn alone gives.
+    """
+    corr_bins = params.field_params.corr_bins(grid)
+    p0 = _backscatter_ratio(room, params)
+    n = len(streams)
+    p_v_db = np.empty(n)
+    white, u = np.empty((n, grid.n_bins)), np.empty((n, grid.n_bins))
+    for i, stream in enumerate(streams):
+        rng = stream.generator()
+        p_v_db[i] = _location_level_db(params, rng)
+        rng.standard_normal(out=white[i])
+        rng.random(out=u[i])  # uniform(0, 2 pi) / 2 pi
+    # one row of unit envelope: the power a one-row map would have
+    scale_sq = TWO_PI / grid.delta_phi_rad
+    row_log = _row_log(params, p_v_db, scale_sq * p0 * np.ones(1))
+    amplitudes = np.empty((n, grid.n_bins), dtype=complex)
+    for block in _row_blocks(n, grid.n_bins):
+        mag = _magnitudes(filter_field_rows(white[block], corr_bins), params, row_log[block])
+        amplitudes[block] = _unit_phasors(u[block]) * mag
+    return amplitudes, p_v_db, p0
+
+
 def gen_azimuth_channel(
     room: RoomSpec,
     params: ClutterParams,
@@ -228,13 +295,9 @@ def gen_azimuth_channel(
     stream: RandomStream,
 ) -> AzimuthField:
     """Draw one azimuth-only clutter channel instantiation at the origin: the
-    one-row case of :func:`gen_delay_azimuth_channel`, with per-bin magnitude
-    sqrt(2*pi/dphi) * sqrt(p0 * 10^(P_v/10) * 10^(P(phi)/10)).
-    """
-    scale_sq = TWO_PI / grid.delta_phi_rad
-    p_v_db, p0, blocks = _draw_rows(room, params, grid, stream, scale_sq, np.ones(1))
-    _, amplitudes = next(blocks)
-    return AzimuthField(grid, amplitudes[0], p_v_db, p0)
+    one-stream case of :func:`gen_azimuth_channels`."""
+    amplitudes, p_v_db, p0 = gen_azimuth_channels(room, params, grid, [stream])
+    return AzimuthField(grid, amplitudes[0], float(p_v_db[0]), p0)
 
 
 def spin_operator(

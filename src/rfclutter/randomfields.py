@@ -131,7 +131,7 @@ def _wrapped_gaussian_kernel(n_bins: int, rms_bins: float) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _field_filter(n_bins: int, corr_bins: float) -> tuple[np.ndarray, float]:
     """(rfft of the wrapped Gaussian kernel, sqrt(sum kernel^2)): the filter
-    and the norm of :func:`gaussian_field_rows`, computed once per grid and
+    and the norm of :func:`filter_field_rows`, computed once per grid and
     scale.  The spectrum is read-only, since every caller shares it."""
     kernel = _wrapped_gaussian_kernel(n_bins, corr_bins / math.sqrt(2.0))
     kf = np.fft.rfft(kernel)
@@ -139,22 +139,30 @@ def _field_filter(n_bins: int, corr_bins: float) -> tuple[np.ndarray, float]:
     return kf, math.sqrt(float(np.sum(kernel**2)))
 
 
-def gaussian_field_rows(
-    rng: np.random.Generator, n_rows: int, n_bins: int, corr_bins: float
-) -> np.ndarray:
-    """Rows of zero-mean, unit-variance Gaussians with circular Gaussian
-    autocorrelation exp(-lag^2 / (2 corr_bins^2)).
+def filter_field_rows(white: np.ndarray, corr_bins: float) -> np.ndarray:
+    """Rows of white noise, shape (n_rows, n_bins), filtered into rows of
+    zero-mean, unit-variance Gaussians with circular Gaussian autocorrelation
+    exp(-lag^2 / (2 corr_bins^2)).  Draws nothing.
 
-    White noise is circularly convolved with a Gaussian kernel of RMS width
+    The noise is circularly convolved with a Gaussian kernel of RMS width
     corr_bins/sqrt(2) (filtering doubles the squared width), then scaled by
     the exact discrete factor sqrt(sum k^2) so the ensemble variance is 1 on
-    the finite grid.
+    the finite grid.  Each row is filtered on its own: a row's values do not
+    depend on how many rows are filtered with it.
     """
+    n_bins = white.shape[1]
     kf, norm = _field_filter(n_bins, corr_bins)
-    white = rng.standard_normal((n_rows, n_bins))
     rows = np.fft.irfft(np.fft.rfft(white, axis=1) * kf[None, :], n=n_bins, axis=1)
     rows /= norm
     return rows
+
+
+def gaussian_field_rows(
+    rng: np.random.Generator, n_rows: int, n_bins: int, corr_bins: float
+) -> np.ndarray:
+    """Draw ``n_rows`` rows of white noise from ``rng`` and filter them with
+    :func:`filter_field_rows`."""
+    return filter_field_rows(rng.standard_normal((n_rows, n_bins)), corr_bins)
 
 
 def skip_field_rows(rng: np.random.Generator, n_rows: int, n_bins: int) -> None:

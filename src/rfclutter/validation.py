@@ -7,20 +7,29 @@ response calibration, spatial decorrelation, reverberation decay, target
 fluctuation statistics, scene composition, and CLI determinism.  The
 ``validate`` subcommand and the acceptance test suite both run these.
 
-``reverberation_decay`` spreads its 100 independent delay maps over a
-thread pool of :func:`_workers` threads: one per core in the process's
-affinity mask, at most two, the count measured.  Each map draws from its own
-stream and the results are reduced in index order, so no draw and no sum
-changes order and the report's bytes do not depend on the worker count.
-The other checks run serially: the one-row draws of :func:`_spun_ensemble`
-run Python code that holds the interpreter lock, and
-``lognormal_unit_mean``'s 14 MB chunks would raise the suite's peak memory
-more than the threads save.  Off-grid spins are matrix products whose last
-bits depend on the BLAS thread count, so :func:`run_checks` runs the checks
-on one thread of NumPy's bundled OpenBLAS (:func:`_one_blas_thread`).
-Before each check it settles glibc's heap (:func:`_settle_heap`), so the
-suite's peak memory does not depend on where earlier checks' freed blocks
-happened to lie.
+``reverberation_decay`` spreads its 100 independent delay maps, and
+``lognormal_unit_mean`` its 24 field chunks, over a thread pool of
+:func:`_workers` threads: one per core in the process's affinity mask, at
+most two, the count measured.  Each map or chunk draws from its own stream
+and the results are reduced in index order, so no draw and no sum changes
+order and the report's bytes do not depend on the worker count.  A chunk is
+held whole, above the mmap threshold of :func:`_settle_heap`, so the memory
+it took on a worker thread goes back when it is freed.
+
+The ensemble checks draw through :func:`_spun_ensemble` on the calling
+thread, in blocks of 250 (or 25) streams drawn together by
+:func:`~rfclutter.clutter.gen_azimuth_channels`.  The block sizes stay
+fixed: the off-grid spin is one matrix product per block, and its last bits
+depend on how many rows go into it.  The blocks stay off the pool: their
+few-MB arrays are under the mmap threshold, and a worker thread's malloc
+arena keeps such blocks resident after they are freed; threaded, they
+raised the suite's peak RSS from about 220 MB to 230-244 MB.
+
+Off-grid spins are matrix products whose last bits also depend on the BLAS
+thread count, so :func:`run_checks` runs the checks on one thread of
+NumPy's bundled OpenBLAS (:func:`_one_blas_thread`).  Before each check it
+settles glibc's heap (:func:`_settle_heap`), so the suite's peak memory does
+not depend on where earlier checks' freed blocks happened to lie.
 """
 
 from __future__ import annotations
@@ -41,7 +50,9 @@ from scipy import stats as spstats
 
 from .antennas import HPBW_TO_RMS, _wrap_deg, gaussian_horn, omni, pattern_autocorrelation
 from .clutter import (
+    _row_blocks,
     gen_azimuth_channel,
+    gen_azimuth_channels,
     location_phase,
     probe_delay_map,
     spin_amplitudes,
@@ -121,8 +132,9 @@ class ValidationReport:
 
 # glibc's mallopt parameters, and the block size from which malloc maps each
 # block on its own: above a reverberation map's 5.9 MB of magnitudes and a
-# 250-draw stack's 7.2 MB, which the checks allocate and free over and over,
-# and below the 14-32 MB field chunks, spin weights and fluctuation series
+# 250-draw block's 7.2 MB of amplitudes, which the checks allocate and free
+# over and over, and below the 14.4 MB field chunks, the spin weights and the
+# fluctuation series
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 8 << 20
@@ -186,15 +198,16 @@ def _defaults() -> RunConfig:
     return resolve_config(load_config_tree(None))
 
 
-# Each thread in flight holds a delay map's magnitudes and block temporaries,
-# and may keep freed heap in its own malloc arena; peak memory and throughput
-# were measured with two threads only, so no more than two run.
+# Each thread in flight holds a delay map's magnitudes and block temporaries
+# or a field chunk, and may keep freed heap in its own malloc arena; peak
+# memory and throughput were measured with two threads only, so no more than
+# two run.
 _MAX_WORKERS = 2
 
 
 def _workers() -> int:
-    """Threads for ``reverberation_decay``: the cores this process may run
-    on, at most ``_MAX_WORKERS``."""
+    """Threads for ``reverberation_decay`` and ``lognormal_unit_mean``: the
+    cores this process may run on, at most ``_MAX_WORKERS``."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -207,23 +220,22 @@ def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=250):
     blocks of at most ``block`` draws, spun over ``pointings``: yields
     (|Y|^2, p0 * 10^(P_v/10) per draw).  |Y|^2 is (draws, n_pointings), or
     (draws, n_locations, n_pointings) with each draw, drawn at the origin,
-    moved to each of ``locations`` by its :func:`location_phase`."""
+    moved to each of ``locations`` by its :func:`location_phase`.  A block
+    is drawn by one :func:`gen_azimuth_channels` call and spun as one
+    product, so ``block`` sets the spin's last bits."""
     cfg = _defaults()
     spin = spin_operator(cfg.grid, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
     if locations is not None:
         wavelength_m = cfg.clutter.carrier.wavelength_m
         phases = np.stack([location_phase(cfg.grid, wavelength_m, x) for x in locations])
     for start in range(0, n_draws, block):
-        fields = [
-            gen_azimuth_channel(
-                cfg.room, cfg.clutter, cfg.grid, derive_stream(seed, f"{label}/{i}")
-            )
-            for i in range(start, min(start + block, n_draws))
+        streams = [
+            derive_stream(seed, f"{label}/{i}") for i in range(start, min(start + block, n_draws))
         ]
-        amplitudes = np.stack([f.amplitudes for f in fields])
+        amplitudes, p_v_db, p0 = gen_azimuth_channels(cfg.room, cfg.clutter, cfg.grid, streams)
         if locations is not None:
             amplitudes = amplitudes[:, None, :] * phases
-        levels = np.array([f.p0 * 10.0 ** (f.p_v_db / 10.0) for f in fields])
+        levels = np.array([p0 * 10.0 ** (p_v / 10.0) for p_v in p_v_db.tolist()])
         yield np.abs(spin(amplitudes)) ** 2, levels
 
 
@@ -268,23 +280,35 @@ def check_fresnel_average(seed: int) -> tuple[bool, float, str, dict]:
 def check_lognormal_unit_mean(seed: int) -> tuple[bool, float, str, dict]:
     grid = AzimuthGrid(1800)
     n_fields, chunk = 12000, 1000
-    worst = 0.0
-    details = {}
-    for sigma_db in (4.0, 7.0):
+    sigmas = (4.0, 7.0)
+    starts = range(0, n_fields, chunk)
+
+    def chunk_sum(sigma_db, start):
         params = LognormalFieldParams(sigma_db, 1.0)
         corr_bins = params.corr_bins(grid)
-        total, count = 0.0, 0
-        for start in range(0, n_fields, chunk):
-            rng = derive_stream(seed, f"unitmean/{sigma_db}/{start}").generator()
-            lin = gaussian_field_rows(rng, chunk, grid.n_bins, corr_bins)
-            lin *= LN10_OVER_10 * sigma_db  # 10^(x/10) = exp(ln(10)/10 x), in place
-            lin += LN10_OVER_10 * params.mu_db
-            np.exp(lin, out=lin)
-            total += float(lin.sum())
-            count += lin.size
-        mean = total / count
-        details[f"mean_sigma_{sigma_db:g}dB"] = round(mean, 5)
-        worst = max(worst, abs(mean - 1.0))
+        rng = derive_stream(seed, f"unitmean/{sigma_db}/{start}").generator()
+        # 14.4 MB, over _MMAP_THRESHOLD: mapped, and unmapped when freed
+        lin = np.empty((chunk, grid.n_bins))
+        for rows in _row_blocks(chunk, grid.n_bins):
+            z = gaussian_field_rows(rng, rows.stop - rows.start, grid.n_bins, corr_bins)
+            z *= LN10_OVER_10 * sigma_db  # 10^(x/10) = exp(ln(10)/10 x)
+            z += LN10_OVER_10 * params.mu_db
+            np.exp(z, out=lin[rows])
+        return float(lin.sum())  # one pairwise sum over the whole chunk
+
+    worst = 0.0
+    details = {}
+    # each chunk owns its stream and its sum is added in chunk order, so the
+    # means are the same bytes for any worker count
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        chunk_sums = {s: pool.map(chunk_sum, [s] * len(starts), starts) for s in sigmas}
+        for sigma_db, sums in chunk_sums.items():
+            total = 0.0
+            for chunk_total in sums:
+                total += chunk_total
+            mean = total / (n_fields * grid.n_bins)
+            details[f"mean_sigma_{sigma_db:g}dB"] = round(mean, 5)
+            worst = max(worst, abs(mean - 1.0))
     return worst <= 0.01, worst, "linear mean within 1.00 +/- 0.01 for sigma in {4, 7} dB", details
 
 

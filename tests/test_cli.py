@@ -28,6 +28,9 @@ PINNED_DIGESTS = {
     "synth-azimuth --seed 42 --ensemble 4": {
         "azimuth_spectra.csv": "3926af664d7eeae38aaf1358d5a534775bf9d8ded9b176cf45a5e785943cf889",
     },
+    "synth-azimuth --seed 42 --ensemble 20": {
+        "azimuth_spectra.csv": "88c3da15d94d29012905ba8ba2b0a93a3c6fff1fe4a66dd33eaa64efd0da8729",
+    },
     "synth-delay --seed 5": {
         "delay_azimuth_map.f32": "f61242e66853f089d84c6ec2f6efa3637262f074ada244b000aea3a2c5c6a9ff",
         "delay_azimuth_map.json": "2fdb2835b360d71c38fb8bc16e2f5fca8fa5db9e814da8a377ccde8fe96b2bd7",

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -318,13 +319,19 @@ def test_delay_map_is_causal_and_decays():
     pre = dgrid.taus_s < dgrid.onset_s
     live = ~pre
     taus = dgrid.taus_s[live]
-    total = None
     n_draws = 400
-    for i in range(n_draws):
+
+    def profile(i):
         field = gen_delay_azimuth_channel(ROOM, params, dgrid, agrid, derive_stream(8, f"d/{i}"))
         assert np.all(field.amplitudes[pre] == 0)
-        power = np.abs(field.amplitudes[live]) ** 2
-        total = power.mean(axis=1) if total is None else total + power.mean(axis=1)
+        return (np.abs(field.amplitudes[live]) ** 2).mean(axis=1)
+
+    # each map owns its stream; the profiles are added in map order
+    with ThreadPoolExecutor(2) as pool:
+        profiles = pool.map(profile, range(n_draws), timeout=120)
+        total = next(profiles)
+        for p in profiles:
+            total = total + p
     mean_profile = total / n_draws
     # log-slope of the ensemble-mean profile recovers the decay time
     sel = mean_profile > mean_profile[0] * 1e-3
@@ -559,6 +566,20 @@ def test_azimuth_draw_matches_reference_recipe(location_m):
     assert field.p_v_db == p_v_db
     rel = np.abs(moved - expected) / np.abs(expected)
     assert np.max(rel) <= 1e-12
+
+
+@pytest.mark.parametrize("n_streams", [1, 2, 18, 19, 25, 250])
+def test_many_stream_draw_is_each_stream_drawn_alone(n_streams):
+    # 1800 bins make row blocks of 18 rows: 19, 25 and 250 streams end in a
+    # partial block
+    assert clutter._BLOCK_ELEMENTS // GRID.n_bins == 18
+    streams = [derive_stream(29, f"many/{i}") for i in range(n_streams)]
+    amplitudes, p_v_db, p0 = clutter.gen_azimuth_channels(ROOM, _params(), GRID, streams)
+    assert amplitudes.shape == (n_streams, GRID.n_bins) and p_v_db.shape == (n_streams,)
+    for i, stream in enumerate(streams):
+        field = gen_azimuth_channel(ROOM, _params(), GRID, stream)
+        assert np.array_equal(amplitudes[i], field.amplitudes)
+        assert p_v_db[i] == field.p_v_db and p0 == field.p0
 
 
 def test_zero_reflectivity_room_draws_exact_zeros_without_warning():

@@ -23,7 +23,9 @@ def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     reports = []
     for workers in (1, 2):
         monkeypatch.setattr(validation, "_workers", lambda: workers)
-        report = validation.run_checks(["reverberation_decay"], master_seed=3)
+        report = validation.run_checks(
+            ["reverberation_decay", "lognormal_unit_mean"], master_seed=3
+        )
         reports.append(json.dumps(report.to_dict()))
     assert reports[0] == reports[1]
 
