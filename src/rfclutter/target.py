@@ -145,6 +145,15 @@ class SceneSpec:
         t0, t1 = self.trajectory.span_s
         if t0 > 0.0 or t1 < self.duration_s:
             raise ValueError("trajectory must cover the scene duration")
+        # a segment passes the radar where its ends lie on opposite sides of
+        # the origin on one line through it
+        t, p = self.trajectory.times_s, self.trajectory.positions_m
+        a, b = p[:-1], p[1:]
+        through = (a[:, 0] * b[:, 1] == a[:, 1] * b[:, 0]) & (np.sum(a * b, axis=1) < 0)
+        ra, rb = np.hypot(a[:, 0], a[:, 1]), np.hypot(b[:, 0], b[:, 1])
+        t_origin = t[:-1] + np.diff(t) * ra / (ra + rb)
+        if np.any(through & (t_origin >= 0.0) & (t_origin <= self.duration_s)):
+            raise ValueError("the target path passes through the radar (origin) in the scene")
         check_coherence_resolved(self.target.coherence_time_s, self.sample_rate_hz)
 
 
@@ -215,16 +224,16 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
             grid, spec.rx, spec.tx, pointings[sl], spec.tx_pointing_deg
         )(fld.amplitudes)
 
-    # target fluctuation is always drawn so that stream consumption does not
-    # depend on the fluctuation model or the cross-section
-    xi = complex_gaussian_series(
-        n / spec.sample_rate_hz,
-        spec.sample_rate_hz,
-        spec.target.coherence_time_s,
-        stream.child("target/fluctuation"),
-    )
-    if spec.target.model == "constant":
-        xi = np.ones(n, dtype=complex)
+    # the fluctuation has a child stream of its own, so skipping it for the
+    # constant model moves no other draw
+    xi = 1.0
+    if spec.target.model == "swerling1":
+        xi = complex_gaussian_series(
+            n / spec.sample_rate_hz,
+            spec.sample_rate_hz,
+            spec.target.coherence_time_s,
+            stream.child("target/fluctuation"),
+        )
 
     r, bearing = trajectory_state(spec.trajectory, times)
     carrier = spec.clutter.carrier

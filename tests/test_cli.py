@@ -36,11 +36,25 @@ PINNED_DIGESTS = {
         "delay_azimuth_map.json": "2fdb2835b360d71c38fb8bc16e2f5fca8fa5db9e814da8a377ccde8fe96b2bd7",
         "delay_profile.csv": "1258adb8ca849d96e84b32e437b3a2cd109e0f5fc5daf16fd6b391bc7817b236",
     },
+    "synth-azimuth --seed 42 --ensemble 2 --config p360": {
+        "azimuth_spectra.csv": "502570d08a2c7cc5815a79f6e49313d7b5f2c43084eb64f49ac1a46414d0fa1c",
+    },
     "scene --seed 42": {
         "scene_map.f32": "fc27970d5fd604776d86817e9917248ed680dec44c907da738461debbdc96523",
         "scene_map.json": "b49b872a78dd8db1a658cb745abe7e7cb3d51da082694d5176885b9836e0861a",
         "scene_timeseries.csv": "768fab45347c437d61609a834f50853d10301a707ce0e5acce9e419788e2666d",
     },
+    "scene --seed 42 --config constant": {
+        "scene_map.f32": "937675419f087c3e4f94ec40ff93b24d743a3256be7b7b18a097ddeb38225d1d",
+        "scene_map.json": "b49b872a78dd8db1a658cb745abe7e7cb3d51da082694d5176885b9836e0861a",
+        "scene_timeseries.csv": "8fc5c63a8000c9c146e3fbd0a72dcfec8ff9b946deba42d463cf82807608fa14",
+    },
+}
+# the config trees a pinned command names after --config: 360 pointings put
+# the spin on the 0.2 degree grid, and the constant model draws no fluctuation
+PINNED_CONFIGS = {
+    "p360": {"spin": {"pointings_per_rotation": 360}},
+    "constant": {"scene": {"target": {"model": "constant"}}},
 }
 
 
@@ -50,7 +64,13 @@ def test_outputs_match_pinned_digests(tmp_path, command):
     if versions != PINNED_VERSIONS:
         pytest.skip(f"digests pinned with {PINNED_VERSIONS}, running {versions}")
     out = tmp_path / "out"
-    assert run(command.split() + ["--out", str(out)]) == 0
+    argv = command.split()
+    if "--config" in argv:  # a name in PINNED_CONFIGS, written to a file
+        i = argv.index("--config") + 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(PINNED_CONFIGS[argv[i]]))
+        argv[i] = str(cfg)
+    assert run(argv + ["--out", str(out)]) == 0
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in out.iterdir()
@@ -86,11 +106,25 @@ def test_synth_azimuth_seed_changes_data(tmp_path):
     assert (a / "azimuth_spectra.csv").read_bytes() != (b / "azimuth_spectra.csv").read_bytes()
 
 
-def test_metadata_round_trip(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--seed", "7"],
+        ["synth-azimuth", "--seed", "7", "--ensemble", "2"],
+        ["synth-delay", "--seed", "7", "--t-rev-ns", "5"],
+        ["scene", "--seed", "7", "--duration", "1.0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_metadata_round_trip(tmp_path, argv):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["synth-azimuth", "--seed", "7", "--ensemble", "2", "--out", str(a)]) == 0
-    assert run(["synth-azimuth", "--config", str(a / "run_meta.json"), "--out", str(b)]) == 0
-    assert (a / "azimuth_spectra.csv").read_bytes() == (b / "azimuth_spectra.csv").read_bytes()
+    assert run(argv + ["--out", str(a)]) == 0
+    assert run([argv[0], "--config", str(a / "run_meta.json"), "--out", str(b)]) == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    assert "run_meta.json" in names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_synth_delay_outputs_sidecar(tmp_path):
@@ -130,6 +164,16 @@ def test_unknown_config_key_is_rejected(tmp_path):
     out = tmp_path / "o"
     assert run(["synth-azimuth", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()  # no partial outputs on failure
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+def test_unusable_out_exits_2_naming_it(tmp_path, capsys, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert run(["predict", "--out", str(out)]) == 2
+    assert f"--out {out}:" in capsys.readouterr().err
+    assert blocker.read_text() == ""
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):

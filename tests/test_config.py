@@ -185,6 +185,8 @@ def test_invalid_leaf_exits_2_naming_its_key(key, data):
         ({"probe": {"bandwidth_ghz": 0.001}}, "probe"),
         # 0.74 samples per coherence time at 740 Hz
         ({"scene": {"target": {"coherence_time_s": 0.001}}}, "scene"),
+        # sample 1480 of the walk lands on the radar
+        ({"scene": {"waypoints": [[0.0, -1.0, 0.0], [4.0, 1.0, 0.0]]}}, "scene"),
     ],
 )
 @pytest.mark.parametrize("command", ["predict", "synth-azimuth", "synth-delay", "scene"])

@@ -160,6 +160,27 @@ def test_scene_requires_covering_trajectory():
         _demo_scene(duration_s=3.0)  # trajectory spans [0, 2]
 
 
+def test_scene_rejects_a_path_through_the_radar_within_its_span():
+    # the walk from (-1, -0.5) to (2, 1) crosses the origin a third of the way, at t = 1 s
+    through = Trajectory.from_waypoints([(0.0, -1.0, -0.5), (3.0, 2.0, 1.0)])
+    with pytest.raises(ValueError, match="through the radar"):
+        _demo_scene(trajectory=through)
+    _demo_scene(trajectory=through, duration_s=0.9)
+    beside = Trajectory.from_waypoints([(0.0, -1.0, -0.5), (3.0, 2.0, 1.0 + 1e-9)])
+    _demo_scene(trajectory=beside)
+
+
+def test_constant_target_draws_no_fluctuation(monkeypatch):
+    import rfclutter.target
+
+    def no_draw(*args):
+        raise AssertionError("constant target drew a fluctuation series")
+
+    monkeypatch.setattr(rfclutter.target, "complex_gaussian_series", no_draw)
+    spec = _demo_scene(target=replace(TARGET, model="constant"), duration_s=0.5)
+    assert np.all(np.isfinite(compose_scene(spec, derive_stream(24, "const")).power))
+
+
 def test_scene_determinism():
     spec = _demo_scene()
     a = compose_scene(spec, derive_stream(25, "det"))
