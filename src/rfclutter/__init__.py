@@ -33,11 +33,11 @@ from .core import (
     CarrierSpec,
     ConfigurationError,
     RoomSpec,
-    Surface,
     average_backscatter_ratio,
     clutter_integral_quadrature,
     fresnel_average_reflectivity,
     from_db,
+    material_reflectivity,
     to_db,
 )
 from .randomfields import (

@@ -134,9 +134,10 @@ class AntennaPattern:
 
 
 def _normalize(grid: AzimuthGrid, raw_power_on_grid: np.ndarray) -> float:
-    total = float(np.sum(raw_power_on_grid) * grid.delta_phi_rad)
-    if not total > 0.0:  # also rejects NaN
-        raise ValueError("pattern has no power to normalize")
+    with np.errstate(over="ignore"):  # a total out of range is rejected below
+        total = float(np.sum(raw_power_on_grid) * grid.delta_phi_rad)
+    if not 0.0 < total < math.inf:  # also rejects NaN
+        raise ValueError(f"pattern power must total a positive finite value, got {total}")
     return 1.0 / total
 
 
@@ -144,6 +145,10 @@ def gaussian_horn(hpbw_deg: float, grid: AzimuthGrid) -> AntennaPattern:
     """Gaussian main-lobe horn with the given half-power beamwidth."""
     if not 0.0 < hpbw_deg < 180.0:
         raise ValueError(f"hpbw must be in (0, 180) degrees, got {hpbw_deg}")
+    if hpbw_deg < grid.delta_phi_deg:  # the grid cannot resolve the beam
+        raise ValueError(
+            f"hpbw {hpbw_deg} deg is narrower than one grid bin ({grid.delta_phi_deg} deg)"
+        )
     # integer circular bin distances keep mirror bins bit-identical
     j = np.arange(grid.n_bins)
     dist = np.minimum(j, grid.n_bins - j) * grid.delta_phi_deg
@@ -176,6 +181,9 @@ def tabulated(azimuth_deg, gain_db, grid: AzimuthGrid) -> AntennaPattern:
         raise ValueError("need matching 1-D azimuth and gain arrays with >= 2 samples")
     if not (np.all(np.isfinite(az)) and np.all(np.isfinite(gain))):
         raise ValueError("azimuth and gain samples must be finite")
+    with np.errstate(over="ignore"):
+        if not 10.0 ** (np.max(gain) / 10.0) < math.inf:
+            raise ValueError(f"gain {np.max(gain)} dB has no finite linear power")
     if np.any(np.diff(az) <= 0) or az[0] < 0 or az[-1] >= 360.0:
         raise ValueError("azimuth samples must be strictly increasing in [0, 360)")
     p = AntennaPattern(grid, "tabulated", np.empty(0), _tab_az_deg=az, _tab_gain_db=gain)

@@ -7,10 +7,10 @@ checks).  The config is the defaults, merged with ``--config``, merged with
 the flags given (a fragment built from ``_CONFIG_FLAGS``).  A subcommand
 computes from the resolved config and its own options and returns its files;
 ``main`` alone writes them, once all of the config is checked and the run
-computed: it creates ``--out``, writes each file atomically (a temporary file,
-then a rename) and ``run_meta.json`` last.  That file echoes the merged
-config, the seed, and package versions; fed back as ``--config`` it
-reproduces the run byte for byte.
+computed: it checks ``--out`` before computing, then creates it, writes each
+file atomically (a temporary file, then a rename) and ``run_meta.json`` last.
+That file echoes the merged config, the seed, and package versions; fed back
+as ``--config`` it reproduces the run byte for byte.
 
 Units in output files: angles in degrees, powers in dB relative to the
 transmit power, delays in nanoseconds.  Exit codes: 0 success, 1 validation
@@ -227,12 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: Path) -> None:
+    """Fail unless ``out`` is a directory, or its nearest existing ancestor
+    is a writable one; creates nothing."""
+    try:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+    except OSError as exc:  # an ancestor that cannot be searched
+        raise ConfigurationError(f"--out {out}: {exc}") from None
+    if existing == out and not out.is_dir():
+        raise ConfigurationError(f"--out {out}: not a directory")
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigurationError(f"--out {out}: {existing} is not a writable directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     compute, _, _, options = _SUBCOMMANDS[args.command]
     out = Path(args.out)
     try:
         cfg = _resolve(args)
+        _check_out(out)
         files, summary, status = compute(
             cfg, **{option[2:]: getattr(args, option[2:]) for option in options}
         )

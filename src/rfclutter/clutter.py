@@ -186,7 +186,7 @@ class SpunSpectrum:
 def _backscatter_ratio(room, params) -> float:
     """p0, the room's average backscatter ratio at the clutter's carrier."""
     return average_backscatter_ratio(
-        room.distance_to_wall_m, params.carrier.wavelength_m, room.surface.reflectivity()
+        room.distance_to_wall_m, params.carrier.wavelength_m, room.gamma_sq
     )
 
 

@@ -20,7 +20,10 @@ from typing import Callable, NamedTuple
 
 from .antennas import AntennaPattern, gaussian_horn, load_pattern_csv, omni
 from .clutter import ClutterParams, DelayGrid, ProbeWaveform, make_probe_waveform
-from .core import CarrierSpec, ConfigurationError, RoomSpec, Surface, from_db
+from .core import (
+    CarrierSpec, ConfigurationError, RoomSpec, average_backscatter_ratio, from_db,
+    material_reflectivity,
+)
 from .randomfields import AzimuthGrid, lognormal_mean_offset
 from .target import SceneSpec, TargetSpec, Trajectory
 
@@ -127,7 +130,7 @@ SCHEMA = {
             "metal",
             'metal, dielectric:<eps_r >= 1>, gamma:<0 <= gamma_sq <= 1>, {"eps_r": x} or '
             '{"gamma_sq": x}',
-            lambda v: _builds(Surface.from_tag, v),
+            lambda v: _builds(material_reflectivity, v),
         ),
         "t_rev_ns": _number(10.0, "> 0"),
     },
@@ -275,7 +278,8 @@ class RunConfig:
 
 def _pattern(node: dict, grid: AzimuthGrid, path: str) -> AntennaPattern:
     if node["kind"] == "gaussian":
-        return gaussian_horn(float(node["hpbw_deg"]), grid)
+        with _naming(f"{path}.hpbw_deg"):
+            return gaussian_horn(float(node["hpbw_deg"]), grid)
     if node["kind"] == "omni":
         return omni(grid)
     with _naming(f"{path}.path"):
@@ -285,20 +289,22 @@ def _pattern(node: dict, grid: AzimuthGrid, path: str) -> AntennaPattern:
 def resolve_config(tree: dict) -> RunConfig:
     """Check every leaf of a merged config tree, then build the simulator
     objects from it, the scene spec included, so that a rule across keys
-    fails every command alike: the probe against the delay grid names
-    ``probe``, the scene's rules name ``scene``."""
+    fails every command alike: the room's p0 names ``room``, a beam against
+    the grid its ``hpbw_deg``, the probe against the delay grid ``probe``,
+    the scene's rules ``scene``."""
     _check_tree(SCHEMA, tree)
     room_t, delay_t, probe_t, spin = tree["room"], tree["delay"], tree["probe"], tree["spin"]
     scn, target = tree["scene"], tree["scene"]["target"]
+    carrier = CarrierSpec(float(tree["carrier"]["frequency_ghz"]) * 1e9)
+    d_s = room_t["d_s_m"]
+    if d_s is None:  # half the smaller room dimension
+        d_s = 0.5 * min(float(room_t["width_m"]), float(room_t["length_m"]))
     with _naming("room"):
         room = RoomSpec(
-            width_m=float(room_t["width_m"]),
-            length_m=float(room_t["length_m"]),
-            d_s_m=None if room_t["d_s_m"] is None else float(room_t["d_s_m"]),
-            surface=Surface.from_tag(room_t["material"]),
-            t_rev_s=float(room_t["t_rev_ns"]) * 1e-9,
+            float(d_s), material_reflectivity(room_t["material"]), float(room_t["t_rev_ns"]) * 1e-9
         )
-    carrier = CarrierSpec(float(tree["carrier"]["frequency_ghz"]) * 1e9)
+        # p0 must be a finite double for every command, not only those that draw
+        average_backscatter_ratio(room.distance_to_wall_m, carrier.wavelength_m, room.gamma_sq)
     clutter = ClutterParams(carrier, **{k: float(v) for k, v in tree["clutter"].items()})
     with _naming("grid.delta_phi_deg"):
         grid = AzimuthGrid.from_spacing(float(tree["grid"]["delta_phi_deg"]))

@@ -1,17 +1,21 @@
 """Room-level average backscatter model.
 
 The average monostatic clutter return of an indoor scene is abstracted to a
-single distance-to-wall and a single surface power reflectivity.  This module
-holds that closed form, the Fresnel machinery that maps a material class onto
-a reflectivity, and a numerical-quadrature cross-check of the closed form.
-It also holds what the other modules share: the dB conversions (with
-:func:`power_db` for powers that may be 0) and the CSV reader :func:`read_csv_rows`.
+single distance-to-wall and a single surface power reflectivity.  A room is
+:class:`RoomSpec`: those two numbers and the reverberation time of the delay
+model.  This module holds the closed form, :func:`material_reflectivity`
+(the one parser of a material tag, which maps a dielectric onto its
+angle-averaged Fresnel reflectivity), and a numerical-quadrature cross-check
+of the closed form.  It also holds what the other modules share: the dB
+conversions (with :func:`power_db` for powers that may be 0) and the CSV
+reader :func:`read_csv_rows`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,94 +84,50 @@ class CarrierSpec:
         return SPEED_OF_LIGHT / self.frequency_hz
 
 
-@dataclass(frozen=True)
-class Surface:
-    """Dominant surface class of the clutter, mapped to a power reflectivity.
-
-    metal      -> 1.0
-    dielectric -> Fresnel power reflectivity for the given relative
-                  permittivity, averaged over incidence angles
-    explicit   -> the given value, verbatim
-    """
-
-    kind: str
-    eps_r: float | None = None
-    gamma_sq: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("metal", "dielectric", "explicit"):
-            raise ValueError(f"unknown surface kind {self.kind!r}")
-        if self.kind == "dielectric" and (self.eps_r is None or not 1.0 <= self.eps_r < math.inf):
-            raise ValueError("dielectric surface needs a finite eps_r >= 1")
-        if self.kind == "explicit" and (
-            self.gamma_sq is None or not 0.0 <= self.gamma_sq <= 1.0
-        ):
-            raise ValueError("explicit surface needs gamma_sq in [0, 1]")
-
-    @classmethod
-    def metal(cls) -> "Surface":
-        return cls("metal")
-
-    @classmethod
-    def dielectric(cls, eps_r: float) -> "Surface":
-        return cls("dielectric", eps_r=eps_r)
-
-    @classmethod
-    def explicit(cls, gamma_sq: float) -> "Surface":
-        return cls("explicit", gamma_sq=gamma_sq)
-
-    @classmethod
-    def from_tag(cls, tag) -> "Surface":
-        """Parse ``metal``, ``dielectric:<eps_r>``, ``gamma:<gamma_sq>``, or the
-        object forms ``{"eps_r": x}`` and ``{"gamma_sq": x}``."""
-        if tag == "metal":
-            return cls.metal()
-        if isinstance(tag, str):
-            name, _, text = tag.partition(":")
-            key = {"dielectric": "eps_r", "gamma": "gamma_sq"}.get(name)
-            tag = {key: float(text)} if key else tag
-        if isinstance(tag, dict) and len(tag) == 1:
-            [(key, value)] = tag.items()
-            if key in ("eps_r", "gamma_sq") and type(value) in (int, float):
-                return cls("dielectric" if key == "eps_r" else "explicit", **{key: float(value)})
-        raise ValueError(f"unknown material {tag!r}")
-
-    def reflectivity(self) -> float:
-        if self.kind == "metal":
-            return 1.0
-        if self.kind == "dielectric":
-            return fresnel_average_reflectivity(self.eps_r)
-        return self.gamma_sq
+def material_reflectivity(material) -> float:
+    """The power reflectivity gamma_sq of a room material: 1 for ``metal``,
+    the angle-averaged Fresnel reflectivity for ``dielectric:<eps_r>`` or
+    ``{"eps_r": x}``, and the value itself for ``gamma:<gamma_sq>`` or
+    ``{"gamma_sq": x}``.  Anything else, an eps_r outside [1, inf) or a
+    gamma_sq outside [0, 1] raises ValueError."""
+    if material == "metal":
+        return 1.0
+    tag = material
+    if isinstance(tag, str):
+        name, _, text = tag.partition(":")
+        key = {"dielectric": "eps_r", "gamma": "gamma_sq"}.get(name)
+        tag = {key: float(text)} if key else tag
+    if isinstance(tag, dict) and len(tag) == 1:
+        [(key, value)] = tag.items()
+        number = type(value) in (int, float)
+        if key == "eps_r" and number and 1.0 <= value <= sys.float_info.max:
+            return fresnel_average_reflectivity(float(value))
+        if key == "gamma_sq" and number and 0.0 <= value <= 1.0:
+            return float(value)
+    raise ValueError(
+        f"material {material!r}: expected metal, an eps_r in [1, inf) or a gamma_sq in [0, 1]"
+    )
 
 
 @dataclass(frozen=True)
 class RoomSpec:
-    """Room geometry and surface description.
+    """A room as the model sees it: the distance to the nearest illuminated
+    wall, that wall's power reflectivity, and the reverberation time of the
+    diffuse echo decay."""
 
-    ``d_s_m`` is the distance to the nearest illuminated wall, or None for
-    half the smaller room dimension.  ``t_rev_s`` is the reverberation time
-    of the diffuse echo decay and is a direct input.
-    """
-
-    width_m: float
-    length_m: float
-    d_s_m: float | None
-    surface: Surface
+    distance_to_wall_m: float
+    gamma_sq: float
     t_rev_s: float
 
     def __post_init__(self):
-        if self.width_m <= 0 or self.length_m <= 0:
-            raise ValueError("room dimensions must be positive")
-        if self.d_s_m is not None and self.d_s_m <= 0:
-            raise ValueError("d_s must be positive when given")
-        if self.t_rev_s <= 0:
-            raise ValueError("reverberation time must be positive")
-
-    @property
-    def distance_to_wall_m(self) -> float:
-        if self.d_s_m is not None:
-            return self.d_s_m
-        return 0.5 * min(self.width_m, self.length_m)
+        if not 0.0 < self.distance_to_wall_m < math.inf:
+            raise ValueError(
+                f"distance to wall must be positive and finite, got {self.distance_to_wall_m}"
+            )
+        if not 0.0 <= self.gamma_sq <= 1.0:
+            raise ValueError(f"gamma_sq must be in [0, 1], got {self.gamma_sq}")
+        if not self.t_rev_s > 0.0:
+            raise ValueError(f"reverberation time must be positive, got {self.t_rev_s}")
 
     @property
     def onset_s(self) -> float:
@@ -189,7 +149,16 @@ def average_backscatter_ratio(d_s_m: float, wavelength_m: float, gamma_sq: float
         raise ValueError(f"wavelength must be positive, got {wavelength_m}")
     if not 0.0 <= gamma_sq <= 1.0:
         raise ValueError(f"gamma_sq must be in [0, 1], got {gamma_sq}")
-    return gamma_sq * (wavelength_m / (FOUR_PI * d_s_m)) ** 2
+    try:
+        p0 = gamma_sq * (wavelength_m / (FOUR_PI * d_s_m)) ** 2
+    except OverflowError:  # a float ** 2 out of range
+        p0 = math.inf
+    if not p0 < math.inf:
+        raise ValueError(
+            f"p0 = gamma_sq (wavelength / (4 pi d_s))^2 overflows for d_s = {d_s_m} m, "
+            f"wavelength = {wavelength_m} m"
+        )
+    return p0
 
 
 def fresnel_average_reflectivity(eps_r: float) -> float:

@@ -20,8 +20,8 @@ from .antennas import _wrap_deg
 from .core import (
     CarrierSpec,
     ConfigurationError,
-    Surface,
     average_backscatter_ratio,
+    material_reflectivity,
     read_csv_rows,
     to_db,
 )
@@ -153,7 +153,7 @@ def load_room_survey(path=None) -> list[SurveyRow]:
             row = SurveyRow(label, int(n_links), *map(float, numbers), material)
             if not (0.0 < row.d_s_m < math.inf and math.isfinite(row.measured_median_db)):
                 raise ValueError("d_s_m must be finite and positive, measured_median_db finite")
-            if row.material != "bestfit" and Surface.from_tag(row.material).reflectivity() <= 0:
+            if row.material != "bestfit" and material_reflectivity(row.material) <= 0:
                 raise ValueError(f"material {row.material}: zero reflectivity has no finite dB")
         except ValueError as exc:
             raise ConfigurationError(f"{src}:{line}: {exc}") from None
@@ -190,7 +190,7 @@ def survey_report(
         if force_best_fit or row.material == "bestfit":
             candidates = BEST_FIT_REFLECTIVITIES
         else:
-            candidates = (Surface.from_tag(row.material).reflectivity(),)
+            candidates = (material_reflectivity(row.material),)
         predicted = [
             (g, float(to_db(average_backscatter_ratio(row.d_s_m, carrier.wavelength_m, g))))
             for g in candidates

@@ -62,7 +62,6 @@ from .clutter import (
 from .config import RunConfig, load_config_tree, resolve_config
 from .core import (
     ConfigurationError,
-    Surface,
     average_backscatter_ratio,
     clutter_integral_quadrature,
     fresnel_average_reflectivity,
@@ -521,9 +520,7 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
 
     # constant-fluctuation peak against the hand-evaluated link budget
     wl = cfg.clutter.carrier.wavelength_m
-    peak_room = replace(
-        cfg.room, width_m=30.0, length_m=20.0, d_s_m=5.0, surface=Surface.explicit(0.0)
-    )
+    peak_room = replace(cfg.room, distance_to_wall_m=5.0, gamma_sq=0.0)
     peak_traj = Trajectory.from_waypoints([(0.0, 5.0, -4.0), (8.0, 5.0, 4.0)])
     peak_spec = replace(
         spec,

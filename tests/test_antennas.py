@@ -65,6 +65,9 @@ def test_gaussian_horn_rejects_bad_beamwidth():
         gaussian_horn(0.0, GRID)
     with pytest.raises(ValueError):
         gaussian_horn(180.0, GRID)
+    with pytest.raises(ValueError, match="narrower than one grid bin"):
+        gaussian_horn(0.19, GRID)  # 0.2 degree bins
+    assert np.all(np.isfinite(gaussian_horn(0.2, GRID).field))
 
 
 def test_autocorrelation_matches_brute_force():
@@ -120,7 +123,8 @@ def test_tabulated_requires_increasing_azimuth():
 
 
 def test_tabulated_rejects_non_finite_samples(tmp_path):
-    for gain in ([0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]):
+    # a 4000 dB gain is finite but its linear power is not
+    for gain in ([0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0], [4000.0, 0.0]):
         with pytest.raises(ValueError):
             tabulated([0.0, 180.0], gain, GRID)
     with pytest.raises(ValueError):
@@ -136,6 +140,8 @@ def test_normalize_rejects_nan_power():
     power[7] = math.nan
     with pytest.raises(ValueError):
         _normalize(GRID, power)
+    with pytest.raises(ValueError, match="positive finite"):
+        _normalize(GRID, np.full(GRID.n_bins, 1e308))  # the total overflows
 
 
 def test_gain_at_matches_directivity():

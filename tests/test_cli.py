@@ -39,6 +39,15 @@ PINNED_DIGESTS = {
     "synth-azimuth --seed 42 --ensemble 2 --config p360": {
         "azimuth_spectra.csv": "502570d08a2c7cc5815a79f6e49313d7b5f2c43084eb64f49ac1a46414d0fa1c",
     },
+    "synth-azimuth --seed 42 --ensemble 2 --material dielectric:3": {
+        "azimuth_spectra.csv": "374a5f08f08288ca164c76627c647fbab449858b624c52e635e3a60b563f29c2",
+    },
+    "synth-azimuth --seed 42 --ensemble 2 --material gamma:0.25 --room-w 8 --room-l 5": {
+        "azimuth_spectra.csv": "2109b0c7db75ed06b4f1b03f402389cd185b8548622bdf1dc21dfea5b4991379",
+    },
+    "synth-azimuth --seed 42 --ensemble 2 --config eps45": {
+        "azimuth_spectra.csv": "7d9b82b226ff6aaebe7fe643802f3ce07f496588f9b646b543116fc9f19e65c2",
+    },
     "scene --seed 42": {
         "scene_map.f32": "fc27970d5fd604776d86817e9917248ed680dec44c907da738461debbdc96523",
         "scene_map.json": "b49b872a78dd8db1a658cb745abe7e7cb3d51da082694d5176885b9836e0861a",
@@ -51,10 +60,12 @@ PINNED_DIGESTS = {
     },
 }
 # the config trees a pinned command names after --config: 360 pointings put
-# the spin on the 0.2 degree grid, and the constant model draws no fluctuation
+# the spin on the 0.2 degree grid, the constant model draws no fluctuation,
+# and eps45 is the object form of a dielectric material
 PINNED_CONFIGS = {
     "p360": {"spin": {"pointings_per_rotation": 360}},
     "constant": {"scene": {"target": {"model": "constant"}}},
+    "eps45": {"room": {"material": {"eps_r": 4.5}}},
 }
 
 
@@ -167,13 +178,46 @@ def test_unknown_config_key_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
-def test_unusable_out_exits_2_naming_it(tmp_path, capsys, under):
+def test_unusable_out_exits_2_naming_it(tmp_path, capsys, monkeypatch, under):
+    def compute(*args, **kwargs):  # --out is checked before computing
+        raise AssertionError("computed for an unusable --out")
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "predict", (compute, *cli._SUBCOMMANDS["predict"][1:]))
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "sub" if under else blocker
     assert run(["predict", "--out", str(out)]) == 2
     assert f"--out {out}:" in capsys.readouterr().err
-    assert blocker.read_text() == ""
+    assert blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
+
+
+def test_out_that_fails_at_write_time_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "predictions.csv").mkdir()  # a usable --out, but no file can replace this
+    assert run(["predict", "--out", str(tmp_path)]) == 2
+    assert f"--out {tmp_path}:" in capsys.readouterr().err
+
+
+def test_fresnel_evaluations_do_not_grow_with_draws(tmp_path, monkeypatch):
+    from rfclutter import core
+
+    calls = []
+    fresnel = core.fresnel_average_reflectivity
+    monkeypatch.setattr(
+        core, "fresnel_average_reflectivity", lambda eps_r: calls.append(eps_r) or fresnel(eps_r)
+    )
+    regen = tmp_path / "regen.json"
+    regen.write_text(json.dumps({"scene": {"regenerate_clutter_per_rotation": True}}))
+    counts = []
+    for argv in (
+        ["synth-azimuth", "--ensemble", "1"],
+        ["synth-azimuth", "--ensemble", "8"],
+        ["scene", "--duration", "1", "--config", str(regen)],  # 5 rotations, 5 draws
+    ):
+        calls.clear()
+        assert run(argv + ["--material", "dielectric:3", "--out", str(tmp_path / "o")]) == 0
+        counts.append(len(calls))
+    # the schema leaf and the resolved room each evaluate it once
+    assert counts == [2, 2, 2]
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):

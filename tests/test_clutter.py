@@ -13,7 +13,6 @@ from rfclutter import (
     ConfigurationError,
     DelayGrid,
     ProbeWaveform,
-    Surface,
     band_limit,
     derive_stream,
     gaussian_horn,
@@ -304,7 +303,7 @@ def test_pdp_envelope_reference_points():
 
 
 def test_delay_grid_onset():
-    room = replace(ROOM, width_m=6.0, length_m=6.0)  # d_s = 3 m
+    room = replace(ROOM, distance_to_wall_m=3.0)
     dgrid = DelayGrid.for_room(room, DELTA_TAU_S, None)
     assert dgrid.onset_s == pytest.approx(20.01e-9, abs=5e-12)
     assert dgrid.tau_max_s == pytest.approx(dgrid.onset_s + 9.21 * 10e-9, rel=1e-12)
@@ -434,7 +433,7 @@ def _reference_delay_map(room, params, dgrid, agrid, stream):
     )
     phases = rng.uniform(0.0, 2.0 * math.pi, fields_db.shape)
     p0 = average_backscatter_ratio(
-        room.distance_to_wall_m, params.carrier.wavelength_m, room.surface.reflectivity()
+        room.distance_to_wall_m, params.carrier.wavelength_m, room.gamma_sq
     )
     envelope = pdp_envelope(dgrid.taus_s[live], room.distance_to_wall_m, room.t_rev_s)
     scale = math.sqrt(2.0 * math.pi / agrid.delta_phi_rad / dgrid.delta_tau_s)
@@ -547,7 +546,7 @@ def _reference_azimuth_channel(room, params, grid, location_m, stream):
     )[0]
     phases = rng.uniform(0.0, 2.0 * math.pi, grid.n_bins)
     p0 = average_backscatter_ratio(
-        room.distance_to_wall_m, params.carrier.wavelength_m, room.surface.reflectivity()
+        room.distance_to_wall_m, params.carrier.wavelength_m, room.gamma_sq
     )
     phi = np.deg2rad(grid.centers_deg)
     k = 2.0 * math.pi / params.carrier.wavelength_m
@@ -583,7 +582,7 @@ def test_many_stream_draw_is_each_stream_drawn_alone(n_streams):
 
 
 def test_zero_reflectivity_room_draws_exact_zeros_without_warning():
-    room = replace(ROOM, surface=Surface.explicit(0.0))
+    room = replace(ROOM, gamma_sq=0.0)
     agrid = AzimuthGrid(360)
     dgrid = DelayGrid.for_room(room, DELTA_TAU_S, None)
     with warnings.catch_warnings():
@@ -629,7 +628,7 @@ def test_streamed_delay_map_equals_held(n_pointings, tx_hpbw, tx_pointing, bandw
 
 
 def test_streamed_delay_map_of_zero_reflectivity_room_is_minus_inf_without_warning():
-    room = replace(ROOM, surface=Surface.explicit(0.0))
+    room = replace(ROOM, gamma_sq=0.0)
     agrid = AzimuthGrid(360)
     dgrid = DelayGrid.for_room(room, DELTA_TAU_S, None)
     args = (room, _params(), dgrid, agrid, derive_stream(31, "z"),

@@ -187,6 +187,18 @@ def test_invalid_leaf_exits_2_naming_its_key(key, data):
         ({"scene": {"target": {"coherence_time_s": 0.001}}}, "scene"),
         # sample 1480 of the walk lands on the radar
         ({"scene": {"waypoints": [[0.0, -1.0, 0.0], [4.0, 1.0, 0.0]]}}, "scene"),
+        # half of the width rounds to a wall distance of 0
+        ({"room": {"width_m": 5e-324}}, "room"),
+        # p0 = gamma_sq (wavelength / (4 pi d_s))^2 overflows
+        ({"room": {"d_s_m": 1e-300}}, "room"),
+        ({"carrier": {"frequency_ghz": 1e-190}}, "room"),
+        ({"carrier": {"frequency_ghz": 1e-308}}, "room"),
+        # Gaussian beams narrower than one grid bin
+        ({"antennas": {"rx": {"hpbw_deg": 1e-160}}}, "antennas.rx.hpbw_deg"),
+        ({"antennas": {"rx": {"hpbw_deg": 1e-3}}}, "antennas.rx.hpbw_deg"),
+        ({"antennas": {"tx": {"kind": "gaussian", "hpbw_deg": 0.1}}}, "antennas.tx.hpbw_deg"),
+        ({"grid": {"delta_phi_deg": 0.5}, "antennas": {"rx": {"hpbw_deg": 0.4}}},
+         "antennas.rx.hpbw_deg"),
     ],
 )
 @pytest.mark.parametrize("command", ["predict", "synth-azimuth", "synth-delay", "scene"])
@@ -237,7 +249,7 @@ def test_default_config_is_derived_from_the_schema():
 # signature gives them a default, so a schema default changed alone reaches
 # every caller
 SCHEMA_PARAMETERS = [
-    (core.RoomSpec, ["d_s_m", "surface", "t_rev_s"]),
+    (core.RoomSpec, ["distance_to_wall_m", "gamma_sq", "t_rev_s"]),
     (clutter.ClutterParams, ["sigma_v_db", "sigma_db", "phi_rms_deg"]),
     (target.TargetSpec, ["sigma0_dbsm", "coherence_time_s", "model"]),
     (clutter.uniform_pointings, ["n"]),
@@ -350,12 +362,14 @@ def test_bad_pattern_row_exits_2_naming_file_and_line(tmp_path, row):
 
 # (leaf, values whose derived linear value leaves the positive finite doubles,
 # values just inside that range): the power 10^(mu/10) of a dB spread's
-# unit-mean offset, sigma0 of the target RCS, the carrier wavelength
+# unit-mean offset, sigma0 of the target RCS, the carrier wavelength.  Below
+# about 1.2e-156 GHz the default room's p0 overflows, which names ``room``
+# (test_every_subcommand_checks_the_whole_tree)
 LINEAR_BOUNDARIES = [
     ("clutter.sigma_db", [167.7, 300, 1e6], [167.6, 7.0]),
     ("clutter.sigma_v_db", [167.7, 1e200], [167.6, 4.0]),
     ("scene.target.rcs_dbsm", [3082.6, 4000, -3236.1], [3082.5, -3236.0, -8.0]),
-    ("carrier.frequency_ghz", [1.8e299, 1e300, 1e-310], [1.7e299, 1e-308, 28.0]),
+    ("carrier.frequency_ghz", [1.8e299, 1e300, 1e-310], [1.7e299, 1e-150, 28.0]),
 ]
 
 
@@ -371,6 +385,28 @@ def test_derived_linear_value_must_be_a_positive_finite_double(tmp_path, key, re
         assert not out.exists()
     for value in accepted:
         config.resolve_config(config.load_config_tree(None, _fragment(key, value)))
+
+
+def test_beam_of_one_grid_bin_is_valid_and_finite(tmp_path):
+    out = tmp_path / "out"
+    rc, err = _run(["synth-azimuth", "--hpbw-deg", "0.2", "--out", str(out)])
+    assert rc == 0, err
+    lines = (out / "azimuth_spectra.csv").read_text().splitlines()[2:]
+    assert len(lines) == 148
+    assert all(math.isfinite(float(line.split(",")[2])) for line in lines)
+
+
+@pytest.mark.parametrize(
+    "rows", ["0,4000\n180,0\n", "0,3080\n180,3080\n"], ids=["4000-dB-row", "3080-dB-total"]
+)
+def test_pattern_whose_power_overflows_exits_2(tmp_path, rows):
+    # pytest turns a RuntimeWarning into an error, so a warning here exits 3
+    pattern, cfg, out = tmp_path / "pattern.csv", tmp_path / "cfg.json", tmp_path / "o"
+    pattern.write_text("azimuth_deg,gain_db\n" + rows)
+    cfg.write_text(json.dumps({"antennas": {"rx": {"kind": "csv", "path": str(pattern)}}}))
+    rc, err = _run(["synth-azimuth", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2 and "config antennas.rx.path:" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ import pytest
 from rfclutter import (
     CarrierSpec,
     RoomSpec,
-    Surface,
     average_backscatter_ratio,
     clutter_integral_quadrature,
     fresnel_average_reflectivity,
+    material_reflectivity,
     to_db,
 )
 from rfclutter.antennas import HPBW_TO_RMS
@@ -128,9 +128,7 @@ def test_quadrature_scales_with_transmit_gain():
 
 
 def _p0_db(room, carrier):
-    ratio = average_backscatter_ratio(
-        room.distance_to_wall_m, carrier.wavelength_m, room.surface.reflectivity()
-    )
+    ratio = average_backscatter_ratio(room.distance_to_wall_m, carrier.wavelength_m, room.gamma_sq)
     return float(to_db(ratio))
 
 
@@ -140,10 +138,10 @@ def test_predict_room_defaults_and_values():
     assert office.distance_to_wall_m == 1.5
     assert _p0_db(office, carrier) == pytest.approx(-64.9, abs=0.05)
 
-    cafeteria = replace(office, width_m=30.0, length_m=20.0, d_s_m=10.0)
+    cafeteria = replace(office, distance_to_wall_m=10.0)
     assert _p0_db(cafeteria, carrier) == pytest.approx(-81.4, abs=0.05)
 
-    dull = _p0_db(replace(office, surface=Surface.explicit(0.25)), carrier)
+    dull = _p0_db(replace(office, gamma_sq=0.25), carrier)
     assert dull == pytest.approx(-70.9, abs=0.05)
     assert dull == pytest.approx(_p0_db(office, carrier) + 10 * math.log10(0.25), abs=1e-9)
 
@@ -152,18 +150,38 @@ def test_predict_room_default_wall_distance_is_half_min_dimension():
     rng = np.random.default_rng(11)
     for _ in range(20):
         w, l = rng.uniform(2, 40, size=2)
-        room = RoomSpec(w, l, d_s_m=None, surface=Surface.metal(), t_rev_s=10e-9)
-        assert room.distance_to_wall_m == 0.5 * min(w, l)
+        tree = load_config_tree(None, {"room": {"width_m": w, "length_m": l}})
+        assert resolve_config(tree).room.distance_to_wall_m == 0.5 * min(w, l)
+    # a given d_s_m wins over the dimensions
+    tree = load_config_tree(None, {"room": {"width_m": 8.0, "d_s_m": 2.5}})
+    assert resolve_config(tree).room.distance_to_wall_m == 2.5
 
 
 def test_room_and_surface_validation():
-    with pytest.raises(ValueError):
-        replace(DEFAULTS.room, width_m=0.0)
-    with pytest.raises(ValueError):
-        replace(DEFAULTS.room, d_s_m=-1.0)
+    assert [f.name for f in fields(RoomSpec)] == ["distance_to_wall_m", "gamma_sq", "t_rev_s"]
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            replace(DEFAULTS.room, distance_to_wall_m=bad)
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            replace(DEFAULTS.room, gamma_sq=bad)
     with pytest.raises(ValueError):
         replace(DEFAULTS.room, t_rev_s=0.0)
-    with pytest.raises(ValueError):
-        Surface.dielectric(0.5)
-    with pytest.raises(ValueError):
-        Surface.explicit(1.5)
+    for bad in ("dielectric:0.5", "gamma:1.5", {"eps_r": 1e400}, {"eps_r": 10**400}, "wood"):
+        with pytest.raises(ValueError):
+            material_reflectivity(bad)
+
+
+@pytest.mark.parametrize(
+    "material, gamma_sq",
+    [
+        ("metal", 1.0),
+        ("dielectric:3", fresnel_average_reflectivity(3.0)),
+        ({"eps_r": 4.5}, fresnel_average_reflectivity(4.5)),
+        ("dielectric:1", 0.0),
+        ("gamma:0.25", 0.25),
+        ({"gamma_sq": 1}, 1.0),
+    ],
+)
+def test_material_reflectivity_parses_every_form(material, gamma_sq):
+    assert material_reflectivity(material) == gamma_sq

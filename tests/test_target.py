@@ -8,7 +8,6 @@ from rfclutter import (
     AzimuthGrid,
     CarrierSpec,
     SceneSpec,
-    Surface,
     Trajectory,
     complex_gaussian_series,
     compose_scene,
@@ -28,7 +27,7 @@ TARGET = DEFAULTS.scene_spec().target  # -8 dBsm, 0.1 s, Swerling I
 CARRIER = CarrierSpec(28e9)
 GRID = AzimuthGrid(1800)
 OMNI = omni(GRID)
-NO_CLUTTER = replace(DEFAULTS.room, surface=Surface.explicit(0.0))
+NO_CLUTTER = replace(DEFAULTS.room, gamma_sq=0.0)
 
 
 def test_trajectory_interpolation():
@@ -105,7 +104,7 @@ def test_zero_rcs_scene_equals_clutter_only():
 def test_static_target_leaves_persistent_ridge():
     traj = Trajectory.from_waypoints([(0.0, 2.298, 1.928), (2.0, 2.298, 1.928)])  # 40 deg, R=3
     spec = _demo_scene(
-        room=replace(DEFAULTS.room, width_m=8.0, length_m=8.0, surface=Surface.explicit(0.0)),
+        room=replace(DEFAULTS.room, distance_to_wall_m=4.0, gamma_sq=0.0),
         trajectory=traj,
         target=replace(TARGET, sigma0_dbsm=10.0, model="constant"),
     )
