@@ -59,7 +59,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -130,22 +130,19 @@ def _unit_phasors(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClutterParams:
-    """Statistical parameters of the clutter channel."""
+    """Statistical parameters of the clutter channel; ``field_params`` is built once, here."""
 
     carrier: CarrierSpec
     sigma_v_db: float  # location-level spread of the local average
     sigma_db: float  # azimuthal spread about the local average
     phi_rms_deg: float  # azimuth correlation scale
+    field_params: LognormalFieldParams = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sigma_v_db < 0 or self.sigma_db < 0:
-            raise ValueError("dB spreads must be nonnegative")
-        if self.phi_rms_deg <= 0:
-            raise ValueError("phi_rms must be positive")
-
-    @property
-    def field_params(self) -> LognormalFieldParams:
-        return LognormalFieldParams(self.sigma_db, self.phi_rms_deg)
+        if self.sigma_v_db < 0:
+            raise ValueError("sigma_v_db must be nonnegative")
+        field_params = LognormalFieldParams(self.sigma_db, self.phi_rms_deg)  # checks the two
+        object.__setattr__(self, "field_params", field_params)
 
 
 def location_phase(grid: AzimuthGrid, wavelength_m: float, move_m) -> np.ndarray:

@@ -3,7 +3,8 @@
 A single JSON tree configures every subcommand.  ``SCHEMA`` pairs each leaf
 with its default (``DEFAULT_CONFIG`` is derived from it) and its domain:
 unknown keys are rejected and every leaf is checked, naming its dotted key,
-before any object is built.  The merged tree is echoed into each run's
+before any object is built; ``room.material`` and ``scene.waypoints`` are
+checked by their one build.  The merged tree is echoed into each run's
 metadata so it can be fed back as a config file and reproduce the run.
 """
 
@@ -87,14 +88,6 @@ def _choice(default, *options) -> _Leaf:
     return _Leaf(default, f"one of {list(options)}", lambda v: isinstance(v, str) and v in options)
 
 
-def _builds(make, value) -> bool:
-    try:
-        make(value)
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
 def _numbers_only(v) -> bool:
     return all(map(_numbers_only, v)) if isinstance(v, list) else _is_number(v)
 
@@ -130,7 +123,7 @@ SCHEMA = {
             "metal",
             'metal, dielectric:<eps_r >= 1>, gamma:<0 <= gamma_sq <= 1>, {"eps_r": x} or '
             '{"gamma_sq": x}',
-            lambda v: _builds(material_reflectivity, v),
+            lambda v: True,  # built, and so checked, by resolve_config
         ),
         "t_rev_ns": _number(10.0, "> 0"),
     },
@@ -172,7 +165,7 @@ SCHEMA = {
         "waypoints": _Leaf(
             [[0.0, 1.4, -0.6], [1.66, 0.25, 0.35], [3.32, 1.4, -0.6], [4.0, 1.4, -0.6]],
             "a list of [t, x, y] waypoints of finite numbers, t increasing, off the origin",
-            lambda v: _numbers_only(v) and _builds(Trajectory.from_waypoints, v),
+            _numbers_only,  # and built, and so checked, by resolve_config
         ),
         "regenerate_clutter_per_rotation": _Leaf(False, "true or false", lambda v: type(v) is bool),
     },
@@ -246,7 +239,8 @@ def _check_tree(schema: dict, tree: dict, path: str = "") -> None:
 @contextlib.contextmanager
 def _naming(path: str):
     """Name ``path`` in a ValueError from building objects out of checked
-    leaves: an error that involves more than one key, or a file."""
+    leaves: an error that involves more than one key, a file, or a leaf that
+    only its build checks."""
     try:
         yield
     except ValueError as exc:
@@ -288,10 +282,10 @@ def _pattern(node: dict, grid: AzimuthGrid, path: str) -> AntennaPattern:
 
 def resolve_config(tree: dict) -> RunConfig:
     """Check every leaf of a merged config tree, then build the simulator
-    objects from it, the scene spec included, so that a rule across keys
-    fails every command alike: the room's p0 names ``room``, a beam against
-    the grid its ``hpbw_deg``, the probe against the delay grid ``probe``,
-    the scene's rules ``scene``."""
+    objects from it, the material and the waypoints once each and the scene
+    spec included, so that a rule across keys fails every command alike: the
+    room's p0 names ``room``, a beam against the grid its ``hpbw_deg``, the
+    probe against the delay grid ``probe``, the scene's rules ``scene``."""
     _check_tree(SCHEMA, tree)
     room_t, delay_t, probe_t, spin = tree["room"], tree["delay"], tree["probe"], tree["spin"]
     scn, target = tree["scene"], tree["scene"]["target"]
@@ -299,11 +293,11 @@ def resolve_config(tree: dict) -> RunConfig:
     d_s = room_t["d_s_m"]
     if d_s is None:  # half the smaller room dimension
         d_s = 0.5 * min(float(room_t["width_m"]), float(room_t["length_m"]))
+    with _naming("room.material"):
+        gamma_sq = material_reflectivity(room_t["material"])
     with _naming("room"):
-        room = RoomSpec(
-            float(d_s), material_reflectivity(room_t["material"]), float(room_t["t_rev_ns"]) * 1e-9
-        )
-        # p0 must be a finite double for every command, not only those that draw
+        room = RoomSpec(float(d_s), gamma_sq, float(room_t["t_rev_ns"]) * 1e-9)
+        # p0 must be a normal double for every command, not only those that draw
         average_backscatter_ratio(room.distance_to_wall_m, carrier.wavelength_m, room.gamma_sq)
     clutter = ClutterParams(carrier, **{k: float(v) for k, v in tree["clutter"].items()})
     with _naming("grid.delta_phi_deg"):
@@ -325,13 +319,15 @@ def resolve_config(tree: dict) -> RunConfig:
     rx = _pattern(tree["antennas"]["rx"], grid, "antennas.rx")
     tx = _pattern(tree["antennas"]["tx"], grid, "antennas.tx")
     tx_pointing_deg = float(tree["antennas"]["tx_pointing_deg"])
+    with _naming("scene.waypoints"):
+        trajectory = Trajectory.from_waypoints(scn["waypoints"])
     with _naming("scene"):
         scene = SceneSpec(
             room=room, clutter=clutter, rx=rx, tx=tx,
             target=TargetSpec(
                 float(target["rcs_dbsm"]), float(target["coherence_time_s"]), target["model"]
             ),
-            trajectory=Trajectory.from_waypoints(scn["waypoints"]),
+            trajectory=trajectory,
             spin_period_s=float(spin["period_s"]),
             sample_rate_hz=float(spin["sample_rate_hz"]),
             duration_s=float(scn["duration_s"]),

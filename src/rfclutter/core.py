@@ -141,7 +141,8 @@ def average_backscatter_ratio(d_s_m: float, wavelength_m: float, gamma_sq: float
     gamma_sq * (wavelength / (4 pi d_s))**2 -- the single-distance,
     single-reflectivity room abstraction.  Independent of the antenna
     patterns as long as the receive beam is narrow enough that the clutter
-    fills it.
+    fills it.  A p0 that overflows, or that is below the normal doubles for
+    a nonzero gamma_sq, raises ValueError; gamma_sq = 0 gives 0 (-inf dB).
     """
     if d_s_m <= 0:
         raise ValueError(f"d_s must be positive, got {d_s_m}")
@@ -153,10 +154,10 @@ def average_backscatter_ratio(d_s_m: float, wavelength_m: float, gamma_sq: float
         p0 = gamma_sq * (wavelength_m / (FOUR_PI * d_s_m)) ** 2
     except OverflowError:  # a float ** 2 out of range
         p0 = math.inf
-    if not p0 < math.inf:
+    if not p0 < math.inf or gamma_sq > 0.0 and p0 < sys.float_info.min:
         raise ValueError(
-            f"p0 = gamma_sq (wavelength / (4 pi d_s))^2 overflows for d_s = {d_s_m} m, "
-            f"wavelength = {wavelength_m} m"
+            f"p0 = gamma_sq (wavelength / (4 pi d_s))^2 = {p0} is not a positive normal double "
+            f"for d_s = {d_s_m} m, wavelength = {wavelength_m} m, gamma_sq = {gamma_sq}"
         )
     return p0
 

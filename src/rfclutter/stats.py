@@ -131,7 +131,8 @@ class SurveyRow:
     dim_b_m: float
     d_s_m: float
     measured_median_db: float
-    material: str  # "metal", "bestfit", "dielectric:<eps>", or "gamma:<value>"
+    gamma_sq: float | None  # the material's reflectivity; None for "bestfit"
+    source: str = "survey row"  # "<file>:<line>" for a row read from a file
 
 
 def _survey_data_path() -> Path:
@@ -150,11 +151,12 @@ def load_room_survey(path=None) -> list[SurveyRow]:
     rows = []
     for line, (label, n_links, *numbers, material) in read_csv_rows(src, _SURVEY_HEADER):
         try:
-            row = SurveyRow(label, int(n_links), *map(float, numbers), material)
+            gamma_sq = None if material == "bestfit" else material_reflectivity(material)
+            row = SurveyRow(label, int(n_links), *map(float, numbers), gamma_sq, f"{src}:{line}")
             if not (0.0 < row.d_s_m < math.inf and math.isfinite(row.measured_median_db)):
                 raise ValueError("d_s_m must be finite and positive, measured_median_db finite")
-            if row.material != "bestfit" and material_reflectivity(row.material) <= 0:
-                raise ValueError(f"material {row.material}: zero reflectivity has no finite dB")
+            if gamma_sq == 0.0:
+                raise ValueError(f"material {material}: zero reflectivity has no finite dB")
         except ValueError as exc:
             raise ConfigurationError(f"{src}:{line}: {exc}") from None
         rows.append(row)
@@ -180,21 +182,25 @@ def survey_report(
 ) -> SurveyReport:
     """Predict every surveyed room and report prediction - measured errors.
 
-    Rows tagged ``bestfit`` (or all rows, when ``force_best_fit``) pick the
-    reflectivity from {1, 0.25} that minimizes the absolute error.
+    Rows tagged ``bestfit``, with no ``gamma_sq`` (or all rows, when
+    ``force_best_fit``), pick the reflectivity from {1, 0.25} that minimizes
+    the absolute error.  A row whose p0 is out of range (see
+    :func:`average_backscatter_ratio`) raises a ConfigurationError naming its
+    ``source``.
     """
     if not rows:
         raise ValueError("no survey rows")
     chosen = []
     for row in rows:
-        if force_best_fit or row.material == "bestfit":
-            candidates = BEST_FIT_REFLECTIVITIES
-        else:
-            candidates = (material_reflectivity(row.material),)
-        predicted = [
-            (g, float(to_db(average_backscatter_ratio(row.d_s_m, carrier.wavelength_m, g))))
-            for g in candidates
-        ]
+        best_fit = force_best_fit or row.gamma_sq is None
+        candidates = BEST_FIT_REFLECTIVITIES if best_fit else (row.gamma_sq,)
+        try:
+            predicted = [
+                (g, float(to_db(average_backscatter_ratio(row.d_s_m, carrier.wavelength_m, g))))
+                for g in candidates
+            ]
+        except ValueError as exc:
+            raise ConfigurationError(f"{row.source}: {exc}") from None
         # the first of equally close candidates wins
         g, p0_db = min(predicted, key=lambda c: abs(c[1] - row.measured_median_db))
         chosen.append((g, p0_db, p0_db - row.measured_median_db))

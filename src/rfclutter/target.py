@@ -64,12 +64,15 @@ class Trajectory:
 
     @classmethod
     def from_waypoints(cls, waypoints) -> "Trajectory":
-        """Build from [(t, x, y), ...] tuples."""
-        times, pos = [], []
-        for t, x, y in waypoints:
-            times.append(float(t))
-            pos.append((float(x), float(y)))
-        return cls(np.asarray(times), np.asarray(pos))
+        """Build from [(t, x, y), ...] tuples; other input raises ValueError naming it."""
+        try:
+            times, pos = [], []
+            for t, x, y in waypoints:
+                times.append(float(t))
+                pos.append((float(x), float(y)))
+            return cls(np.asarray(times), np.asarray(pos))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"waypoints {waypoints!r}: {exc}") from None
 
     @property
     def span_s(self) -> tuple[float, float]:
@@ -121,6 +124,19 @@ def target_response(
     return float(p) if np.ndim(p) == 0 else p
 
 
+def _distance_from_radar(a, b, ca, cb) -> float:
+    """Distance from the origin to the part ca -> cb of the segment a -> b:
+    an end's, or inside, |a x b| / |b - a|, exact for a segment through or
+    near the origin; a product that overflows gives the ends'."""
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    ends = min(math.hypot(*ca), math.hypot(*cb))
+    if ca[0] * dx + ca[1] * dy < 0.0 < cb[0] * dx + cb[1] * dy:
+        inside = abs(ax * by - ay * bx) / math.hypot(dx, dy)
+        return inside if inside < ends else ends
+    return ends
+
+
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
     """Everything needed to render a moving target against room clutter."""
@@ -145,15 +161,23 @@ class SceneSpec:
         t0, t1 = self.trajectory.span_s
         if t0 > 0.0 or t1 < self.duration_s:
             raise ValueError("trajectory must cover the scene duration")
-        # a segment passes the radar where its ends lie on opposite sides of
-        # the origin on one line through it
+        # the path must not pass through the radar (the origin) within the
+        # scene, nor so near it that the echo lambda^2 sigma0 G_T G_R /
+        # ((4 pi)^3 R^4), at the patterns' peak gains, overflows
         t, p = self.trajectory.times_s, self.trajectory.positions_m
-        a, b = p[:-1], p[1:]
-        through = (a[:, 0] * b[:, 1] == a[:, 1] * b[:, 0]) & (np.sum(a * b, axis=1) < 0)
-        ra, rb = np.hypot(a[:, 0], a[:, 1]), np.hypot(b[:, 0], b[:, 1])
-        t_origin = t[:-1] + np.diff(t) * ra / (ra + rb)
-        if np.any(through & (t_origin >= 0.0) & (t_origin <= self.duration_s)):
-            raise ValueError("the target path passes through the radar (origin) in the scene")
+        tc = np.clip(t, 0.0, self.duration_s)
+        q = list(zip(np.interp(tc, t, p[:, 0]).tolist(), np.interp(tc, t, p[:, 1]).tolist()))
+        p = p.tolist()
+        nearest = np.float64(min(map(_distance_from_radar, p[:-1], p[1:], q[:-1], q[1:])))
+        gains = self.rx.peak_directivity * self.tx.peak_directivity
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            wl_sq = np.float64(self.clutter.carrier.wavelength_m) ** 2
+            echo = wl_sq * self.target.sigma0_m2 * gains / (FOUR_PI_CUBED * nearest**4)
+        if not echo < math.inf:
+            raise ValueError(
+                f"the target path passes through the radar (origin), or so near it that its echo "
+                f"at the peak gains overflows, in the scene: it comes within {nearest:.4g} m"
+            )
         check_coherence_resolved(self.target.coherence_time_s, self.sample_rate_hz)
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import filecmp
+import functools
 import math
 import os
 import sys
@@ -191,9 +192,10 @@ def _one_blas_thread():
         set_threads(before)
 
 
+@functools.lru_cache(maxsize=1)
 def _defaults() -> RunConfig:
-    """The default run config: the room, clutter, patterns and probe the
-    checks simulate unless they say otherwise."""
+    """The default run config, resolved once and shared (read-only): the room,
+    clutter, patterns and probe the checks simulate unless they say otherwise."""
     return resolve_config(load_config_tree(None))
 
 

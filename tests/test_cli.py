@@ -216,8 +216,26 @@ def test_fresnel_evaluations_do_not_grow_with_draws(tmp_path, monkeypatch):
         calls.clear()
         assert run(argv + ["--material", "dielectric:3", "--out", str(tmp_path / "o")]) == 0
         counts.append(len(calls))
-    # the schema leaf and the resolved room each evaluate it once
-    assert counts == [2, 2, 2]
+    # resolve_config builds the room's reflectivity once per run
+    assert counts == [1, 1, 1]
+
+
+def test_predict_parses_each_survey_material_once(tmp_path, monkeypatch):
+    from rfclutter import stats
+
+    calls = []
+    parse = stats.material_reflectivity
+    monkeypatch.setattr(
+        stats, "material_reflectivity", lambda tag: calls.append(tag) or parse(tag)
+    )
+    survey = tmp_path / "survey.csv"
+    survey.write_text(
+        "label,n_links,dim_a_m,dim_b_m,d_s_m,measured_median_db,material\n"
+        "a,1,3,3,1.5,-70.0,dielectric:3\nb,1,6,4,2.0,-72.0,dielectric:4.5\n"
+        "c,1,5,5,2.5,-71.0,bestfit\n"
+    )
+    assert run(["predict", "--survey", str(survey), "--out", str(tmp_path / "o")]) == 0
+    assert calls == ["dielectric:3", "dielectric:4.5"]
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):

@@ -419,6 +419,14 @@ def test_band_limit_rejects_coarse_waveform():
         band_limit(fine_field, slow, omni(agrid), omni(agrid), agrid.centers_deg, 0.0)
 
 
+def test_clutter_params_build_their_field_params_once():
+    params = DEFAULTS.clutter
+    assert params.field_params is params.field_params
+    assert (params.field_params.sigma_db, params.field_params.phi_rms_deg) == (7.0, 1.0)
+    with pytest.raises(ValueError, match="sigma_db"):
+        replace(params, sigma_db=-1.0)
+
+
 def _reference_delay_map(room, params, dgrid, agrid, stream):
     """The delay-azimuth draw written out over the whole map at once."""
     rng = stream.generator()

@@ -79,6 +79,7 @@ INVALID = {
             [[0.0, 1.0], [9.0, 1.0, 1.0]],
             [[0.0, 0.0, 0.0], [9.0, 1.0, 1.0]],
             [[9.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+            [1, 2],
         ])
     ),
     config.SCHEMA["room"]["material"].expected: st.one_of(
@@ -199,6 +200,14 @@ def test_invalid_leaf_exits_2_naming_its_key(key, data):
         ({"antennas": {"tx": {"kind": "gaussian", "hpbw_deg": 0.1}}}, "antennas.tx.hpbw_deg"),
         ({"grid": {"delta_phi_deg": 0.5}, "antennas": {"rx": {"hpbw_deg": 0.4}}},
          "antennas.rx.hpbw_deg"),
+        # p0 = gamma_sq (wavelength / (4 pi d_s))^2 is below the normal doubles
+        ({"carrier": {"frequency_ghz": 1e299}}, "room"),
+        ({"carrier": {"frequency_ghz": 1.07e152}}, "room"),
+        ({"room": {"material": "gamma:1e-320"}}, "room"),
+        # a walk 1e-80 m from the radar, where the target's echo overflows, or
+        # the default walk (0.43 m) below about 1.7e-154 GHz
+        ({"scene": {"waypoints": [[0.0, 1e-80, 0.0], [4.0, 1e-80, 1e-80]]}}, "scene"),
+        ({"carrier": {"frequency_ghz": 1.6e-154}}, "scene"),
     ],
 )
 @pytest.mark.parametrize("command", ["predict", "synth-azimuth", "synth-delay", "scene"])
@@ -284,6 +293,19 @@ def test_resolved_config_keeps_the_scene_it_checked():
     assert cfg.scene_spec() is cfg.scene
 
 
+def test_resolve_builds_the_trajectory_once(monkeypatch):
+    calls = []
+    build = target.Trajectory.from_waypoints
+    monkeypatch.setattr(
+        target.Trajectory, "from_waypoints", lambda waypoints: calls.append(1) or build(waypoints)
+    )
+    cfg = config.resolve_config(config.load_config_tree(None))
+    assert len(calls) == 1
+    assert cfg.scene.trajectory.positions_m.tolist() == [
+        xy for _, *xy in config.DEFAULT_CONFIG["scene"]["waypoints"]
+    ]
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     library = readme.split("## Library", 1)[1]
@@ -305,10 +327,15 @@ SURVEY_HEADER = "label,n_links,dim_a_m,dim_b_m,d_s_m,measured_median_db,material
         "room,x,3,3,1.5,-66.7,metal",
         "room,1,3,3,1.5,,metal",
         "room,1,3,3,1.5,-66.7,metal,9",
+        # rows whose p0 at the run's carrier is out of range
+        "room,1,3,3,1.5,-66.7,gamma:1e-320",
+        "room,1,3,3,1e160,-66.7,metal",
+        "room,1,3,3,1e160,-66.7,bestfit",
+        "room,1,3,3,1e-160,-66.7,metal",
     ],
     ids=[
         "gamma-above-1", "eps-below-1", "unknown-tag", "text-d_s", "text-n_links", "empty-field",
-        "extra-field",
+        "extra-field", "p0-subnormal", "p0-underflows", "p0-underflows-bestfit", "p0-overflows",
     ],
 )
 def test_bad_survey_row_exits_2_naming_file_and_line(tmp_path, row):
@@ -362,14 +389,16 @@ def test_bad_pattern_row_exits_2_naming_file_and_line(tmp_path, row):
 
 # (leaf, values whose derived linear value leaves the positive finite doubles,
 # values just inside that range): the power 10^(mu/10) of a dB spread's
-# unit-mean offset, sigma0 of the target RCS, the carrier wavelength.  Below
-# about 1.2e-156 GHz the default room's p0 overflows, which names ``room``
-# (test_every_subcommand_checks_the_whole_tree)
+# unit-mean offset, sigma0 of the target RCS, the carrier wavelength.  Above
+# about 1.07e152 GHz the default room's p0 is below the normal doubles and
+# below about 1.2e-156 GHz it overflows, which names ``room``; below about
+# 1.7e-154 GHz the target's echo on the default walk overflows, which names
+# ``scene`` (test_every_subcommand_checks_the_whole_tree)
 LINEAR_BOUNDARIES = [
     ("clutter.sigma_db", [167.7, 300, 1e6], [167.6, 7.0]),
     ("clutter.sigma_v_db", [167.7, 1e200], [167.6, 4.0]),
     ("scene.target.rcs_dbsm", [3082.6, 4000, -3236.1], [3082.5, -3236.0, -8.0]),
-    ("carrier.frequency_ghz", [1.8e299, 1e300, 1e-310], [1.7e299, 1e-150, 28.0]),
+    ("carrier.frequency_ghz", [1.8e299, 1e300, 1e-310], [1e150, 1e-150, 28.0]),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -67,6 +68,12 @@ def test_average_backscatter_domain_errors():
         average_backscatter_ratio(1.5, -1.0, 1.0)
     with pytest.raises(ValueError):
         average_backscatter_ratio(1.5, WL28, 1.5)
+    # a nonzero reflectivity whose p0 is below the normal doubles
+    with pytest.raises(ValueError, match="normal double"):
+        average_backscatter_ratio(1.5, WL28, 1e-320)
+    with pytest.raises(ValueError, match="normal double"):
+        average_backscatter_ratio(1.5, 2.8e-153, 1.0)
+    assert average_backscatter_ratio(1.5, 2.82e-153, 1.0) >= sys.float_info.min
 
 
 def _fresnel_oracle(eps_r, n=200_000):

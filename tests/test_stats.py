@@ -111,8 +111,8 @@ def test_survey_report_reference_row():
 
 def test_survey_report_zero_rms_when_exact():
     rows = [
-        SurveyRow("synthetic", 1, 3.0, 3.0, 1.5, -64.912769, "metal"),
-        SurveyRow("synthetic2", 1, 6.0, 6.0, 3.0, -70.933369, "metal"),
+        SurveyRow("synthetic", 1, 3.0, 3.0, 1.5, -64.912769, 1.0),
+        SurveyRow("synthetic2", 1, 6.0, 6.0, 3.0, -70.933369, 1.0),
     ]
     report = survey_report(rows, CARRIER)
     assert report.rms_db == pytest.approx(0.0, abs=1e-3)
@@ -122,7 +122,7 @@ def test_survey_report_metal_monotone_in_distance():
     rows = load_room_survey()
     report = survey_report(rows, CARRIER)
     forced = survey_report(
-        [SurveyRow(r.label, r.n_links, r.dim_a_m, r.dim_b_m, r.d_s_m, r.measured_median_db, "metal") for r in rows],
+        [SurveyRow(r.label, r.n_links, r.dim_a_m, r.dim_b_m, r.d_s_m, r.measured_median_db, 1.0) for r in rows],
         CARRIER,
     )
     by_distance = sorted(zip(forced.rows, forced.p0_db), key=lambda pair: pair[0].d_s_m)

@@ -169,6 +169,19 @@ def test_scene_rejects_a_path_through_the_radar_within_its_span():
     _demo_scene(trajectory=beside)
 
 
+def test_scene_rejects_a_path_whose_echo_overflows_within_its_span():
+    # the -8 dBsm echo at 28 GHz with the 10 degree horn's peak gain
+    # overflows within about 3.7e-79 m of the radar; the last leg ends 1e-80 m
+    # from it at t = 4 s and is still 7.6 mm away at t = 3.99 s
+    walk = Trajectory.from_waypoints([(0.0, 1.4, -0.6), (2.0, 1.4, -0.6), (4.0, 1e-80, 0.0)])
+    with pytest.raises(ValueError, match="echo at the peak gains overflows"):
+        _demo_scene(trajectory=walk, duration_s=4.0)
+    _demo_scene(trajectory=walk, duration_s=3.99)
+    # nearer than a wavelength is no error while the echo stays finite
+    walk = Trajectory.from_waypoints([(0.0, 1.4, -0.6), (2.0, 1.4, -0.6), (4.0, 1e-78, 0.0)])
+    _demo_scene(trajectory=walk, duration_s=4.0)
+
+
 def test_constant_target_draws_no_fluctuation(monkeypatch):
     import rfclutter.target
 

@@ -30,6 +30,16 @@ def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     assert reports[0] == reports[1]
 
 
+def test_checks_resolve_the_default_config_once(monkeypatch):
+    calls = []
+    resolve = validation.resolve_config
+    monkeypatch.setattr(validation, "resolve_config", lambda tree: calls.append(1) or resolve(tree))
+    validation._defaults.cache_clear()
+    checks = ["survey_prediction_rms", "quadrature_agreement", "scene_composition"]
+    validation.run_checks(checks, master_seed=3)
+    assert len(calls) == 1
+
+
 _SPIN_HEAVY_REPORT = """
 import json
 from rfclutter import validation
