@@ -4,10 +4,13 @@ measured gain samples (a config's ``csv`` kind).
 Field patterns are kept on the simulator's azimuth grid, normalized so the
 discrete power integral sum(|f|^2) * dphi_rad equals 1.  A pattern can also
 be evaluated off-grid, which lets the spinning receiver point anywhere.
+Horn and omni patterns are memoized by their arguments and read-only; a
+tabulated pattern is built anew from its file on every load.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -141,8 +144,17 @@ def _normalize(grid: AzimuthGrid, raw_power_on_grid: np.ndarray) -> float:
     return 1.0 / total
 
 
+def _shared(field: np.ndarray) -> np.ndarray:
+    field.flags.writeable = False  # one pattern serves every caller
+    return field
+
+
+@functools.lru_cache(maxsize=16)
 def gaussian_horn(hpbw_deg: float, grid: AzimuthGrid) -> AntennaPattern:
-    """Gaussian main-lobe horn with the given half-power beamwidth."""
+    """Gaussian main-lobe horn with the given half-power beamwidth.
+
+    Memoized by value, like :func:`omni`: equal arguments return the same
+    read-only pattern, so spin operators keyed on it are found again."""
     if not 0.0 < hpbw_deg < 180.0:
         raise ValueError(f"hpbw must be in (0, 180) degrees, got {hpbw_deg}")
     if hpbw_deg < grid.delta_phi_deg:  # the grid cannot resolve the beam
@@ -157,17 +169,19 @@ def gaussian_horn(hpbw_deg: float, grid: AzimuthGrid) -> AntennaPattern:
     return AntennaPattern(
         grid=grid,
         kind="gaussian",
-        field=np.sqrt(raw * scale),
+        field=_shared(np.sqrt(raw * scale)),
         hpbw_deg=hpbw_deg,
         _scale=scale,
     )
 
 
+@functools.lru_cache(maxsize=16)
 def omni(grid: AzimuthGrid) -> AntennaPattern:
     """Isotropic azimuth pattern, |f|^2 = 1/(2 pi) per radian."""
     raw = np.ones(grid.n_bins)
     scale = _normalize(grid, raw)
-    return AntennaPattern(grid=grid, kind="omni", field=np.sqrt(raw * scale), _scale=scale)
+    field = _shared(np.sqrt(raw * scale))
+    return AntennaPattern(grid=grid, kind="omni", field=field, _scale=scale)
 
 
 def tabulated(azimuth_deg, gain_db, grid: AzimuthGrid) -> AntennaPattern:

@@ -23,6 +23,8 @@ and its path), 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import platform
@@ -47,13 +49,13 @@ def _json(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _csv(header: str, rows) -> bytes:
-    """The units comment, then ``header`` and each row on a line."""
-    return (UNITS_COMMENT + "".join(f"{line}\n" for line in [header, *rows])).encode("utf-8")
-
-
-def _fmt(x) -> str:
-    return f"{x:.9g}"
+def _csv(header: str, line: str, *columns) -> bytes:
+    """The units comment, then ``header``, then ``line`` (a %-format) filled
+    from each row of the equal-length ``columns``.  All rows are formatted
+    by one ``%`` over Python values, where ``%.9g`` reads as ``f"{x:.9g}"``."""
+    values = [np.asarray(column).tolist() for column in columns]
+    body = (f"{line}\n" * len(values[0])) % tuple(itertools.chain.from_iterable(zip(*values)))
+    return (UNITS_COMMENT + f"{header}\n" + body).encode("utf-8")
 
 
 def _axis(values) -> list:
@@ -109,25 +111,30 @@ def _predict(cfg: RunConfig, survey=None) -> tuple:
     rows = load_room_survey(survey)
     report = survey_report(rows, cfg.clutter.carrier)
     return {
-        "predictions.csv": _csv("label,d_s_m,gamma_sq,p0_db,measured_db,error_db", [
-            f"{row.label},{_fmt(row.d_s_m)},{_fmt(g)},"
-            f"{_fmt(p0)},{_fmt(row.measured_median_db)},{_fmt(err)}"
-            for row, g, p0, err in zip(report.rows, report.gamma_sq, report.p0_db, report.errors_db)
-        ]),
+        "predictions.csv": _csv(
+            "label,d_s_m,gamma_sq,p0_db,measured_db,error_db", "%s,%.9g,%.9g,%.9g,%.9g,%.9g",
+            [row.label for row in report.rows], [row.d_s_m for row in report.rows],
+            report.gamma_sq, report.p0_db,
+            [row.measured_median_db for row in report.rows], report.errors_db,
+        ),
     }, f"predict: {len(rows)} rooms, RMS error {report.rms_db:.2f} dB", 0
 
 
 def _synth_azimuth(cfg: RunConfig) -> tuple:
     pointings = uniform_pointings(cfg.pointings_per_rotation)
-    rows = []
+    spectra_db = []
     for k in range(cfg.ensemble):
         field = gen_azimuth_channel(
             cfg.room, cfg.clutter, cfg.grid, derive_stream(cfg.seed, f"azimuth/{k}")
         )
         spec = spin_response(field, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
-        rows += (f"{k},{_fmt(p)},{_fmt(db)}" for p, db in zip(spec.pointings_deg, spec.power_db))
+        spectra_db.append(spec.power_db)
     summary = f"synth-azimuth: {cfg.ensemble} spectra x {pointings.size} pointings"
-    return {"azimuth_spectra.csv": _csv("seed_index,pointing_deg,power_db", rows)}, summary, 0
+    return {"azimuth_spectra.csv": _csv(
+        "seed_index,pointing_deg,power_db", "%d,%.9g,%.9g",
+        np.repeat(np.arange(cfg.ensemble), pointings.size),
+        np.tile(pointings, cfg.ensemble), np.concatenate(spectra_db),
+    )}, summary, 0
 
 
 def _synth_delay(cfg: RunConfig) -> tuple:
@@ -140,19 +147,19 @@ def _synth_delay(cfg: RunConfig) -> tuple:
         **_grid("delay_azimuth_map", map_db, {
             "delay_ns": _axis(delays * 1e9), "pointing_deg": _axis(pointings),
         }),
-        "delay_profile.csv": _csv("delay_ns,mean_power_db", [
-            f"{_fmt(t * 1e9)},{_fmt(db)}" for t, db in zip(delays, power_db(profile))
-        ]),
+        "delay_profile.csv": _csv(
+            "delay_ns,mean_power_db", "%.9g,%.9g", delays * 1e9, power_db(profile)
+        ),
     }, f"synth-delay: {map_db.shape[0]} delay bins x {map_db.shape[1]} pointings", 0
 
 
 def _scene(cfg: RunConfig) -> tuple:
     spec = cfg.scene_spec()
     tmap = compose_scene(spec, derive_stream(cfg.seed, "scene/0"))
-    files = {"scene_timeseries.csv": _csv("time_s,pointing_deg,power_db", [
-        f"{_fmt(t)},{_fmt(p)},{_fmt(db)}"
-        for t, p, db in zip(tmap.times_s, tmap.pointing_deg, tmap.power_db)
-    ])}
+    files = {"scene_timeseries.csv": _csv(
+        "time_s,pointing_deg,power_db", "%.9g,%.9g,%.9g",
+        tmap.times_s, tmap.pointing_deg, tmap.power_db,
+    )}
     rot_times, pointing_bins, image = tmap.folded()
     if image.size:
         files.update(_grid("scene_map", power_db(image), {
@@ -208,6 +215,7 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache  # built on first use, not at import, and shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfclutter",

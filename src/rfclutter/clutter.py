@@ -56,9 +56,11 @@ synthesized spectra to the closed-form room average.
 
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import math
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -88,7 +90,8 @@ TWO_PI = 2.0 * math.pi
 # row blocks of about 32k elements keep a block's temporaries in L2
 _BLOCK_ELEMENTS = 1 << 15
 # arrays of up to 2^22 entries are held whole: a spin operator's weights, a
-# map's magnitudes; larger ones are rebuilt block by block where they are used
+# map's magnitudes; larger ones are rebuilt block by block where they are used.
+# The kept spin operators hold at most as many entries in all.
 _HELD_ENTRIES = 1 << 22
 
 
@@ -297,6 +300,18 @@ def gen_azimuth_channel(
     return AzimuthField(grid, amplitudes[0], float(p_v_db[0]), p0)
 
 
+# spin operators by their arguments, least recently used first, each with
+# the number of array entries it holds
+_SPIN_OPERATORS = collections.OrderedDict()
+_SPIN_OPERATORS_LOCK = threading.Lock()  # the reverberation check spins on two threads
+
+
+def clear_spin_operators() -> None:
+    """Drop every kept spin operator and the memory it holds."""
+    with _SPIN_OPERATORS_LOCK:
+        _SPIN_OPERATORS.clear()
+
+
 def spin_operator(
     grid: AzimuthGrid,
     rx: AntennaPattern,
@@ -307,15 +322,20 @@ def spin_operator(
     """The spin as a function from (..., n_bins) amplitudes on ``grid`` to
     (..., n_pointings) complex spun amplitudes (see the module docstring).
 
-    Patterns are evaluated analytically at the grid; the latest operator is
-    kept.  It applies itself in row blocks of about 32k elements.  Off the
-    grid f_T is folded into the weight rows, and rows too many to hold are
-    built once per call.  Off the grid the error is relative rounding; on it
-    the FFT's error is about machine epsilon times the largest spun
-    amplitude, so pointings where both beams miss the clutter read as that
-    rounding noise.  When the pointed bins are every d-th bin from bin 0 in
-    order, the product spectrum is folded to n_bins / d bins before the
-    inverse FFT, which reads the same values to rounding.
+    Patterns are evaluated analytically at the grid.  Operators are kept by
+    the values of their arguments (a pattern by identity, which the memoized
+    :func:`~rfclutter.antennas.gaussian_horn` and
+    :func:`~rfclutter.antennas.omni` turn into a value), within 2^22 array
+    entries in all: the least recently used go first, and
+    :func:`clear_spin_operators` drops them all.  An operator applies itself
+    in row blocks of about 32k elements.  Off the grid f_T is folded into
+    the weight rows, and rows too many to hold are built once per call.
+    Off the grid the error is relative rounding; on it the FFT's error is
+    about machine epsilon times the largest spun amplitude, so pointings
+    where both beams miss the clutter read as that rounding noise.  When
+    the pointed bins are every d-th bin from bin 0 in order, the product
+    spectrum is folded to n_bins / d bins before the inverse FFT, which
+    reads the same values to rounding.
 
     A pointing p = phi_m + f has its sub-bin offset f in [-dphi/2, dphi/2].
     Rows whose f agree to 1e-9 deg are exact rolls of one kernel, the f_R row
@@ -329,12 +349,21 @@ def spin_operator(
     pointings = np.asarray(pointings_deg, dtype=float).ravel()
     if pointings.size == 0:
         raise ValueError("at least one pointing angle is required")
-    return _build_spin_operator(grid, rx, tx, pointings.tobytes(), float(tx_pointing_deg))
+    tx_pointing_deg = float(tx_pointing_deg)
+    key = (grid, rx, tx, pointings.tobytes(), tx_pointing_deg)
+    with _SPIN_OPERATORS_LOCK:
+        if key in _SPIN_OPERATORS:
+            _SPIN_OPERATORS.move_to_end(key)
+            return _SPIN_OPERATORS[key][0]
+        _SPIN_OPERATORS[key] = _build_spin_operator(grid, rx, tx, pointings, tx_pointing_deg)
+        held = sum(entries for _, entries in _SPIN_OPERATORS.values())
+        while held > _HELD_ENTRIES and len(_SPIN_OPERATORS) > 1:
+            held -= _SPIN_OPERATORS.popitem(last=False)[1][1]
+        return _SPIN_OPERATORS[key][0]
 
 
-@functools.lru_cache(maxsize=1)
-def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
-    pointings = np.frombuffer(pointings_bytes)
+def _build_spin_operator(grid, rx, tx, pointings, tx_pointing_deg):
+    """The spin function and the number of array entries it holds."""
     centers = grid.centers_deg
     txf = tx.field_at(centers - tx_pointing_deg)
     idx = np.rint(pointings / grid.delta_phi_deg).astype(int) % grid.n_bins
@@ -355,7 +384,7 @@ def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
                     out[r] = np.fft.ifft(spectrum, axis=-1) / d
                 else:
                     out[r] = np.fft.ifft(spectrum, axis=-1)[:, idx]
-        return _on_rows(spin_rows, grid.n_bins, pointings.size)
+        return _on_rows(spin_rows, grid.n_bins, pointings.size), txf.size + kernel.size
 
     # one row dphi f_R(phi_i - p) f_T(phi_i - tx_pointing) per distinct
     # pointing p (to 1e-9 deg), built in blocks of 128 rows, held up to 32 MB
@@ -404,7 +433,12 @@ def _build_spin_operator(grid, rx, tx, pointings_bytes, tx_pointing_deg):
                 distinct.imag[r, block] = parts[n:]
         if not in_order:
             np.take(distinct, inverse, axis=1, out=out)
-    return _on_rows(spin_rows, grid.n_bins, pointings.size)
+    entries = txf.size
+    if held is not None:
+        entries += held.size
+    elif windows is not None:
+        entries += 2 * lead.size * grid.n_bins  # the kernels written twice over
+    return _on_rows(spin_rows, grid.n_bins, pointings.size), entries
 
 
 def _on_rows(spin_rows, n_bins, n_pointings):

@@ -27,6 +27,16 @@ def test_omni_is_isotropic():
     assert _unit_power_sum(p) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: gaussian_horn(10.0, GRID), lambda: omni(GRID)], ids=["gaussian", "omni"]
+)
+def test_memoized_patterns_are_shared_and_read_only(make):
+    pattern = make()
+    assert make() is pattern
+    with pytest.raises(ValueError, match="read-only"):
+        pattern.field[0] = 0.0
+
+
 def test_gaussian_horn_half_power_at_half_beamwidth():
     p = gaussian_horn(10.0, GRID)
     f0 = p.field_at(0.0) ** 2

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import rfclutter
-from rfclutter import cli, validation
+from rfclutter import antennas, cli, clutter, validation
 
 
 def run(args):
@@ -53,6 +53,14 @@ PINNED_DIGESTS = {
         "scene_map.json": "b49b872a78dd8db1a658cb745abe7e7cb3d51da082694d5176885b9836e0861a",
         "scene_timeseries.csv": "768fab45347c437d61609a834f50853d10301a707ce0e5acce9e419788e2666d",
     },
+    "scene --seed 42 --config regen": {
+        "scene_map.f32": "7179b6fd353d4bd58028cc23f4e8ca01b9f1f7fcadc2c7634f03c0a0bf57f544",
+        "scene_map.json": "b49b872a78dd8db1a658cb745abe7e7cb3d51da082694d5176885b9836e0861a",
+        "scene_timeseries.csv": "6174587c11149bb1542f02150ab6fc8d9de663de15fa727ba77d87b7e60a7306",
+    },
+    "synth-azimuth --seed 42 --material gamma:0": {
+        "azimuth_spectra.csv": "2f6d7fe5775c81bced84dba329b2cbef7749eb2e62563e76f4ebdf247d9ac74c",
+    },
     "scene --seed 42 --config constant": {
         "scene_map.f32": "937675419f087c3e4f94ec40ff93b24d743a3256be7b7b18a097ddeb38225d1d",
         "scene_map.json": "b49b872a78dd8db1a658cb745abe7e7cb3d51da082694d5176885b9836e0861a",
@@ -60,10 +68,12 @@ PINNED_DIGESTS = {
     },
 }
 # the config trees a pinned command names after --config: 360 pointings put
-# the spin on the 0.2 degree grid, the constant model draws no fluctuation,
-# and eps45 is the object form of a dielectric material
+# the spin on the 0.2 degree grid, regen redraws the clutter every rotation,
+# the constant model draws no fluctuation, and eps45 is the object form of a
+# dielectric material; gamma:0 reflects nothing, so every power_db is -inf
 PINNED_CONFIGS = {
     "p360": {"spin": {"pointings_per_rotation": 360}},
+    "regen": {"scene": {"regenerate_clutter_per_rotation": True}},
     "constant": {"scene": {"target": {"model": "constant"}}},
     "eps45": {"room": {"material": {"eps_r": 4.5}}},
 }
@@ -329,6 +339,68 @@ def _spectra_db(out):
     return np.array([float(r.split(",")[2]) for r in rows])
 
 
+def _fresh_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_repeated_runs_reuse_the_rx_pattern_and_spin_operator(tmp_path, monkeypatch):
+    builds = []
+    build = clutter._build_spin_operator
+    monkeypatch.setattr(clutter, "_build_spin_operator", lambda *a: builds.append(a) or build(*a))
+    clutter.clear_spin_operators()
+    horns = antennas.gaussian_horn.cache_info().misses
+    argv = ["synth-azimuth", "--hpbw-deg", "13.7", "--out", str(tmp_path / "o")]
+    for _ in range(3):
+        assert run(argv) == 0
+    assert (antennas.gaussian_horn.cache_info().misses - horns, len(builds)) == (1, 1)
+    argv[2] = "14.2"
+    assert run(argv) == 0
+    assert (antennas.gaussian_horn.cache_info().misses - horns, len(builds)) == (2, 2)
+
+
+def test_rewritten_csv_pattern_is_read_again(tmp_path):
+    pattern, cfg = tmp_path / "pattern.csv", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"antennas": {"rx": {"kind": "csv", "path": str(pattern)}}}))
+    argv = ["synth-azimuth", "--config", str(cfg), "--out"]
+    az = np.arange(0.0, 360.0, 5.0)
+    outs = []
+    for width_deg in (10.0, 30.0):
+        gain_db = -3.0 * (np.minimum(az, 360.0 - az) / width_deg) ** 2
+        pattern.write_text(
+            "azimuth_deg,gain_db\n" + "".join(f"{a},{g}\n" for a, g in zip(az, gain_db))
+        )
+        outs.append(tmp_path / f"warm{width_deg:g}")
+        assert run(argv + [str(outs[-1])]) == 0
+    fresh = tmp_path / "fresh"
+    subprocess.run(
+        [sys.executable, "-m", "rfclutter.cli", *argv, str(fresh)],
+        env=_fresh_env(), capture_output=True, check=True,
+    )
+    spectra = [(out / "azimuth_spectra.csv").read_bytes() for out in (*outs, fresh)]
+    assert spectra[0] != spectra[1] == spectra[2]
+    assert (outs[1] / "run_meta.json").read_bytes() == (fresh / "run_meta.json").read_bytes()
+
+
+def test_settle_heap_drops_the_spin_operators(tmp_path):
+    assert run(["synth-azimuth", "--out", str(tmp_path / "o")]) == 0
+    assert clutter._SPIN_OPERATORS
+    validation._settle_heap()
+    assert not clutter._SPIN_OPERATORS
+
+
+def test_the_shared_parser_keeps_nothing_from_earlier_runs(tmp_path):
+    out = tmp_path / "o"
+    assert run(["synth-azimuth", "--ensemble", "3", "--out", str(out)]) == 0
+    assert run(["synth-azimuth", "--out", str(out)]) == 0
+    rows = (out / "azimuth_spectra.csv").read_text().splitlines()[2:]
+    assert {row.split(",")[0] for row in rows} == {"0"}
+    with pytest.raises(SystemExit) as exc:
+        run(["synth-azimuth", "--ensemble", "three", "--out", str(out)])
+    assert exc.value.code == 2
+    assert run(["synth-azimuth", "--seed", "3", "--out", str(out)]) == 0
+
+
 def test_config_file_selects_pattern_kinds(tmp_path):
     # a pattern node naming another kind than the default replaces it whole
     pattern = tmp_path / "pattern.csv"
@@ -436,12 +508,10 @@ _HEAVY_MODULES = ("scipy.stats", "scipy.fft", "rfclutter.validation")
     ids=["package", "cli", "scene"],
 )
 def test_commands_other_than_validate_load_no_heavy_module(tmp_path, statement):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     script = f"import sys\n{statement}\nprint(*[m for m in {_HEAVY_MODULES!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, check=True,
+        env=_fresh_env(), capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines()[-1] == ""
 

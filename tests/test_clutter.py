@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -231,6 +232,49 @@ def test_random_off_grid_pointings_match_explicit_sum(n_offsets, repeats):
     w = rx.field_at(phi[None, :] - pointings[:, None]) * tx.field_at(phi - 20.0)
     explicit = GRID.delta_phi_rad * (amplitudes @ w.T)
     assert np.max(np.abs(spun - explicit)) <= 1e-12 * np.max(np.abs(explicit))
+
+
+def test_spin_operators_are_kept_within_the_entry_budget(monkeypatch):
+    # an on-grid operator holds 2 x n_bins entries (f_T and the kernel
+    # spectrum): a budget of three such keeps three, the latest used
+    grid = AzimuthGrid(72)
+    rx, tx = gaussian_horn(30.0, grid), omni(grid)
+    def operator(n_pointings):
+        return spin_operator(grid, rx, tx, uniform_pointings(n_pointings), 0.0)
+    monkeypatch.setattr(clutter, "_HELD_ENTRIES", 3 * 2 * grid.n_bins)
+    clutter.clear_spin_operators()
+    kept = {n: operator(n) for n in (8, 12, 24)}
+    assert operator(8) is kept[8]
+    operator(36)  # over the budget: drops 12, the least recently used
+    assert (operator(8), operator(24)) == (kept[8], kept[24])
+    assert operator(12) is not kept[12]
+
+
+def test_spin_operator_cache_is_shared_safely_between_threads(monkeypatch):
+    # two operators' worth of budget for three in turn: every call past the
+    # first few builds, inserts and evicts while other threads look up
+    grid = AzimuthGrid(72)
+    rx, tx = gaussian_horn(30.0, grid), omni(grid)
+    amplitudes = np.random.default_rng(35).standard_normal((3, 2 * grid.n_bins)).view(complex)
+    monkeypatch.setattr(clutter, "_HELD_ENTRIES", 2 * 2 * grid.n_bins)
+    clutter.clear_spin_operators()
+    def spin_many(_):
+        return [
+            spin_operator(grid, rx, tx, uniform_pointings(n), 0.0)(amplitudes)
+            for n in (8, 12, 24) * 40
+        ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(spin_many, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(
+        np.array_equal(a, b) for result in results[1:] for a, b in zip(result, results[0])
+    )
+    held = sum(entries for _, entries in clutter._SPIN_OPERATORS.values())
+    assert 0 < held <= clutter._HELD_ENTRIES
 
 
 def test_spin_requires_pointings():

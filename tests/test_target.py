@@ -19,7 +19,7 @@ from rfclutter import (
     trajectory_state,
 )
 from rfclutter.antennas import AntennaPattern
-from rfclutter.clutter import _build_spin_operator, spin_amplitudes
+from rfclutter.clutter import clear_spin_operators, spin_amplitudes
 from rfclutter.config import load_config_tree, resolve_config
 
 DEFAULTS = resolve_config(load_config_tree(None))
@@ -272,7 +272,7 @@ def test_regenerated_scene_builds_the_spin_operator_once(monkeypatch):
     monkeypatch.setattr(AntennaPattern, "field_at", counted)
     counts = []
     for regenerate in (False, True):
-        _build_spin_operator.cache_clear()
+        clear_spin_operators()
         calls.clear()
         spec = _demo_scene(duration_s=1.0, regenerate_clutter_per_rotation=regenerate)
         compose_scene(spec, derive_stream(33, "operator"))
