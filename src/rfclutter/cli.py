@@ -46,7 +46,40 @@ UNITS_COMMENT = "# units: angles deg, power dB re transmit, delay ns\n"
 
 
 def _json(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for byte."""
+    return (_json_text(obj, "\n") + "\n").encode("utf-8")
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.lru_cache(maxsize=None)
+def _json_items(inner: str) -> json.JSONEncoder:
+    """The C encoder of a container of scalars whose items start lines
+    ``inner``: the text between its brackets."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
+
+
+def _json_text(obj, newline: str) -> str:
+    """``obj`` (dicts with string keys, lists, scalars) as indented JSON text
+    whose lines start with ``newline``.
+
+    ``indent`` sends ``json.dumps`` through its pure-Python encoder, so the C
+    encoder writes each scalar, and each container of scalars whole, with
+    the indented separator between its items."""
+    is_dict = isinstance(obj, dict)
+    if not obj or not (is_dict or isinstance(obj, (list, tuple))):
+        return json.dumps(obj)
+    inner = newline + "  "
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
+        body = _json_items(inner).encode(obj)[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(
+            [f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
+        )
+    else:
+        body = ("," + inner).join([_json_text(v, inner) for v in obj])
+    return ("{" if is_dict else "[") + inner + body + newline + ("}" if is_dict else "]")
 
 
 def _csv(header: str, line: str, *columns) -> bytes:
@@ -59,7 +92,9 @@ def _csv(header: str, line: str, *columns) -> bytes:
 
 
 def _axis(values) -> list:
-    return [float(f"{x:.9g}") for x in values]
+    """Each value rounded to 9 significant digits, as ``float(f"{x:.9g}")``."""
+    values = np.asarray(values).tolist()
+    return list(map(float, (("%.9g\n" * len(values)) % tuple(values)).split()))
 
 
 def _grid(stem: str, array_db: np.ndarray, axes: dict) -> dict:

@@ -18,7 +18,7 @@ into the field by :func:`~rfclutter.randomfields.filter_field_rows`, turned
 into magnitudes by :func:`_magnitudes` and given its phases by
 :func:`_unit_phasors`, in row blocks of about 32k elements, so a block's
 temporaries stay in L2; each row's values are the same bits in any block, so
-the block size changes no draw.
+neither the block size nor the thread that runs a block changes a draw.
 
 Azimuth channels are drawn many streams at a time by
 :func:`gen_azimuth_channels`: each stream's P_v, noise row and phase row are
@@ -29,19 +29,34 @@ A delay-azimuth map is many rows of one stream, with one P_v, drawn by
 Rows before the echo onset are never drawn: they are exact zeros in the map
 and stay exact zeros through the spin and the direct delay convolution.
 
-A map's draw runs in two passes.  The noise pass turns the white noise into
-real magnitudes, held as one float64 array of up to 2^22 entries (the budget
-of a spin operator's weights).  The phase pass then yields each complex row
-block as phasors times magnitudes.  A larger map holds no magnitudes: its noise
-pass only draws the white noise, unfiltered, to reach the phases, and the
-phase pass replays the noise block by block from a copy of the generator
-taken at the start of the noise, so every block gets the same numbers as
-held magnitudes would.  The size alone decides which way a draw goes.
-The phase pass feeds one consumer, :func:`_probe_rows`: the spin, the
-tap-wise delay convolution (carrying ``len(taps) - 1`` spun rows from block
-to block) and |.|^2.  :func:`probe_delay_map` streams it into float32 dB rows
-and the mean profile; :func:`gen_delay_azimuth_channel` and
-:func:`band_limit` are its held case, with the same values.
+A map runs as a pipeline over its row blocks, on the calling thread and the
+process's thread pool (:mod:`rfclutter.pool`).  Two steps stay sequential
+on the calling thread, in block order:
+
+- the white noise: the ziggurat normal takes a varying number of PCG64
+  outputs, so no block's noise can start before the previous block's is
+  drawn;
+- the delay convolution of :func:`_probe_rows`, which carries the last
+  ``len(taps) - 1`` spun rows from block to block, then |.|^2, dB and the
+  profile.
+
+Everything else in a block runs on a worker.  The noise pass holds the
+white noise, as one float64 array of up to 2^22 entries (the budget of a
+spin operator's weights): as soon as a block's noise is drawn a worker
+filters it and writes its magnitudes over it in place.  Once all the noise
+is drawn, each block's phases come from the generator state after the
+noise, advanced by ``rows.start * n_bins`` outputs (a float64 uniform takes
+exactly one), and a worker phases the block and spins it.  At most
+``_IN_FLIGHT`` blocks run ahead of the convolution, and each is dropped once
+it has been read.  A larger map holds no noise: its noise pass only skips
+past the noise to reach the phases, recording the generator state at each
+block's start, and each block's worker redraws and filters its own noise
+from that state.  The size alone decides which way a draw goes, and the
+worker count changes no byte: on one worker, or when the map itself is
+drawn on a pool thread (the reverberation check's maps), every block runs
+inline.  :func:`probe_delay_map` streams the pipeline into float32 dB rows
+and the mean profile; :func:`gen_delay_azimuth_channel` (its blocks not
+spun) and :func:`band_limit` are its held case, with the same values.
 
 Discretization normalization
 ----------------------------
@@ -57,8 +72,6 @@ synthesized spectra to the closed-form room average.
 from __future__ import annotations
 
 import collections
-import copy
-import functools
 import math
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -74,13 +87,13 @@ from .core import (
     average_backscatter_ratio,
     power_db,
 )
+from .pool import in_order, one_blas_thread
 from .randomfields import (
     LN10_OVER_20,
     AzimuthGrid,
     LognormalFieldParams,
     RandomStream,
     filter_field_rows,
-    gaussian_field_rows,
     lognormal_mean_offset,
     skip_field_rows,
 )
@@ -93,6 +106,9 @@ _BLOCK_ELEMENTS = 1 << 15
 # map's magnitudes; larger ones are rebuilt block by block where they are used.
 # The kept spin operators hold at most as many entries in all.
 _HELD_ENTRIES = 1 << 22
+# a map's blocks phased and spun ahead of the delay convolution that reads them
+_IN_FLIGHT = 3
+_THREAD = threading.local()  # .generator: each thread's own, for _generator_at
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list:
@@ -213,13 +229,27 @@ def _magnitudes(z, params, row_log):
     return np.exp(z, out=z)
 
 
-def _draw_rows(room, params, grid, stream, scale_sq, envelope):
+def _generator_at(state, outputs=0):
+    """This thread's own generator, set to the bit generator ``state`` and
+    advanced by ``outputs`` 64-bit outputs (one per float64 uniform)."""
+    gen = getattr(_THREAD, "generator", None)
+    if gen is None:
+        gen = _THREAD.generator = np.random.Generator(np.random.PCG64(0))
+    gen.bit_generator.state = state
+    if outputs:
+        gen.bit_generator.advance(outputs)
+    return gen
+
+
+def _draw_rows(room, params, grid, stream, scale_sq, envelope, spin=None):
     """Draw rows r of magnitude sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10))
     and uniform phases; return (P_v, p0, blocks), where ``blocks`` yields
-    (rows, complex rows) in row order, in the blocks of ``_row_blocks``.
+    (rows, complex rows) in row order, in the blocks of ``_row_blocks``,
+    each block spun by ``spin`` when one is given.
 
-    The noise pass runs here; the phase pass runs as ``blocks`` is read.
-    The magnitudes are held up to ``_HELD_ENTRIES`` and replayed beyond it.
+    The noise pass runs here; the blocks are phased (and spun) on the pool,
+    at most ``_IN_FLIGHT`` ahead of the reader.  The magnitudes are held up
+    to ``_HELD_ENTRIES`` and redrawn block by block beyond it.
     """
     corr_bins = params.field_params.corr_bins(grid)
     rng = stream.generator()
@@ -228,28 +258,44 @@ def _draw_rows(room, params, grid, stream, scale_sq, envelope):
     row_log = _row_log(params, p_v_db, scale_sq * p0 * envelope)
     blocks = _row_blocks(envelope.size, grid.n_bins)
 
-    def magnitudes(noise, block):
-        z = gaussian_field_rows(noise, block.stop - block.start, grid.n_bins, corr_bins)
-        return _magnitudes(z, params, row_log[block])
+    def magnitudes(white, rows):
+        return _magnitudes(filter_field_rows(white, corr_bins), params, row_log[rows])
 
     if envelope.size * grid.n_bins <= _HELD_ENTRIES:
-        mags = np.empty((envelope.size, grid.n_bins))
-        for block in blocks:
-            mags[block] = magnitudes(rng, block)
+        # each block's noise, overwritten by its magnitudes as soon as it is
+        # drawn: in_order takes the next block (drawing its noise) while the
+        # pool filters the ones before it
+        held = np.empty((envelope.size, grid.n_bins))
+        def drawn():
+            for rows in blocks:
+                rng.standard_normal(out=held[rows])
+                yield rows
+        def fill(rows):
+            held[rows] = magnitudes(held[rows], rows)
+        collections.deque(in_order(fill, drawn()), maxlen=0)
+        def block_magnitudes(i, rows):
+            return held[rows]
     else:
-        # too many to hold: skip past the noise to the phases, and replay it
-        # block by block in step with them from a copy of its start state
-        mags, replay = None, copy.deepcopy(rng)
-        for block in blocks:
-            skip_field_rows(rng, block.stop - block.start, grid.n_bins)
+        # too many to hold: skip past the noise to the phases, keeping the
+        # generator state at each block's start to redraw its noise from
+        starts = []
+        for rows in blocks:
+            starts.append(rng.bit_generator.state)
+            skip_field_rows(rng, rows.stop - rows.start, grid.n_bins)
+        def block_magnitudes(i, rows):
+            white = _generator_at(starts[i]).standard_normal((rows.stop - rows.start, grid.n_bins))
+            return magnitudes(white, rows)
+    phases = rng.bit_generator.state  # where every row's uniform phases begin
 
-    def phased():
-        for block in blocks:
-            mag = magnitudes(replay, block) if mags is None else mags[block]
-            u = rng.random((block.stop - block.start, grid.n_bins))  # uniform(0, 2 pi) / 2 pi
-            yield block, _unit_phasors(u) * mag
+    def phased(block):
+        i, rows = block
+        mag = block_magnitudes(i, rows)
+        # uniform(0, 2 pi) / 2 pi, one 64-bit output per value
+        gen = _generator_at(phases, rows.start * grid.n_bins)
+        a = _unit_phasors(gen.random((rows.stop - rows.start, grid.n_bins))) * mag
+        return rows, a if spin is None else spin(a)
 
-    return p_v_db, p0, phased()
+    return p_v_db, p0, in_order(phased, enumerate(blocks), ahead=_IN_FLIGHT)
 
 
 def gen_azimuth_channels(
@@ -545,15 +591,16 @@ class DelayAzimuthField:
     p0: float
 
 
-def _delay_rows(room, params, dgrid, agrid, stream):
+def _delay_rows(room, params, dgrid, agrid, stream, spin=None):
     """The draw of :func:`gen_delay_azimuth_channel` as (onset row, P_v, p0,
-    blocks of :func:`_draw_rows` over the rows from the onset row on)."""
+    blocks of :func:`_draw_rows` over the rows from the onset row on, spun
+    by ``spin`` when one is given)."""
     if abs(dgrid.onset_s - room.onset_s) > 1e-15:
         raise ConfigurationError("delay grid onset is inconsistent with the room")
     onset = dgrid.onset_bin
     envelope = pdp_envelope(dgrid.taus_s[onset:], room.distance_to_wall_m, room.t_rev_s)
     scale_sq = TWO_PI / agrid.delta_phi_rad / dgrid.delta_tau_s
-    return onset, *_draw_rows(room, params, agrid, stream, scale_sq, envelope)
+    return onset, *_draw_rows(room, params, agrid, stream, scale_sq, envelope, spin)
 
 
 def gen_delay_azimuth_channel(
@@ -648,19 +695,26 @@ def _resample_waveform(waveform: ProbeWaveform, delta_tau_s: float) -> np.ndarra
 
 def _probe(dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg):
     """Probing a map on (dgrid, agrid): return (pointings, output delays,
-    probe), where probe(blocks) is :func:`_probe_rows` with the spin and the
-    waveform's taps on the delay grid."""
+    spin, taps): the spin, on one BLAS thread, and the waveform's taps on the
+    delay grid, for :func:`_probe_rows`.
+
+    One BLAS thread makes a map's bits the same whatever the BLAS thread
+    count and whichever thread spins a block, and keeps two blocks spun at
+    once from oversubscribing the cores."""
     pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
-    spin = spin_operator(agrid, rx, tx, pointings, tx_pointing_deg)
+    operator = spin_operator(agrid, rx, tx, pointings, tx_pointing_deg)
+    def spin(a):
+        with one_blas_thread():
+            return operator(a)
     taps = _resample_waveform(waveform, dgrid.delta_tau_s) * dgrid.delta_tau_s
     delays = np.arange(dgrid.n_bins + taps.size - 1) * dgrid.delta_tau_s
-    return pointings, delays, functools.partial(_probe_rows, spin=spin, taps=taps)
+    return pointings, delays, spin, taps
 
 
-def _probe_rows(blocks, spin, taps):
-    """Spin delay rows given as (rows, complex rows) blocks in row order from
-    row 0, convolve them in delay with ``taps`` and yield (rows, |.|^2) for
-    the output rows, which run len(taps) - 1 rows past the input.
+def _probe_rows(blocks, taps):
+    """Convolve spun delay rows, given as (rows, spun rows) blocks in row
+    order from row 0, in delay with ``taps`` and yield (rows, |.|^2) for the
+    output rows, which run len(taps) - 1 rows past the input.
 
     Output row t is sum_k taps[k] y[t - k] over the spun rows y that exist,
     added in k order into zeros.  Each block yields the output rows it ends;
@@ -668,8 +722,8 @@ def _probe_rows(blocks, spin, taps):
     after the last block they yield the tail.
     """
     y, y0 = None, 0  # spun rows y0, y0 + 1, ... that later output rows need
-    for rows, a in blocks:
-        y = spin(a) if y is None else np.concatenate([y, spin(a)])
+    for rows, spun in blocks:
+        y = spun if y is None else np.concatenate([y, spun])
         yield rows, _tap_power(y, y0, rows, taps)
         keep = min(y.shape[0], taps.size - 1)
         y, y0 = y[y.shape[0] - keep :], rows.stop - keep
@@ -708,14 +762,14 @@ def band_limit(
     block are carried into the next.  The map must be zero before the onset
     bin, as a drawn map is; those bins are never computed and stay exactly 0.
     """
-    pointings, delays, probe = _probe(
+    pointings, delays, spin, taps = _probe(
         field.dgrid, field.agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg
     )
     lead = field.dgrid.onset_bin
     live = field.amplitudes[lead:]
-    blocks = ((rows, live[rows]) for rows in _row_blocks(live.shape[0], field.agrid.n_bins))
+    blocks = ((rows, spin(live[rows])) for rows in _row_blocks(live.shape[0], field.agrid.n_bins))
     power = np.zeros((delays.size, pointings.size))
-    for rows, p in probe(blocks):
+    for rows, p in _probe_rows(blocks, taps):
         power[lead + rows.start : lead + rows.stop] = p
     return DelayAzimuthResponse(delays_s=delays, pointings_deg=pointings, power=power)
 
@@ -737,17 +791,20 @@ def probe_delay_map(
 
     The values are those of ``band_limit(gen_delay_azimuth_channel(...))``:
     its ``power_db`` cast to float32 and its ``mean_profile()``, byte for
-    byte.  The map is drawn, spun and convolved one row block at a time, so
-    neither the complex map nor the complex output is held whole; what is
-    held is the float32 map, the profile and, up to 2^22 entries, the map's
-    magnitudes (beyond that the noise pass draws only the white noise and
-    the magnitudes are redrawn with the phases).
+    byte, for any worker count.  The map is drawn, spun and convolved one
+    row block at a time, on the pipeline of the module docstring, so neither
+    the complex map nor the complex output is held whole; what is held is the
+    float32 map, the profile, up to ``_IN_FLIGHT`` spun blocks and, up to
+    2^22 entries, the map's magnitudes (beyond that the noise pass only
+    skips the noise, and each block redraws its own).
     """
-    onset, _, _, blocks = _delay_rows(room, params, dgrid, agrid, stream)
-    pointings, delays, probe = _probe(dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg)
+    pointings, delays, spin, taps = _probe(
+        dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg
+    )
+    onset, _, _, blocks = _delay_rows(room, params, dgrid, agrid, stream, spin)
     map_db = np.full((delays.size, pointings.size), -np.inf, dtype=np.float32)
     profile = np.zeros(delays.size)
-    for rows, power in probe(blocks):
+    for rows, power in _probe_rows(blocks, taps):
         out = slice(onset + rows.start, onset + rows.stop)
         profile[out] = power.mean(axis=1)
         map_db[out] = power_db(power)

@@ -11,7 +11,6 @@ metadata so it can be fed back as a config file and reproduce the run.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 import sys
@@ -190,22 +189,33 @@ def _check_keys(node: dict, allowed, path: str) -> None:
         raise ConfigurationError(f"config {path or '(top level)'}: unknown key(s) {unknown}")
 
 
+def _copy(value):
+    """A copy of a JSON value that shares no dict or list with it."""
+    if isinstance(value, dict):
+        return {key: _copy(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_copy(v) for v in value]
+    return value
+
+
 def _merge(schema: dict, tree: dict, override, path: str) -> dict:
-    """A copy of ``tree`` with the values of ``override``; unknown keys are
-    rejected.  A pattern node without a ``kind`` updates the current one key
-    by key, one that names its kind replaces it whole."""
+    """``tree`` with the values of ``override``: new dicts along the paths
+    that ``override`` sets, each value set copied, and every other node
+    shared with ``tree``; unknown keys are rejected.  A pattern node without
+    a ``kind`` updates the current one key by key, one that names its kind
+    replaces it whole."""
     if not isinstance(override, dict):
         raise ConfigurationError(f"config {path or '(top level)'}: expected an object")
     _check_keys(override, schema, path)
-    merged = copy.deepcopy(tree)
+    merged = dict(tree)
     for key, value in override.items():
         node, old = schema[key], tree[key]
         if isinstance(node, dict):
             merged[key] = _merge(node, old, value, f"{path}.{key}" if path else key)
         elif isinstance(node, _Pattern) and isinstance(value, dict) and "kind" not in value:
-            merged[key] = {**old, **copy.deepcopy(value)}
+            merged[key] = {**old, **_copy(value)}
         else:
-            merged[key] = copy.deepcopy(value)
+            merged[key] = _copy(value)
     return merged
 
 
@@ -223,7 +233,9 @@ def load_config_tree(path=None, overrides=None) -> dict:
             raise ConfigurationError(f"{path}: {exc}") from None
         if isinstance(tree, dict) and "config" in tree and "versions" in tree:
             tree = tree["config"]
-    return _merge(SCHEMA, _merge(SCHEMA, DEFAULT_CONFIG, tree, ""), overrides or {}, "")
+    # the one copy of the defaults: the merges share the nodes they do not set
+    merged = _merge(SCHEMA, _copy(DEFAULT_CONFIG), tree, "")
+    return _merge(SCHEMA, merged, overrides or {}, "")
 
 
 def _check_tree(schema: dict, tree: dict, path: str = "") -> None:

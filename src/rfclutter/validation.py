@@ -8,13 +8,14 @@ fluctuation statistics, scene composition, and CLI determinism.  The
 ``validate`` subcommand and the acceptance test suite both run these.
 
 ``reverberation_decay`` spreads its 100 independent delay maps, and
-``lognormal_unit_mean`` its 24 field chunks, over a thread pool of
-:func:`_workers` threads: one per core in the process's affinity mask, at
-most two, the count measured.  Each map or chunk draws from its own stream
+``lognormal_unit_mean`` its 24 field chunks, over the process's one thread
+pool (:mod:`rfclutter.pool`: one thread per core in the affinity mask, at
+most two, the count measured).  Each map or chunk draws from its own stream
 and the results are reduced in index order, so no draw and no sum changes
-order and the report's bytes do not depend on the worker count.  A chunk is
-held whole, above the mmap threshold of :func:`_settle_heap`, so the memory
-it took on a worker thread goes back when it is freed.
+order and the report's bytes do not depend on the worker count; a map drawn
+on a pool thread runs its own row blocks inline.  A chunk is held whole,
+above the mmap threshold of :func:`_settle_heap`, so the memory it took on
+a worker thread goes back when it is freed.
 
 The ensemble checks draw through :func:`_spun_ensemble` on the calling
 thread, in blocks of 250 (or 25) streams drawn together by
@@ -27,23 +28,20 @@ raised the suite's peak RSS from about 220 MB to 230-244 MB.
 
 Off-grid spins are matrix products whose last bits also depend on the BLAS
 thread count, so :func:`run_checks` runs the checks on one thread of
-NumPy's bundled OpenBLAS (:func:`_one_blas_thread`).  Before each check it
-drops the kept spin operators and settles glibc's heap (:func:`_settle_heap`),
-so the suite's peak memory does not depend on what earlier checks built or
-where their freed blocks happened to lie.
+NumPy's bundled OpenBLAS (:func:`~rfclutter.pool.one_blas_thread`).  Before
+each check it drops the kept spin operators and settles glibc's heap
+(:func:`_settle_heap`), so the suite's peak memory does not depend on what
+earlier checks built or where their freed blocks happened to lie.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import filecmp
 import functools
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -70,6 +68,7 @@ from .core import (
     fresnel_average_reflectivity,
     to_db,
 )
+from .pool import in_order, one_blas_thread
 from .randomfields import (
     AzimuthGrid,
     LognormalFieldParams,
@@ -168,57 +167,11 @@ def _settle_heap() -> None:
         libc.malloc_trim(0)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one thread of NumPy's bundled OpenBLAS, then restore
-    its thread count.
-
-    OpenBLAS splits a product differently at each thread count, which moves
-    the last bits of the off-grid spins and so of three reported statistics.
-    The OpenBLAS that the NumPy wheels bundle (``libscipy_openblas64_``)
-    exports ``scipy_openblas_set_num_threads64_``; with any other BLAS this
-    does nothing, and report bytes hold for a fixed thread count only.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    paths = sorted(libs.glob("libscipy_openblas64_*"))
-    lib = ctypes.CDLL(str(paths[0])) if paths else None  # the copy NumPy loaded
-    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
-        yield
-        return
-    get_threads = lib.scipy_openblas_get_num_threads64_
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads = lib.scipy_openblas_set_num_threads64_
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 @functools.lru_cache(maxsize=1)
 def _defaults() -> RunConfig:
     """The default run config, resolved once and shared (read-only): the room,
     clutter, patterns and probe the checks simulate unless they say otherwise."""
     return resolve_config(load_config_tree(None))
-
-
-# Each thread in flight holds a delay map's magnitudes and block temporaries
-# or a field chunk, and may keep freed heap in its own malloc arena; peak
-# memory and throughput were measured with two threads only, so no more than
-# two run.
-_MAX_WORKERS = 2
-
-
-def _workers() -> int:
-    """Threads for ``reverberation_decay`` and ``lognormal_unit_mean``: the
-    cores this process may run on, at most ``_MAX_WORKERS``."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cores = os.cpu_count() or 1
-    return min(_MAX_WORKERS, cores)
 
 
 def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=250):
@@ -289,7 +242,8 @@ def check_lognormal_unit_mean(seed: int) -> tuple[bool, float, str, dict]:
     sigmas = (4.0, 7.0)
     starts = range(0, n_fields, chunk)
 
-    def chunk_sum(sigma_db, start):
+    def chunk_sum(job):
+        sigma_db, start = job
         params = LognormalFieldParams(sigma_db, 1.0)
         corr_bins = params.corr_bins(grid)
         rng = derive_stream(seed, f"unitmean/{sigma_db}/{start}").generator()
@@ -306,15 +260,14 @@ def check_lognormal_unit_mean(seed: int) -> tuple[bool, float, str, dict]:
     details = {}
     # each chunk owns its stream and its sum is added in chunk order, so the
     # means are the same bytes for any worker count
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        chunk_sums = {s: pool.map(chunk_sum, [s] * len(starts), starts) for s in sigmas}
-        for sigma_db, sums in chunk_sums.items():
-            total = 0.0
-            for chunk_total in sums:
-                total += chunk_total
-            mean = total / (n_fields * grid.n_bins)
-            details[f"mean_sigma_{sigma_db:g}dB"] = round(mean, 5)
-            worst = max(worst, abs(mean - 1.0))
+    chunk_sums = in_order(chunk_sum, [(s, start) for s in sigmas for start in starts])
+    for sigma_db in sigmas:
+        total = 0.0
+        for _ in starts:
+            total += next(chunk_sums)
+        mean = total / (n_fields * grid.n_bins)
+        details[f"mean_sigma_{sigma_db:g}dB"] = round(mean, 5)
+        worst = max(worst, abs(mean - 1.0))
     return worst <= 0.01, worst, "linear mean within 1.00 +/- 0.01 for sigma in {4, 7} dB", details
 
 
@@ -445,8 +398,7 @@ def check_reverberation_decay(seed: int) -> tuple[bool, float, str, dict]:
 
     # each map owns its stream and the fits come back in map order, so the
     # mean is the same bytes for any worker count
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        fits = list(pool.map(fit_map, range(n_maps)))
+    fits = list(in_order(fit_map, range(n_maps)))
     estimates = np.array([estimate for estimate, _ in fits])
     causal = all(c for _, c in fits)
     t_rev_hat = float(np.mean(estimates))
@@ -628,7 +580,7 @@ def run_checks(names=None, *, master_seed: int, log=None) -> ValidationReport:
         problem = f"unknown check(s): {unknown}" if unknown else "no check named"
         raise ConfigurationError(f"{problem}; known: {list(CHECKS)}")
     results = []
-    with _one_blas_thread():
+    with one_blas_thread():
         for name in names:
             _settle_heap()
             start = time.perf_counter()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings, strategies as st
 
 import rfclutter
-from rfclutter import antennas, cli, clutter, validation
+from rfclutter import antennas, cli, clutter, config, validation
 
 
 def run(args):
@@ -524,3 +526,41 @@ def test_package_imports_the_validation_names_on_first_use():
     )
     with pytest.raises(AttributeError, match="no_such_name"):
         rfclutter.no_such_name
+
+
+# strings with the writer's own separators, quotes, escapes and non-ASCII
+_JSON_STRINGS = st.lists(
+    st.sampled_from(
+        ["a", ", ", ": ", ",\n  ", '"', "\\", "\n", "é", "ü", "\u4e2d", "\U0001f600"]
+    ),
+    max_size=5,
+).map("".join)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _JSON_STRINGS,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+@example({"delay_ns": cli._axis(np.arange(4000) * 0.1), "shape": [4000, 148], "empty": {}})
+@example({"config": config.load_config_tree(None), "nested": [[], [{}], [[1, 2], [3.5]]]})
+def test_json_writes_what_indented_json_dumps_writes(obj):
+    assert cli._json(obj) == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_axis_rounds_like_a_format_per_value():
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+    values = np.concatenate([values, [0.0, -0.0, np.inf, -np.inf, 5e-324, 0.1, 1e21]])
+    expected = [float(f"{x:.9g}") for x in values]
+    assert json.dumps(cli._axis(values)) == json.dumps(expected)
+    singles = (rng.standard_normal(500) * 10.0 ** rng.integers(-30, 30, 500)).astype(np.float32)
+    assert cli._axis(singles) == [float(f"{x:.9g}") for x in singles]

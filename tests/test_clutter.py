@@ -26,12 +26,14 @@ from rfclutter import (
     spin_response,
     uniform_pointings,
 )
-from rfclutter import clutter
+from rfclutter import clutter, pool
 from rfclutter.antennas import AntennaPattern
 from rfclutter.clutter import AzimuthField, DelayAzimuthField, spin_operator
 from rfclutter.config import load_config_tree, resolve_config
 from rfclutter.core import SPEED_OF_LIGHT, average_backscatter_ratio
-from rfclutter.randomfields import gaussian_field_rows, lognormal_mean_offset, skip_field_rows
+from rfclutter.randomfields import (
+    filter_field_rows, gaussian_field_rows, lognormal_mean_offset, skip_field_rows,
+)
 
 DEFAULTS = resolve_config(load_config_tree(None))
 CARRIER = CarrierSpec(28e9)
@@ -696,7 +698,7 @@ def test_streamed_delay_map_of_zero_reflectivity_room_is_minus_inf_without_warni
 
 def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
     # 922 live rows of 360 bins are 11 blocks of 91 rows; a budget of two
-    # blocks makes the noise pass skip the noise and the phase pass redraw it
+    # blocks makes the noise pass skip the noise and each block redraw its own
     agrid = AzimuthGrid(360)
     dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(40.0, agrid)
@@ -707,25 +709,90 @@ def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
     held = clutter.probe_delay_map(*args)
     monkeypatch.setattr(clutter, "_HELD_ENTRIES", 2 * 91 * agrid.n_bins)
     events = []
-    def drawn(rng, n_rows, n_bins, corr_bins):
-        events.append(("draw", n_rows))
-        return gaussian_field_rows(rng, n_rows, n_bins, corr_bins)
+    def filtered(white, corr_bins):
+        events.append(("filter", white.shape[0]))
+        return filter_field_rows(white, corr_bins)
     def skipped(rng, n_rows, n_bins):
         events.append(("skip", n_rows))
         skip_field_rows(rng, n_rows, n_bins)
-    monkeypatch.setattr(clutter, "gaussian_field_rows", drawn)
+    monkeypatch.setattr(clutter, "filter_field_rows", filtered)
     monkeypatch.setattr(clutter, "skip_field_rows", skipped)
-    streamed = clutter.probe_delay_map(*args)
-    blocks = [n for kind, n in events if kind == "skip"]
-    assert len(blocks) >= 3
-    assert events == [("skip", n) for n in blocks] + [("draw", n) for n in blocks]
-    _assert_same_map(streamed, held)
-    # a held map over the budget skips and redraws its noise the same way
-    events.clear()
-    redrawn = gen_delay_azimuth_channel(*args[:5])
-    assert events == [("skip", n) for n in blocks] + [("draw", n) for n in blocks]
-    assert np.array_equal(redrawn.amplitudes, held_field.amplitudes)
-    assert redrawn.p_v_db == held_field.p_v_db
+
+    def assert_skipped_then_redrawn(workers):
+        # the calling thread skips every block's noise in order before any
+        # block redraws and filters its own: in order on one worker
+        blocks = [n for kind, n in events if kind == "skip"]
+        assert len(blocks) >= 3
+        assert events[: len(blocks)] == [("skip", n) for n in blocks]
+        redrawn = events[len(blocks) :]
+        assert sorted(redrawn) == sorted(("filter", n) for n in blocks)
+        if workers == 1:
+            assert redrawn == [("filter", n) for n in blocks]
+        events.clear()
+
+    for workers in (1, 2):
+        monkeypatch.setattr(pool, "workers", lambda: workers)
+        streamed = clutter.probe_delay_map(*args)
+        assert_skipped_then_redrawn(workers)
+        _assert_same_map(streamed, held)
+        # a held map over the budget skips and redraws its noise the same way
+        redrawn = gen_delay_azimuth_channel(*args[:5])
+        assert_skipped_then_redrawn(workers)
+        assert np.array_equal(redrawn.amplitudes, held_field.amplitudes)
+        assert redrawn.p_v_db == held_field.p_v_db
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "redrawn"])
+def test_delay_map_bytes_do_not_depend_on_the_worker_count(monkeypatch, held):
+    # 183 live rows of 1800 bins are ten blocks of 18 rows and one of 3, and
+    # the 41 taps of a 0.25 GHz probe carry 40 spun rows, across three blocks
+    agrid = AzimuthGrid(1800)
+    dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, 18.35e-9)
+    assert dgrid.n_bins - dgrid.onset_bin == 183
+    probe = make_probe_waveform(0.25e9, 10e9, "hamming")
+    assert probe.samples.size == 41
+    if not held:
+        monkeypatch.setattr(clutter, "_HELD_ENTRIES", 2 * 18 * agrid.n_bins)
+    args = (ROOM, _params(), dgrid, agrid, derive_stream(36, "workers"), probe,
+            gaussian_horn(10.0, agrid), omni(agrid), uniform_pointings(148), 0.0)
+    maps, fields = [], []
+    for workers in (1, 2):
+        monkeypatch.setattr(pool, "workers", lambda: workers)
+        maps.append(clutter.probe_delay_map(*args))
+        fields.append(gen_delay_azimuth_channel(*args[:5]).amplitudes)
+    _assert_same_map(*maps)
+    assert fields[0].tobytes() == fields[1].tobytes()
+    _assert_same_map(maps[1], _held_delay_map(*args))
+
+
+def test_phases_drawn_through_advance_equal_the_sequential_draw():
+    rng = derive_stream(35, "advance").generator()
+    rng.standard_normal(1001)  # the ziggurat takes a varying number of outputs
+    after_noise = rng.bit_generator.state
+    blocks = clutter._row_blocks(183, 1800)
+    sequential = [rng.random((rows.stop - rows.start, 1800)) for rows in blocks]
+    for rows, u in reversed(list(zip(blocks, sequential))):
+        gen = clutter._generator_at(after_noise, rows.start * 1800)
+        assert gen.random(u.shape).tobytes() == u.tobytes()
+
+
+def test_delay_map_on_a_pool_thread_submits_nothing_to_the_pool(monkeypatch):
+    monkeypatch.setattr(pool, "workers", lambda: 2)
+    executor = pool._pool()
+    submit, submitted = executor.submit, []
+    monkeypatch.setattr(
+        executor, "submit", lambda fn, *a, **kw: submitted.append(fn) or submit(fn, *a, **kw)
+    )
+    agrid = AzimuthGrid(360)
+    args = (ROOM, _params(), DelayGrid.for_room(ROOM, DELTA_TAU_S, None), agrid,
+            derive_stream(37, "nested"), DEFAULTS.probe, gaussian_horn(10.0, agrid),
+            omni(agrid), uniform_pointings(148), 0.0)
+    direct = clutter.probe_delay_map(*args)
+    assert len(submitted) == 2 * 11  # 11 blocks filtered, then phased and spun
+    submitted.clear()
+    on_pool = submit(clutter.probe_delay_map, *args).result(timeout=60)
+    assert submitted == []
+    _assert_same_map(on_pool, direct)
 
 
 def test_streamed_delay_map_never_holds_a_complex_map():

@@ -16,17 +16,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from rfclutter import cli, clutter, config, core, target, validation
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
-
-# Even without a database, hypothesis caches the constants of the collected
-# modules (and unicode tables) in its home directory while pytest collects;
-# keep that cache in a temporary directory, removed at exit.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 NAN, INF = math.nan, math.inf
 NON_FINITE = st.sampled_from([NAN, INF, -INF])
@@ -245,6 +238,26 @@ def test_flags_merge_over_the_config_file(tmp_path):
     assert tree["room"]["material"] == "gamma:0.5" and tree["room"]["width_m"] == 5.0
     assert tree["antennas"]["rx"] == {"kind": "gaussian", "hpbw_deg": 20.0}
     assert tree["probe"]["oversample"] == 20 and isinstance(tree["probe"]["oversample"], int)
+
+
+def test_a_loaded_tree_shares_no_node_with_the_defaults_or_the_overrides(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"antennas": {"rx": {"hpbw_deg": 12.0}}, "room": {"width_m": 4.0}}))
+    defaults = config._default_tree(config.SCHEMA)
+    pristine = json.loads(json.dumps(defaults))
+    overrides = {"scene": {"waypoints": [[0.0, 1.0, 1.0], [9.0, 1.0, 1.0]]}, "seed": 3}
+    pristine_overrides = json.loads(json.dumps(overrides))
+    for tree in (config.load_config_tree(None), config.load_config_tree(path, overrides)):
+        tree["scene"]["waypoints"][0][1] = 7.0
+        tree["scene"]["waypoints"].append([99.0, 1.0, 1.0])
+        tree["antennas"]["rx"]["hpbw_deg"] = 45.0
+        tree["antennas"]["tx"]["kind"] = "csv"
+        tree["room"]["material"] = "gamma:0.5"
+    assert config.DEFAULT_CONFIG == pristine
+    assert config._default_tree(config.SCHEMA) == pristine
+    assert defaults == pristine  # the SCHEMA leaves' own default lists and dicts
+    assert overrides == pristine_overrides
+    assert config.load_config_tree(None) == pristine
 
 
 def test_default_config_is_derived_from_the_schema():

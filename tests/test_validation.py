@@ -1,7 +1,8 @@
 """The thread fan-out of the acceptance checks: report bytes that do not
 depend on the worker count, a capped worker count, shared memos that survive
 racing workers, large blocks mapped on their own after the heap is settled,
-and a ported causality check that still catches a fault."""
+a ported causality check that still catches a fault, and the one-thread
+BLAS pin that delay maps and reports share."""
 
 import ctypes
 import json
@@ -10,19 +11,22 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rfclutter import randomfields, validation
-from rfclutter.randomfields import derive_stream, gaussian_field_rows
+from rfclutter import pool, randomfields, validation
+from rfclutter.antennas import gaussian_horn, omni
+from rfclutter.clutter import probe_delay_map, uniform_pointings
+from rfclutter.randomfields import AzimuthGrid, derive_stream, gaussian_field_rows
 
 
 def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     reports = []
     for workers in (1, 2):
-        monkeypatch.setattr(validation, "_workers", lambda: workers)
+        monkeypatch.setattr(pool, "workers", lambda: workers)
         report = validation.run_checks(
             ["reverberation_decay", "lognormal_unit_mean"], master_seed=3
         )
@@ -72,8 +76,8 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count():
 
 def test_workers_are_capped_at_two(monkeypatch):
     for mask, workers in ((set(range(64)), 2), ({0}, 1)):
-        monkeypatch.setattr(validation.os, "sched_getaffinity", lambda pid: mask, raising=False)
-        assert validation._workers() == workers
+        monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: mask, raising=False)
+        assert pool.workers() == workers
 
 
 _MAPPED_AFTER_SETTLING = """
@@ -124,8 +128,8 @@ def test_field_filter_memo_under_racing_workers():
     threaded = []
 
     def fan_out():
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded.extend(pool.map(rows, range(32)))
+        with ThreadPoolExecutor(max_workers=8) as executor:
+            threaded.extend(executor.map(rows, range(32)))
 
     runner = threading.Thread(target=fan_out)
     interval = sys.getswitchinterval()
@@ -158,9 +162,47 @@ def test_reverberation_decay_flags_a_finite_bin_before_onset(monkeypatch, leak):
         delays, power_db, profile = first[0]
         return delays, power_db.copy(), profile
 
-    monkeypatch.setattr(validation, "_workers", lambda: 1)
+    monkeypatch.setattr(pool, "workers", lambda: 1)
     monkeypatch.setattr(validation, "probe_delay_map", replay)
     passed, _, _, details = validation.check_reverberation_decay(1234)
     assert details["causal_output"] is not leak
     if leak:
         assert not passed
+
+
+@pytest.mark.skipif(pool._openblas_threads() is None, reason="NumPy's bundled scipy-openblas only")
+def test_overlapping_blas_pins_restore_the_count_they_found():
+    get_threads, set_threads = pool._openblas_threads()
+    before = get_threads()
+    try:
+        set_threads(2)
+        first, second = pool.one_blas_thread(), pool.one_blas_thread()
+        first.__enter__()
+        second.__enter__()  # as from another thread
+        first.__exit__(None, None, None)
+        assert get_threads() == 1  # the second holder still runs on one thread
+        second.__exit__(None, None, None)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+@pytest.mark.skipif(pool._openblas_threads() is None, reason="NumPy's bundled scipy-openblas only")
+def test_delay_map_bytes_do_not_depend_on_the_blas_thread_count():
+    """An off-grid spin's last bits move with OpenBLAS's thread count; a
+    delay map spins each block on one thread whatever the count."""
+    cfg = validation._defaults()
+    agrid = AzimuthGrid(1800)
+    dgrid = replace(cfg.delay_grid, tau_max_s=cfg.delay_grid.onset_s + 5e-9)
+    args = (cfg.room, cfg.clutter, dgrid, agrid, derive_stream(4, "blas"), cfg.probe,
+            gaussian_horn(10.0, agrid), omni(agrid), uniform_pointings(148), 0.0)
+    get_threads, set_threads = pool._openblas_threads()
+    before = get_threads()
+    maps = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            maps.append([part.tobytes() for part in probe_delay_map(*args)])
+    finally:
+        set_threads(before)
+    assert maps[0] == maps[1]
