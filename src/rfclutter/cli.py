@@ -189,8 +189,7 @@ def _synth_delay(cfg: RunConfig) -> tuple:
 
 
 def _scene(cfg: RunConfig) -> tuple:
-    spec = cfg.scene_spec()
-    tmap = compose_scene(spec, derive_stream(cfg.seed, "scene/0"))
+    tmap = compose_scene(cfg.scene, derive_stream(cfg.seed, "scene/0"))
     files = {"scene_timeseries.csv": _csv(
         "time_s,pointing_deg,power_db", "%.9g,%.9g,%.9g",
         tmap.times_s, tmap.pointing_deg, tmap.power_db,
@@ -200,11 +199,10 @@ def _scene(cfg: RunConfig) -> tuple:
         files.update(_grid("scene_map", power_db(image), {
             "rotation_start_s": _axis(rot_times), "pointing_deg": _axis(pointing_bins),
         }))
+    elif tmap.samples_per_rotation is None:
+        print("scene: no scene_map: spin.period_s x spin.sample_rate_hz is not a whole number")
     else:
-        print(
-            f"scene: no scene_map: {spec.spin_period_s * spec.sample_rate_hz:.9g} samples per"
-            " rotation is not a whole number, or the scene is shorter than one rotation"
-        )
+        print(f"scene: no scene_map: shorter than a rotation ({tmap.samples_per_rotation} samples)")
     return files, f"scene: {tmap.power.size} samples, {image.shape[0]} rotations", 0
 
 

@@ -8,7 +8,8 @@ Y(p) = dphi * sum_i h_i f_R(phi_i - p) f_T(phi_i - tx_pointing) over the last
 axis of the amplitudes, computed as a circular FFT convolution when every
 pointing is a grid center and as one weight matrix otherwise.  The matrix
 rows of pointings that sit the same sub-bin offset off the grid are rolls of
-one another, so f_R is evaluated once per distinct offset.
+one another, so f_R is evaluated once per distinct offset.  Every spin runs
+on one OpenBLAS thread, whatever path and thread it runs on.
 
 Channel draws
 -------------
@@ -374,14 +375,15 @@ def spin_operator(
     :func:`~rfclutter.antennas.omni` turn into a value), within 2^22 array
     entries in all: the least recently used go first, and
     :func:`clear_spin_operators` drops them all.  An operator applies itself
-    in row blocks of about 32k elements.  Off the grid f_T is folded into
-    the weight rows, and rows too many to hold are built once per call.
-    Off the grid the error is relative rounding; on it the FFT's error is
-    about machine epsilon times the largest spun amplitude, so pointings
-    where both beams miss the clutter read as that rounding noise.  When
-    the pointed bins are every d-th bin from bin 0 in order, the product
-    spectrum is folded to n_bins / d bins before the inverse FFT, which
-    reads the same values to rounding.
+    in row blocks of about 32k elements, on one OpenBLAS thread
+    (:func:`~rfclutter.pool.one_blas_thread` says why).  Off the grid f_T is
+    folded into the weight rows, and rows too many to hold are built once per
+    call.  Off the grid the error is relative rounding; on it the FFT's error
+    is about machine epsilon times the largest spun amplitude, so pointings
+    where both beams miss the clutter read as that rounding noise.  When the
+    pointed bins are every d-th bin from bin 0 in order, the product spectrum
+    is folded to n_bins / d bins before the inverse FFT, which reads the same
+    values to rounding.
 
     A pointing p = phi_m + f has its sub-bin offset f in [-dphi/2, dphi/2].
     Rows whose f agree to 1e-9 deg are exact rolls of one kernel, the f_R row
@@ -488,11 +490,12 @@ def _build_spin_operator(grid, rx, tx, pointings, tx_pointing_deg):
 
 
 def _on_rows(spin_rows, n_bins, n_pointings):
-    """Lift spin_rows(a, out) on (rows, n_bins) to (..., n_bins) amplitudes."""
+    """spin_rows(a, out) on (rows, n_bins), lifted to (..., n_bins) and run on one BLAS thread."""
     def spin(amplitudes):
         amplitudes = np.asarray(amplitudes)
         out = np.empty(amplitudes.shape[:-1] + (n_pointings,), dtype=complex)
-        spin_rows(amplitudes.reshape(-1, n_bins), out.reshape(-1, n_pointings))
+        with one_blas_thread():
+            spin_rows(amplitudes.reshape(-1, n_bins), out.reshape(-1, n_pointings))
         return out
     return spin
 
@@ -695,17 +698,11 @@ def _resample_waveform(waveform: ProbeWaveform, delta_tau_s: float) -> np.ndarra
 
 def _probe(dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg):
     """Probing a map on (dgrid, agrid): return (pointings, output delays,
-    spin, taps): the spin, on one BLAS thread, and the waveform's taps on the
-    delay grid, for :func:`_probe_rows`.
-
-    One BLAS thread makes a map's bits the same whatever the BLAS thread
-    count and whichever thread spins a block, and keeps two blocks spun at
-    once from oversubscribing the cores."""
+    spin, taps): the :func:`spin_operator`, which spins each block on one
+    BLAS thread whichever thread runs it, and the waveform's taps on the
+    delay grid, for :func:`_probe_rows`."""
     pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
-    operator = spin_operator(agrid, rx, tx, pointings, tx_pointing_deg)
-    def spin(a):
-        with one_blas_thread():
-            return operator(a)
+    spin = spin_operator(agrid, rx, tx, pointings, tx_pointing_deg)
     taps = _resample_waveform(waveform, dgrid.delta_tau_s) * dgrid.delta_tau_s
     delays = np.arange(dgrid.n_bins + taps.size - 1) * dgrid.delta_tau_s
     return pointings, delays, spin, taps

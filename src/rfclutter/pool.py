@@ -12,9 +12,9 @@ never wait on one another.  With one worker (one core in the affinity mask)
 everything runs inline on the calling thread.  The pool is built at the
 first fan-out, never at import.
 
-The BLAS thread count is set here too (:func:`one_blas_thread`): the
-acceptance checks run on one OpenBLAS thread, and so does the spin of each
-delay-map block.
+The BLAS thread count is set here too (:func:`one_blas_thread`): every spin
+pins itself to one OpenBLAS thread, on any path, and ``run_checks`` holds the
+pin over the checks' remaining BLAS and LAPACK calls.
 """
 
 from __future__ import annotations

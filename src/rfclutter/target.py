@@ -180,6 +180,16 @@ class SceneSpec:
             )
         check_coherence_resolved(self.target.coherence_time_s, self.sample_rate_hz)
 
+    @property
+    def _rotation_samples(self) -> float:
+        return self.spin_period_s * self.sample_rate_hz
+
+    @property
+    def samples_per_rotation(self) -> int | None:
+        """The samples in one rotation if a whole number (to 1e-9) of at least one, else None."""
+        spr = float(np.rint(self._rotation_samples))  # not round(): inf if the product overflows
+        return int(spr) if spr >= 1 and abs(self._rotation_samples - spr) <= 1e-9 else None
+
 
 @dataclass(frozen=True, eq=False)
 class TimeAzimuthMap:
@@ -192,23 +202,18 @@ class TimeAzimuthMap:
     times_s: np.ndarray
     pointing_deg: np.ndarray
     power: np.ndarray
-    spin_period_s: float
-    sample_rate_hz: float
+    samples_per_rotation: int | None  # that of the SceneSpec
 
     @property
     def power_db(self) -> np.ndarray:
         return power_db(self.power)
 
-    @property
-    def samples_per_rotation(self) -> int:
-        return int(round(self.spin_period_s * self.sample_rate_hz))
-
     def folded(self):
         """(rotation start times, pointing bins, power image) of the complete
-        rotations; empty unless a rotation is a whole number of samples (to
-        1e-9), as rows would drift off the first rotation's pointings."""
+        rotations; empty unless a rotation is a whole number of samples, as
+        rows would drift off the first rotation's pointings."""
         spr = self.samples_per_rotation
-        if spr < 1 or abs(self.spin_period_s * self.sample_rate_hz - spr) > 1e-9:
+        if spr is None:
             return np.empty(0), np.empty(0), np.empty((0, 0))
         n_rot = self.power.size // spr
         image = self.power[: n_rot * spr].reshape(n_rot, spr)
@@ -226,16 +231,16 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     """
     n = int(round(spec.duration_s * spec.sample_rate_hz))
     times = np.arange(n) / spec.sample_rate_hz
-    # the sample index modulo samples-per-rotation (an exact float %) keeps
-    # pointings in [0, 360) and, for an integral count, bitwise the same in
-    # every rotation, so a regenerated scene reuses the first spin operator
-    per_rotation = spec.spin_period_s * spec.sample_rate_hz
+    # i % samples-per-rotation (exact) keeps pointings in [0, 360) and, for a whole number,
+    # bitwise the same in every rotation, so a regenerated scene reuses one spin operator
+    spr = spec.samples_per_rotation
+    per_rotation = spr or spec._rotation_samples
     pointings = np.arange(n) % per_rotation / per_rotation * 360.0
 
     grid = spec.rx.grid
     clutter_stream = stream.child("clutter")
     # static clutter is one draw spun over the whole scene; regenerated
-    # clutter is drawn anew wherever the rotation index floor(i / q) changes
+    # clutter is drawn anew wherever the rotation index changes
     regenerate = spec.regenerate_clutter_per_rotation
     rotation = np.floor(np.arange(n) / per_rotation) if regenerate else np.zeros(n)
     starts = np.flatnonzero(np.diff(rotation, prepend=-1.0)).tolist()
@@ -243,10 +248,10 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     for rot, (start, stop) in enumerate(zip(starts, [*starts[1:], n])):
         sub = clutter_stream.child(f"rotation/{rot}") if regenerate else clutter_stream
         fld = gen_azimuth_channel(spec.room, spec.clutter, grid, sub)
-        sl = slice(start, stop)
-        y_clut[sl] = spin_operator(
-            grid, spec.rx, spec.tx, pointings[sl], spec.tx_pointing_deg
-        )(fld.amplitudes)
+        # a regenerated rotation, a short last one too, is read off the first one's operator
+        rows = pointings[:spr] if regenerate and spr else pointings[start:stop]
+        spin = spin_operator(grid, spec.rx, spec.tx, rows, spec.tx_pointing_deg)
+        y_clut[start:stop] = spin(fld.amplitudes)[: stop - start]
 
     # the fluctuation has a child stream of its own, so skipping it for the
     # constant model moves no other draw
@@ -272,6 +277,5 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
         times_s=times,
         pointing_deg=pointings,
         power=power,
-        spin_period_s=spec.spin_period_s,
-        sample_rate_hz=spec.sample_rate_hz,
+        samples_per_rotation=spr,
     )

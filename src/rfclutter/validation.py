@@ -27,8 +27,9 @@ arena keeps such blocks resident after they are freed; threaded, they
 raised the suite's peak RSS from about 220 MB to 230-244 MB.
 
 Off-grid spins are matrix products whose last bits also depend on the BLAS
-thread count, so :func:`run_checks` runs the checks on one thread of
-NumPy's bundled OpenBLAS (:func:`~rfclutter.pool.one_blas_thread`).  Before
+thread count, so every spin pins itself to one thread of NumPy's bundled
+OpenBLAS (:func:`~rfclutter.pool.one_blas_thread`); :func:`run_checks` pins
+the checks' other BLAS and LAPACK calls (``np.polyfit``) the same way.  Before
 each check it drops the kept spin operators and settles glibc's heap
 (:func:`_settle_heap`), so the suite's peak memory does not depend on what
 earlier checks built or where their freed blocks happened to lie.
@@ -447,7 +448,7 @@ def check_target_fluctuation(seed: int) -> tuple[bool, float, str, dict]:
 
 def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
     cfg = _defaults()
-    spec = cfg.scene_spec()
+    spec = cfg.scene
     stream = derive_stream(seed, "scene/demo")
     map_t = compose_scene(spec, stream)
     spec_zero = replace(spec, target=replace(spec.target, sigma0_dbsm=-math.inf))

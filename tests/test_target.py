@@ -18,6 +18,7 @@ from rfclutter import (
     target_response,
     trajectory_state,
 )
+from rfclutter import clutter
 from rfclutter.antennas import AntennaPattern
 from rfclutter.clutter import clear_spin_operators, spin_amplitudes
 from rfclutter.config import load_config_tree, resolve_config
@@ -28,6 +29,8 @@ CARRIER = CarrierSpec(28e9)
 GRID = AzimuthGrid(1800)
 OMNI = omni(GRID)
 NO_CLUTTER = replace(DEFAULTS.room, gamma_sq=0.0)
+# period x rate is 7.000000000000001: a rotation of 7 samples, to 1e-9
+SEVEN_SAMPLES = {"spin_period_s": 0.07, "sample_rate_hz": 100.0}
 
 
 def test_trajectory_interpolation():
@@ -243,13 +246,14 @@ def test_scene_power_is_the_link_budget():
 
 
 def test_scene_pointings_stay_below_360_and_repeat_per_rotation():
-    tmap = compose_scene(_demo_scene(), derive_stream(31, "pointings"))
-    assert np.all((tmap.pointing_deg >= 0.0) & (tmap.pointing_deg < 360.0))
-    spr = tmap.samples_per_rotation
-    rotations = tmap.pointing_deg.reshape(-1, spr)
-    assert rotations.shape == (10, 148)
-    for r in range(1, rotations.shape[0]):
-        assert np.array_equal(rotations[r], rotations[0])
+    for spin, shape in (({}, (10, 148)), (SEVEN_SAMPLES, (28, 7))):
+        tmap = compose_scene(_demo_scene(**spin), derive_stream(31, "pointings"))
+        assert np.all((tmap.pointing_deg >= 0.0) & (tmap.pointing_deg < 360.0))
+        spr = tmap.samples_per_rotation
+        rotations = tmap.pointing_deg[: shape[0] * spr].reshape(-1, spr)
+        assert rotations.shape == shape
+        for r in range(1, rotations.shape[0]):
+            assert np.array_equal(rotations[r], rotations[0])
 
 
 @pytest.mark.parametrize("rate_hz", [745.0, 743.7])
@@ -270,44 +274,61 @@ def test_regenerated_scene_builds_the_spin_operator_once(monkeypatch):
         calls.append(1)
         return field_at(self, offset_deg)
     monkeypatch.setattr(AntennaPattern, "field_at", counted)
-    counts = []
-    for regenerate in (False, True):
-        clear_spin_operators()
-        calls.clear()
-        spec = _demo_scene(duration_s=1.0, regenerate_clutter_per_rotation=regenerate)
-        compose_scene(spec, derive_stream(33, "operator"))
-        counts.append(len(calls))
-    static, regenerated = counts
-    assert 0 < regenerated <= static
+    for spin in ({}, SEVEN_SAMPLES):
+        counts = []
+        for regenerate in (False, True):
+            clear_spin_operators()
+            calls.clear()
+            spec = _demo_scene(duration_s=1.0, regenerate_clutter_per_rotation=regenerate, **spin)
+            compose_scene(spec, derive_stream(33, "operator"))
+            assert len(clutter._SPIN_OPERATORS) == 1
+            counts.append(len(calls))
+        static, regenerated = counts
+        assert 0 < regenerated <= static
 
 
-@pytest.mark.parametrize("rate_hz", [740.0, 743.7])
-def test_folded_rows_sit_on_their_pointing_labels(rate_hz):
+@pytest.mark.parametrize("spin, rotations", [
+    pytest.param({"sample_rate_hz": 740.0}, 10, id="740.0"),
+    pytest.param({"sample_rate_hz": 743.7}, 0, id="743.7"),
+    pytest.param(SEVEN_SAMPLES, 28, id="0.07s-100Hz"),
+    pytest.param({"spin_period_s": 1e306}, 0, id="period-x-rate-overflows"),
+])
+def test_folded_rows_sit_on_their_pointing_labels(spin, rotations):
     # at 743.7 Hz a rotation is 148.74 samples: rows cut every 149 samples
     # would drift further off the first rotation's pointings, row by row
-    tmap = compose_scene(_demo_scene(sample_rate_hz=rate_hz), derive_stream(34, "fold"))
+    tmap = compose_scene(_demo_scene(**spin), derive_stream(34, "fold"))
     _, pointing_bins, image = tmap.folded()
     n_rot, spr = image.shape
     rows = tmap.pointing_deg[: n_rot * spr].reshape(n_rot, spr)
-    assert np.all(np.abs((rows - pointing_bins + 180.0) % 360.0 - 180.0) <= 1e-9)
+    assert np.array_equal(rows, np.broadcast_to(pointing_bins, rows.shape))  # the same bits
     assert np.array_equal(image, tmap.power[: n_rot * spr].reshape(n_rot, spr))
-    assert n_rot == (10 if rate_hz == 740.0 else 0)
+    assert n_rot == rotations
 
 
 def test_regenerated_clutter_is_redrawn_where_the_rotation_index_changes():
-    spec = _demo_scene(
-        sample_rate_hz=743.7,
-        duration_s=1.0,
-        target=replace(TARGET, sigma0_dbsm=-math.inf),
-        regenerate_clutter_per_rotation=True,
-    )
-    stream = derive_stream(35, "regen")
-    tmap = compose_scene(spec, stream)
-    rotation = np.floor(np.arange(tmap.power.size) / (spec.spin_period_s * spec.sample_rate_hz))
-    assert rotation[-1] == 4
-    for r in range(5):
-        sel = rotation == r
-        sub = stream.child("clutter").child(f"rotation/{r}")
-        field = gen_azimuth_channel(spec.room, spec.clutter, GRID, sub)
-        y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg[sel], 0.0)
-        assert np.array_equal(tmap.power[sel], np.abs(y) ** 2)
+    for spin, last in (({"sample_rate_hz": 743.7}, 4), (SEVEN_SAMPLES, 14)):
+        spec = _demo_scene(
+            duration_s=1.0,
+            target=replace(TARGET, sigma0_dbsm=-math.inf),
+            regenerate_clutter_per_rotation=True,
+            **spin,
+        )
+        stream = derive_stream(35, "regen")
+        tmap = compose_scene(spec, stream)
+        # 148.74 samples are not a whole rotation: the index is then floor(i / 148.74)
+        spr = spec.samples_per_rotation
+        per_rotation = spr or spec.spin_period_s * spec.sample_rate_hz
+        rotation = np.floor(np.arange(tmap.power.size) / per_rotation)
+        assert rotation[-1] == last
+        for r in range(last + 1):
+            sel = rotation == r
+            sub = stream.child("clutter").child(f"rotation/{r}")
+            field = gen_azimuth_channel(spec.room, spec.clutter, GRID, sub)
+            # a whole rotation's spin, a short last rotation reading its first samples
+            spun = tmap.pointing_deg[sel] if spr is None else tmap.pointing_deg[:spr]
+            y = spin_amplitudes(field, spec.rx, spec.tx, spun, 0.0)[: np.count_nonzero(sel)]
+            assert np.array_equal(tmap.power[sel], np.abs(y) ** 2)
+        # the folded map's rows start where the clutter is redrawn
+        rot_times, _, image = tmap.folded()
+        starts = np.flatnonzero(np.diff(rotation, prepend=-1.0))
+        assert np.array_equal(rot_times, tmap.times_s[starts[: image.shape[0]]])

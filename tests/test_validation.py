@@ -2,7 +2,7 @@
 depend on the worker count, a capped worker count, shared memos that survive
 racing workers, large blocks mapped on their own after the heap is settled,
 a ported causality check that still catches a fault, and the one-thread
-BLAS pin that delay maps and reports share."""
+BLAS pin that every spin and every report runs under."""
 
 import ctypes
 import json
@@ -19,8 +19,15 @@ import pytest
 
 from rfclutter import pool, randomfields, validation
 from rfclutter.antennas import gaussian_horn, omni
-from rfclutter.clutter import probe_delay_map, uniform_pointings
+from rfclutter.clutter import (
+    AzimuthField,
+    gen_azimuth_channels,
+    probe_delay_map,
+    spin_response,
+    uniform_pointings,
+)
 from rfclutter.randomfields import AzimuthGrid, derive_stream, gaussian_field_rows
+from rfclutter.target import compose_scene
 
 
 def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch):
@@ -187,22 +194,49 @@ def test_overlapping_blas_pins_restore_the_count_they_found():
         set_threads(before)
 
 
-@pytest.mark.skipif(pool._openblas_threads() is None, reason="NumPy's bundled scipy-openblas only")
-def test_delay_map_bytes_do_not_depend_on_the_blas_thread_count():
-    """An off-grid spin's last bits move with OpenBLAS's thread count; a
-    delay map spins each block on one thread whatever the count."""
-    cfg = validation._defaults()
+def _delay_map(cfg):
     agrid = AzimuthGrid(1800)
     dgrid = replace(cfg.delay_grid, tau_max_s=cfg.delay_grid.onset_s + 5e-9)
-    args = (cfg.room, cfg.clutter, dgrid, agrid, derive_stream(4, "blas"), cfg.probe,
-            gaussian_horn(10.0, agrid), omni(agrid), uniform_pointings(148), 0.0)
+    return probe_delay_map(cfg.room, cfg.clutter, dgrid, agrid, derive_stream(4, "blas"),
+                           cfg.probe, gaussian_horn(10.0, agrid), omni(agrid),
+                           uniform_pointings(148), 0.0)
+
+
+def _spun_block(cfg):
+    # 18 draws spun as one block through the default 148 off-grid pointings
+    streams = [derive_stream(4, f"blas/{k}") for k in range(18)]
+    amplitudes, p_v_db, p0 = gen_azimuth_channels(cfg.room, cfg.clutter, cfg.grid, streams)
+    field = AzimuthField(cfg.grid, amplitudes, p_v_db, p0)
+    return [spin_response(field, cfg.rx, cfg.tx, uniform_pointings(148), 0.0).power]
+
+
+def _scene(regenerate):
+    # 500 off-grid pointings a rotation: then even one draw's spin moves
+    # with the thread count
+    def scene(cfg):
+        spec = replace(cfg.scene, sample_rate_hz=2500.0, duration_s=1.0,
+                       regenerate_clutter_per_rotation=regenerate)
+        return [compose_scene(spec, derive_stream(4, "blas")).power]
+    return scene
+
+
+@pytest.mark.skipif(pool._openblas_threads() is None, reason="NumPy's bundled scipy-openblas only")
+@pytest.mark.parametrize(
+    "run", [_delay_map, _spun_block, _scene(False), _scene(True)],
+    ids=["delay_map", "spin_response", "scene_static", "scene_regenerated"],
+)
+def test_delay_map_bytes_do_not_depend_on_the_blas_thread_count(run):
+    """An off-grid spin's last bits move with OpenBLAS's thread count; every
+    spin runs on one thread whatever the count: a delay map's blocks, a
+    spun spectrum and a scene's rotations."""
+    cfg = validation._defaults()
     get_threads, set_threads = pool._openblas_threads()
     before = get_threads()
-    maps = []
+    outputs = []
     try:
         for threads in (1, 2):
             set_threads(threads)
-            maps.append([part.tobytes() for part in probe_delay_map(*args)])
+            outputs.append([part.tobytes() for part in run(cfg)])
     finally:
         set_threads(before)
-    assert maps[0] == maps[1]
+    assert outputs[0] == outputs[1]
