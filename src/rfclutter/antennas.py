@@ -105,7 +105,9 @@ class AntennaPattern:
         gain = self._tab_gain_db
         ext_az = np.concatenate([az, [az[0] + 360.0]])
         ext_gain = np.concatenate([gain, [gain[0]]])
-        db = np.interp(np.asarray(offset_deg, dtype=float) % 360.0, ext_az, ext_gain)
+        # offsets below the first sample wrap past the last: [az[0], az[0] + 360)
+        x = np.asarray(offset_deg, dtype=float) % 360.0
+        db = np.interp(np.where(x < az[0], x + 360.0, x), ext_az, ext_gain)
         return 10.0 ** (db / 10.0)
 
     def field_at(self, offset_deg) -> np.ndarray:

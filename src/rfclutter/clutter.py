@@ -5,11 +5,15 @@ on an azimuth grid (optionally extended over delay with a reverberant decay
 envelope), the spun-antenna response, and band-limited probing of the
 delay-azimuth map.  Every spin is one linear operator, :func:`spin_operator`:
 Y(p) = dphi * sum_i h_i f_R(phi_i - p) f_T(phi_i - tx_pointing) over the last
-axis of the amplitudes, computed as a circular FFT convolution when every
-pointing is a grid center and as one weight matrix otherwise.  The matrix
-rows of pointings that sit the same sub-bin offset off the grid are rolls of
-one another, so f_R is evaluated once per distinct offset.  Every spin runs
-on one OpenBLAS thread, whatever path and thread it runs on.
+axis of the amplitudes.  It is computed as a circular FFT convolution when
+the pointings are the bin centers 0, d, 2d, ... of a sweep that steps d >= 1
+bins around the whole grid, and otherwise as one weight matrix with one row
+per pointing, in the order given.  The matrix rows of pointings that sit the
+same sub-bin offset off the grid are rolls of one another, so f_R is
+evaluated once per distinct offset.  Every spin runs on one OpenBLAS thread,
+whatever path and thread it runs on.  A spin's last bits depend on how many
+pointings its operator has, so a scene spins one rotation and reads every
+sample off it.
 
 Channel draws
 -------------
@@ -376,14 +380,16 @@ def spin_operator(
     entries in all: the least recently used go first, and
     :func:`clear_spin_operators` drops them all.  An operator applies itself
     in row blocks of about 32k elements, on one OpenBLAS thread
-    (:func:`~rfclutter.pool.one_blas_thread` says why).  Off the grid f_T is
-    folded into the weight rows, and rows too many to hold are built once per
-    call.  Off the grid the error is relative rounding; on it the FFT's error
+    (:func:`~rfclutter.pool.one_blas_thread` says why).
+
+    The sweep of bin centers 0, d, 2d, ... around the whole grid, in that
+    order, with d >= 1 dividing n_bins, is one FFT read: the product
+    spectrum is folded to n_bins / d bins before the inverse FFT.  Its error
     is about machine epsilon times the largest spun amplitude, so pointings
-    where both beams miss the clutter read as that rounding noise.  When the
-    pointed bins are every d-th bin from bin 0 in order, the product spectrum
-    is folded to n_bins / d bins before the inverse FFT, which reads the same
-    values to rounding.
+    where both beams miss the clutter read as that rounding noise.  Any
+    other pointings, a shifted or repeated set of bin centers too, get one
+    weight row each, with f_T folded in, and the error is relative rounding;
+    rows too many to hold are built once per call.
 
     A pointing p = phi_m + f has its sub-bin offset f in [-dphi/2, dphi/2].
     Rows whose f agree to 1e-9 deg are exact rolls of one kernel, the f_R row
@@ -392,7 +398,7 @@ def spin_operator(
     build in about 3 ms (one Xeon core, NumPy 2.4), 1440 have 5.  Kernels
     written twice over are held within the same 2^22 entries as a weight
     matrix; pointings that share no offset, or have too many offsets to hold,
-    are evaluated row by row.  On-grid pointings build in under 1 ms.
+    are evaluated row by row.  The FFT sweep builds in under 1 ms.
     """
     pointings = np.asarray(pointings_deg, dtype=float).ravel()
     if pointings.size == 0:
@@ -416,71 +422,61 @@ def _build_spin_operator(grid, rx, tx, pointings, tx_pointing_deg):
     txf = tx.field_at(centers - tx_pointing_deg)
     idx = np.rint(pointings / grid.delta_phi_deg).astype(int) % grid.n_bins
     mismatch = _wrap_deg(pointings - centers[idx])
-    if np.all(np.abs(mismatch) < 1e-9):
-        # every pointing is a bin center: a circular convolution with
-        # dphi f_R(-phi_j), read at the pointed bins
+    d = grid.n_bins // pointings.size  # 0 for more pointings than bins
+    sweep = d >= 1 and np.array_equal(idx, np.arange(0, grid.n_bins, d))
+    if sweep and np.all(np.abs(mismatch) < 1e-9):
+        # the sweep of bin centers 0, d, 2d, ...: a circular convolution with
+        # dphi f_R(-phi_j), whose values at every d-th bin are the inverse FFT
+        # of its spectrum folded to n_bins / d bins, divided by d
         kernel = np.fft.fft(np.roll(rx.field_at(centers)[::-1], 1) * grid.delta_phi_rad)
-        # pointed bins 0, d, 2d, ... in order: their values are the inverse
-        # FFT of the spectrum folded to n / d bins, divided by d
-        d = grid.n_bins // pointings.size
-        fold = d > 1 and np.array_equal(idx, np.arange(0, grid.n_bins, d))
         def spin_rows(a, out):
             for r in _row_blocks(a.shape[0], grid.n_bins):
                 spectrum = np.fft.fft(a[r] * txf, axis=-1) * kernel
-                if fold:
-                    spectrum = spectrum.reshape(-1, d, pointings.size).sum(axis=1)
-                    out[r] = np.fft.ifft(spectrum, axis=-1) / d
-                else:
-                    out[r] = np.fft.ifft(spectrum, axis=-1)[:, idx]
+                spectrum = spectrum.reshape(-1, d, pointings.size).sum(axis=1)
+                out[r] = np.fft.ifft(spectrum, axis=-1) / d
         return _on_rows(spin_rows, grid.n_bins, pointings.size), txf.size + kernel.size
 
-    # one row dphi f_R(phi_i - p) f_T(phi_i - tx_pointing) per distinct
-    # pointing p (to 1e-9 deg), built in blocks of 128 rows, held up to 32 MB
-    # and otherwise rebuilt once per call
-    _, first, inverse = np.unique(np.round(pointings, 9), return_index=True, return_inverse=True)
-    rows = pointings[first]
-    blocks = [slice(s, s + 128) for s in range(0, rows.size, 128)]
-    # rows p = phi_m + f that share the sub-bin offset f (to 1e-9 deg) share
-    # one f_R evaluation: row p is the kernel row of the first of them,
+    # one row dphi f_R(phi_i - p) f_T(phi_i - tx_pointing) per pointing p, in
+    # the order given, built in blocks of 128 rows, held up to 32 MB and
+    # otherwise rebuilt once per call
+    blocks = [slice(s, s + 128) for s in range(0, pointings.size, 128)]
+    # pointings p = phi_m + f that share the sub-bin offset f (to 1e-9 deg)
+    # share one f_R evaluation: row p is the kernel row of the first of them,
     # p_g = phi_g + f, rolled by m - g, read as a window of that kernel
     # written twice over
-    _, lead, group = np.unique(np.round(mismatch[first], 9), return_index=True, return_inverse=True)
+    _, lead, group = np.unique(np.round(mismatch, 9), return_index=True, return_inverse=True)
     windows = None
-    if lead.size < rows.size and 2 * lead.size * grid.n_bins <= _HELD_ENTRIES:
+    if lead.size < pointings.size and 2 * lead.size * grid.n_bins <= _HELD_ENTRIES:
         kernels = np.concatenate([
-            rx.field_at(centers[None, :] - rows[lead[s : s + 128], None])
+            rx.field_at(centers[None, :] - pointings[lead[s : s + 128], None])
             for s in range(0, lead.size, 128)
         ])
         windows = np.lib.stride_tricks.sliding_window_view(
             np.tile(kernels, 2), grid.n_bins, axis=1
         )
-        starts = grid.n_bins - (idx[first] - idx[first][lead][group]) % grid.n_bins
+        starts = grid.n_bins - (idx - idx[lead][group]) % grid.n_bins
     def weights(block):
         if windows is None:
-            f_r = rx.field_at(centers[None, :] - rows[block, None])
+            f_r = rx.field_at(centers[None, :] - pointings[block, None])
         else:
             f_r = windows[group[block], starts[block]]
         f_r *= txf * grid.delta_phi_rad
         return f_r
     held = None
-    if rows.size * grid.n_bins <= _HELD_ENTRIES:
-        held = np.empty((rows.size, grid.n_bins))
+    if pointings.size * grid.n_bins <= _HELD_ENTRIES:
+        held = np.empty((pointings.size, grid.n_bins))
         for block in blocks:
             held[block] = weights(block)
         windows = None  # the held rows replace the kernels
-    in_order = np.array_equal(inverse, np.arange(pointings.size))
     def spin_rows(a, out):
-        distinct = out if in_order else np.empty((a.shape[0], rows.size), dtype=complex)
         for block in [slice(None)] if held is not None else blocks:
             w = held if held is not None else weights(block)
             for r in _row_blocks(a.shape[0], grid.n_bins):
                 # real and imaginary parts stacked: one real product with w
                 n = r.stop - r.start
                 parts = np.concatenate([a[r].real, a[r].imag]) @ w.T
-                distinct.real[r, block] = parts[:n]
-                distinct.imag[r, block] = parts[n:]
-        if not in_order:
-            np.take(distinct, inverse, axis=1, out=out)
+                out.real[r, block] = parts[:n]
+                out.imag[r, block] = parts[n:]
     entries = txf.size
     if held is not None:
         entries += held.size

@@ -203,12 +203,13 @@ def _fast_len(n: int) -> int:
 
 
 def complex_gaussian_series(
-    duration_s: float,
+    n_samples: int,
     sample_rate_hz: float,
     coherence_time_s: float,
     stream: RandomStream,
 ) -> np.ndarray:
-    """Zero-mean circularly symmetric complex Gaussian series, unit mean power.
+    """``n_samples`` samples at ``sample_rate_hz`` of a zero-mean circularly
+    symmetric complex Gaussian series of unit mean power.
 
     Normalized autocorrelation exp(-dt^2 / (2 Tc^2)) with Tc the coherence
     time; built by convolving complex white noise with a Gaussian kernel of
@@ -225,19 +226,18 @@ def complex_gaussian_series(
     took 80 MB and the out-of-place steps 160 MB.  ``numpy.fft`` keeps no
     plan for the length once the call returns.
     """
-    if duration_s <= 0 or sample_rate_hz <= 0 or coherence_time_s <= 0:
-        raise ValueError("duration, sample rate and coherence time must be positive")
-    n = int(round(duration_s * sample_rate_hz))
-    if n < 2:
-        raise ValueError("need duration * sample_rate >= 2")
+    if sample_rate_hz <= 0 or coherence_time_s <= 0:
+        raise ValueError("sample rate and coherence time must be positive")
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
     check_coherence_resolved(coherence_time_s, sample_rate_hz)
     dt = 1.0 / sample_rate_hz
     w = (coherence_time_s / math.sqrt(2.0)) / dt  # kernel RMS, samples
     m = int(math.ceil(6.0 * w))
     rng = stream.generator()
-    # noise of n + 2m samples, zero-padded to the FFT length of the full
-    # linear convolution with the 2m + 1 kernel taps
-    size = n + 2 * m
+    # noise of n_samples + 2m samples, zero-padded to the FFT length of the
+    # full linear convolution with the 2m + 1 kernel taps
+    size = n_samples + 2 * m
     L = _fast_len(size + 2 * m)
     x = np.zeros(L, dtype=complex)
     x.real[:size] = rng.standard_normal(size)
@@ -255,6 +255,6 @@ def complex_gaussian_series(
     del kf
     np.fft.ifft(x, out=x)
     # "same" mode starts m into the full convolution; the warm-up m more
-    series = x[2 * m : 2 * m + n]
+    series = x[2 * m : 2 * m + n_samples]
     series /= math.sqrt(float(np.sum(kernel**2)))
     return series

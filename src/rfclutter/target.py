@@ -224,22 +224,26 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     """Render the spinning-antenna power map of clutter plus moving target.
 
     The clutter channel is drawn on the receive pattern's grid and held
-    static for the scene unless regenerated per rotation; the target echo,
+    static for the scene unless regenerated per rotation.  When a rotation
+    is a whole number of samples, every draw is spun over the first
+    rotation's pointings once, through one kept operator, and sample i reads
+    column i % samples-per-rotation; otherwise each draw is spun over its
+    own samples' pointings.  The target echo,
     sqrt(:func:`target_response`) times the fluctuation xi (1 for the
     constant model), is added coherently with the two-way geometric phase
     -2 (2 pi / lambda) R(t); |.|^2 is recorded per sample.
     """
     n = int(round(spec.duration_s * spec.sample_rate_hz))
     times = np.arange(n) / spec.sample_rate_hz
-    # i % samples-per-rotation (exact) keeps pointings in [0, 360) and, for a whole number,
-    # bitwise the same in every rotation, so a regenerated scene reuses one spin operator
+    # i % samples-per-rotation (exact) keeps pointings in [0, 360) and, for a
+    # whole number, bitwise the same in every rotation
     spr = spec.samples_per_rotation
     per_rotation = spr or spec._rotation_samples
     pointings = np.arange(n) % per_rotation / per_rotation * 360.0
 
     grid = spec.rx.grid
     clutter_stream = stream.child("clutter")
-    # static clutter is one draw spun over the whole scene; regenerated
+    # static clutter is one draw for the whole scene; regenerated
     # clutter is drawn anew wherever the rotation index changes
     regenerate = spec.regenerate_clutter_per_rotation
     rotation = np.floor(np.arange(n) / per_rotation) if regenerate else np.zeros(n)
@@ -248,20 +252,16 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     for rot, (start, stop) in enumerate(zip(starts, [*starts[1:], n])):
         sub = clutter_stream.child(f"rotation/{rot}") if regenerate else clutter_stream
         fld = gen_azimuth_channel(spec.room, spec.clutter, grid, sub)
-        # a regenerated rotation, a short last one too, is read off the first one's operator
-        rows = pointings[:spr] if regenerate and spr else pointings[start:stop]
-        spin = spin_operator(grid, spec.rx, spec.tx, rows, spec.tx_pointing_deg)
-        y_clut[start:stop] = spin(fld.amplitudes)[: stop - start]
+        rows = pointings[:spr] if spr else pointings[start:stop]
+        y = spin_operator(grid, spec.rx, spec.tx, rows, spec.tx_pointing_deg)(fld.amplitudes)
+        y_clut[start:stop] = y[np.arange(start, stop) % spr] if spr else y
 
     # the fluctuation has a child stream of its own, so skipping it for the
     # constant model moves no other draw
     xi = 1.0
     if spec.target.model == "swerling1":
         xi = complex_gaussian_series(
-            n / spec.sample_rate_hz,
-            spec.sample_rate_hz,
-            spec.target.coherence_time_s,
-            stream.child("target/fluctuation"),
+            n, spec.sample_rate_hz, spec.target.coherence_time_s, stream.child("target/fluctuation")
         )
 
     r, bearing = trajectory_state(spec.trajectory, times)

@@ -419,7 +419,7 @@ def check_reverberation_decay(seed: int) -> tuple[bool, float, str, dict]:
 def check_target_fluctuation(seed: int) -> tuple[bool, float, str, dict]:
     rate, t_c = 40.0, 0.1
     n = 2_000_000
-    xi = complex_gaussian_series(n / rate, rate, t_c, derive_stream(seed, "fluct"))
+    xi = complex_gaussian_series(n, rate, t_c, derive_stream(seed, "fluct"))
     power = np.abs(xi) ** 2
     mean_power = float(power.mean())
     sub = power[::20]  # 0.5 s spacing: 5 coherence times, effectively independent
@@ -454,16 +454,17 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
     spec_zero = replace(spec, target=replace(spec.target, sigma0_dbsm=-math.inf))
     map_0 = compose_scene(spec_zero, stream)
 
-    # zero-RCS target reduces exactly to the clutter-only response
+    # zero-RCS target reduces exactly to the clutter-only response: one
+    # rotation's spin, sample i reading column i % spr, as the scene spins it
     grid = spec.rx.grid
+    spr = map_t.samples_per_rotation
     fld = gen_azimuth_channel(spec.room, spec.clutter, grid, stream.child("clutter"))
-    y = spin_amplitudes(fld, spec.rx, spec.tx, map_0.pointing_deg, spec.tx_pointing_deg)
-    identity = bool(np.array_equal(np.abs(y) ** 2, map_0.power))
+    y = spin_amplitudes(fld, spec.rx, spec.tx, map_0.pointing_deg[:spr], spec.tx_pointing_deg)
+    identity = bool(np.array_equal(np.abs(y[np.arange(map_0.power.size) % spr]) ** 2, map_0.power))
 
     # the moving target leaves a bearing-following (triangular) trace
     diff = np.abs(map_t.power - map_0.power)
     _, bearing = trajectory_state(spec.trajectory, map_t.times_s)
-    spr = map_t.samples_per_rotation
     n_rot = diff.size // spr
     errors, detected_bearings = [], []
     for r in range(n_rot):

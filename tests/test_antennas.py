@@ -125,6 +125,19 @@ def test_tabulated_round_trip(tmp_path):
     assert p.peak_directivity == pytest.approx(1.0, rel=1e-12)  # 0 dBi peak
 
 
+def test_tabulated_pattern_wraps_below_its_first_sample():
+    # samples every 10 deg from 5 deg, 10 dB at 5 deg: offsets in [0, 5)
+    # interpolate from the last sample (355 deg) across 360 deg
+    az = np.arange(5.0, 360.0, 10.0)
+    p = tabulated(az, np.where(az == 5.0, 10.0, 0.0), GRID)
+    offsets = np.array([-5.0, -0.1, 0.0, 0.1, 2.5, 5.0, 355.0, 359.9, 360.0])
+    expected = [0.0, 4.9, 5.0, 5.1, 7.5, 10.0, 0.0, 4.9, 5.0]
+    np.testing.assert_allclose(10.0 * np.log10(p.gain_at(offsets)), expected, atol=1e-9)
+    # and the field on the grid has no step at 0 deg
+    below, at, above = p.field_at([-GRID.delta_phi_deg, 0.0, GRID.delta_phi_deg]) ** 2
+    assert at / below == pytest.approx(above / at, rel=1e-9)
+
+
 def test_tabulated_requires_increasing_azimuth():
     with pytest.raises(ValueError):
         tabulated([0.0, 10.0, 5.0], [0.0, 0.0, 0.0], GRID)

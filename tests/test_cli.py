@@ -68,16 +68,30 @@ PINNED_DIGESTS = {
         "scene_map.json": "b49b872a78dd8db1a658cb745abe7e7cb3d51da082694d5176885b9836e0861a",
         "scene_timeseries.csv": "8fc5c63a8000c9c146e3fbd0a72dcfec8ff9b946deba42d463cf82807608fa14",
     },
+    "scene --seed 42 --config ongrid": {
+        "scene_map.f32": "9b2b5d2727e94b0b4876ec3f12ac5b45e22fd2b3a20766a34dcec664ef890d7c",
+        "scene_map.json": "5a2bf00ec2b6dc66aed2151be2ba499d047d0be547491a298e66bb4627ff186b",
+        "scene_timeseries.csv": "cc0d3db386115cd3a92c3056d3b59ed880feff31f180ff6fe15890831b21b65b",
+    },
+    "scene --seed 42 --config tail": {
+        "scene_map.f32": "50107d77adf7801d876ecf7e9b3d0d5b3f0945fb669337496b106a30b1c1a866",
+        "scene_map.json": "a08bf3bd4079fdb4a92b66d369580a79c0f3ac2a19aec9d26f685ba81776c874",
+        "scene_timeseries.csv": "92c1120fdfa803efd5a6f8699b4219a8a6009338a492ccf3af6441162a40ee6a",
+    },
 }
 # the config trees a pinned command names after --config: 360 pointings put
 # the spin on the 0.2 degree grid, regen redraws the clutter every rotation,
 # the constant model draws no fluctuation, and eps45 is the object form of a
-# dielectric material; gamma:0 reflects nothing, so every power_db is -inf
+# dielectric material; gamma:0 reflects nothing, so every power_db is -inf.
+# ongrid samples 360 grid-center pointings per rotation over five rotations;
+# tail redraws the clutter every rotation and ends on a tenth of one
 PINNED_CONFIGS = {
     "p360": {"spin": {"pointings_per_rotation": 360}},
     "regen": {"scene": {"regenerate_clutter_per_rotation": True}},
     "constant": {"scene": {"target": {"model": "constant"}}},
     "eps45": {"room": {"material": {"eps_r": 4.5}}},
+    "ongrid": {"spin": {"sample_rate_hz": 1800}, "scene": {"duration_s": 1.0}},
+    "tail": {"scene": {"duration_s": 1.1, "regenerate_clutter_per_rotation": True}},
 }
 
 

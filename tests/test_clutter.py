@@ -122,13 +122,20 @@ def test_spin_single_arrival_traces_product_pattern():
 @pytest.mark.parametrize(
     "pointings",
     [
-        uniform_pointings(360),  # on the 0.2 deg grid: FFT convolution
+        uniform_pointings(360),  # bins 0, 5, 10, ... of the 0.2 deg grid: FFT convolution
         uniform_pointings(148),  # off the grid: weight matrix
         np.tile(uniform_pointings(148), 2),  # repeated off-grid pointings
         # a second rotation whose timestamp-derived angles differ in the last bit
         np.concatenate([uniform_pointings(148), np.nextafter(uniform_pointings(148), 360.0)]),
+        # bin centers that are no sweep from bin 0: weight matrix
+        uniform_pointings(360) + 0.2,
+        # 3600 bin centers on 1800 bins, more than one per bin: weight matrix
+        np.tile(uniform_pointings(360), 10),
     ],
-    ids=["on-grid-360", "off-grid-148", "off-grid-repeated", "off-grid-last-bit"],
+    ids=[
+        "on-grid-360", "off-grid-148", "off-grid-repeated", "off-grid-last-bit",
+        "on-grid-shifted", "on-grid-beyond-grid",
+    ],
 )
 def test_spin_operator_matches_rows_and_explicit_sum(pointings):
     rx, tx = gaussian_horn(10.0, GRID), gaussian_horn(40.0, GRID)
@@ -152,18 +159,6 @@ def test_spin_operator_matches_rows_and_explicit_sum(pointings):
     scale = np.max(np.abs(explicit))
     assert np.max(np.abs(batch - rows)) <= 1e-12 * scale
     assert np.max(np.abs(batch - explicit)) <= 1e-12 * scale
-
-
-def test_spin_merges_pointings_a_last_bit_apart():
-    # a static scene repeats its pointings every rotation up to the last
-    # bit; the operator spins each once
-    rx, tx = gaussian_horn(10.0, GRID), omni(GRID)
-    first = uniform_pointings(148) + 0.05
-    field = gen_azimuth_channel(ROOM, _params(), GRID, derive_stream(16, "bit"))
-    y = spin_operator(GRID, rx, tx, np.concatenate([first, np.nextafter(first, 360.0)]), 0.0)(
-        field.amplitudes
-    )
-    assert np.array_equal(y[:148], y[148:])
 
 
 def test_dense_off_grid_sweep_matches_its_parts():

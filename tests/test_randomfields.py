@@ -155,7 +155,7 @@ def test_skip_field_rows_leaves_the_generator_where_the_draw_does():
 
 
 def test_series_unit_power_and_coherence():
-    xi = complex_gaussian_series(25_000.0, 40.0, 0.1, derive_stream(9, "xi"))
+    xi = complex_gaussian_series(1_000_000, 40.0, 0.1, derive_stream(9, "xi"))
     power = np.abs(xi) ** 2
     assert power.mean() == pytest.approx(1.0, abs=0.01)
     lag = 4  # 0.1 s at 40 Hz
@@ -164,16 +164,16 @@ def test_series_unit_power_and_coherence():
 
 
 def test_series_power_is_exponential():
-    xi = complex_gaussian_series(25_000.0, 40.0, 0.1, derive_stream(10, "gof"))
+    xi = complex_gaussian_series(1_000_000, 40.0, 0.1, derive_stream(10, "gof"))
     sub = np.abs(xi[::20]) ** 2  # 0.5 s spacing decorrelates the draws
     assert spstats.kstest(sub, "expon").pvalue > 0.01
 
 
 def test_series_guards():
     with pytest.raises(ConfigurationError):
-        complex_gaussian_series(10.0, 10.0, 0.1, derive_stream(1, "u"))  # Tc < 2/rate
+        complex_gaussian_series(100, 10.0, 0.1, derive_stream(1, "u"))  # Tc < 2/rate
     with pytest.raises(ValueError):
-        complex_gaussian_series(0.01, 40.0, 0.1, derive_stream(1, "u"))  # n < 2
+        complex_gaussian_series(1, 40.0, 0.1, derive_stream(1, "u"))  # n < 2
 
 
 def test_grid_invariants():
@@ -200,9 +200,8 @@ def test_field_filter_is_read_only_and_rows_match_the_inline_recipe():
     assert _field_filter(720, 5.0)[0] is kf
 
 
-def _fftconvolve_series(duration_s, sample_rate_hz, coherence_time_s, stream):
+def _fftconvolve_series(n, sample_rate_hz, coherence_time_s, stream):
     """The out-of-place recipe that complex_gaussian_series runs in place."""
-    n = int(round(duration_s * sample_rate_hz))
     w = (coherence_time_s / math.sqrt(2.0)) * sample_rate_hz
     m = int(math.ceil(6.0 * w))
     rng = stream.generator()
@@ -217,12 +216,13 @@ def _fftconvolve_series(duration_s, sample_rate_hz, coherence_time_s, stream):
 
 def _default_scene_series_args():
     spec = resolve_config(load_config_tree(None)).scene_spec()
-    return spec.duration_s, spec.sample_rate_hz, spec.target.coherence_time_s
+    n = round(spec.duration_s * spec.sample_rate_hz)
+    return n, spec.sample_rate_hz, spec.target.coherence_time_s
 
 
 @pytest.mark.parametrize(
     "args",
-    [(2_000_000 / 40.0, 40.0, 0.1), _default_scene_series_args()],
+    [(2_000_000, 40.0, 0.1), _default_scene_series_args()],
     ids=["target_fluctuation", "default-scene"],
 )
 @pytest.mark.parametrize("seed", [3, 1234])
@@ -236,12 +236,12 @@ def test_series_bytes_equal_the_fftconvolve_recipe(args, seed):
 @pytest.mark.parametrize(
     "args, seed",
     [
-        ((2_000_000 / 40.0, 40.0, 0.1), 42),
+        ((2_000_000, 40.0, 0.1), 42),
         (_default_scene_series_args(), 42),
         # odd transform lengths (189 and 6237), where the kernel spectrum's
         # conjugate half has no Nyquist bin
-        *(((3.0, 40.0, 0.1), seed) for seed in (3, 42, 1234)),
-        *(((5.0, 740.0, 0.2), seed) for seed in (3, 42, 1234)),
+        *(((120, 40.0, 0.1), seed) for seed in (3, 42, 1234)),
+        *(((3700, 740.0, 0.2), seed) for seed in (3, 42, 1234)),
     ],
 )
 def test_series_bytes_equal_the_fftconvolve_recipe_at_more_seeds_and_lengths(args, seed):
@@ -260,7 +260,7 @@ def test_fast_len_equals_scipy_next_fast_len():
 def test_series_peak_memory_is_bounded():
     tracemalloc.start()
     try:
-        complex_gaussian_series(2_000_000 / 40.0, 40.0, 0.1, derive_stream(1, "peak"))
+        complex_gaussian_series(2_000_000, 40.0, 0.1, derive_stream(1, "peak"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

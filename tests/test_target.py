@@ -100,8 +100,10 @@ def test_zero_rcs_scene_equals_clutter_only():
     tmap = compose_scene(spec, stream)
     grid = AzimuthGrid(1800)
     field = gen_azimuth_channel(spec.room, spec.clutter, grid, stream.child("clutter"))
-    y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg, 0.0)
-    assert np.array_equal(tmap.power, np.abs(y) ** 2)
+    # the scene spins one rotation and reads sample i off its column i % spr
+    spr = tmap.samples_per_rotation
+    y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg[:spr], 0.0)
+    assert np.array_equal(tmap.power, np.abs(y[np.arange(tmap.power.size) % spr]) ** 2)
 
 
 def test_static_target_leaves_persistent_ridge():
@@ -230,7 +232,7 @@ def test_scene_power_is_the_link_budget():
     stream = derive_stream(30, "budget")
     tmap = compose_scene(spec, stream)
     xi = complex_gaussian_series(
-        1.0, spec.sample_rate_hz, spec.target.coherence_time_s,
+        740, spec.sample_rate_hz, spec.target.coherence_time_s,
         stream.child("target/fluctuation"),
     )
     expected = [
@@ -280,11 +282,15 @@ def test_regenerated_scene_builds_the_spin_operator_once(monkeypatch):
             clear_spin_operators()
             calls.clear()
             spec = _demo_scene(duration_s=1.0, regenerate_clutter_per_rotation=regenerate, **spin)
-            compose_scene(spec, derive_stream(33, "operator"))
-            assert len(clutter._SPIN_OPERATORS) == 1
+            tmap = compose_scene(spec, derive_stream(33, "operator"))
+            # static or regenerated, the kept operator spins one rotation
+            (key,) = clutter._SPIN_OPERATORS
+            spr = spec.samples_per_rotation
+            assert tmap.power.size > spr
+            assert key[3] == tmap.pointing_deg[:spr].tobytes()
             counts.append(len(calls))
         static, regenerated = counts
-        assert 0 < regenerated <= static
+        assert 0 < regenerated == static
 
 
 @pytest.mark.parametrize("spin, rotations", [
