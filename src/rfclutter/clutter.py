@@ -17,51 +17,41 @@ sample off it.
 
 Channel draws
 -------------
-A draw takes from its stream in a fixed order: P_v, then the white noise of
-every row's dB field, then every row's uniform phases.  The noise is filtered
-into the field by :func:`~rfclutter.randomfields.filter_field_rows`, turned
-into magnitudes by :func:`_magnitudes` and given its phases by
-:func:`_unit_phasors`, in row blocks of about 32k elements, so a block's
-temporaries stay in L2; each row's values are the same bits in any block, so
-neither the block size nor the thread that runs a block changes a draw.
+A draw filters white noise into dB field rows with
+:func:`~rfclutter.randomfields.filter_field_rows`, turns them into
+magnitudes with :func:`_magnitudes` and gives them uniform phases with
+:func:`_unit_phasors`.  Each row's values are the same bits in any block of
+rows, so neither the block size nor the thread that runs a block changes a
+draw.
 
 Azimuth channels are drawn many streams at a time by
 :func:`gen_azimuth_channels`: each stream's P_v, noise row and phase row are
 drawn from its own generator in that order, and the arithmetic then runs
-over the stacked rows.  :func:`gen_azimuth_channel` is its one-stream case.
-A delay-azimuth map is many rows of one stream, with one P_v, drawn by
-:func:`_draw_rows`.  Maps are drawn, spun and band-limited in row blocks.
-Rows before the echo onset are never drawn: they are exact zeros in the map
-and stay exact zeros through the spin and the direct delay convolution.
+over the stacked rows in blocks of about 32k elements, so a block's
+temporaries stay in L2.  :func:`gen_azimuth_channel` is its one-stream case.
 
-A map runs as a pipeline over its row blocks, on the calling thread and the
-process's thread pool (:mod:`rfclutter.pool`).  Two steps stay sequential
-on the calling thread, in block order:
+A delay-azimuth map, drawn by :func:`_draw_rows`, has one P_v, the first
+draw of its stream.  Its rows from the echo onset on are drawn in chunks of
+``_CHUNK_ENTRIES`` (about 32k) entries, 91 rows on the 1 degree grid and 18
+on the 0.2 degree grid.  Each chunk draws its noise, then its phases, from
+its own child stream ``rows/<first row>``, rows counted from the onset.  So
+a chunk's values depend on nothing but the map's stream, P_v and the
+chunk's rows: not on the map's size, the worker count or
+``_BLOCK_ELEMENTS``.  Rows before the onset are never drawn: they are exact
+zeros in the map and stay exact zeros through the spin and the direct delay
+convolution.
 
-- the white noise: the ziggurat normal takes a varying number of PCG64
-  outputs, so no block's noise can start before the previous block's is
-  drawn;
-- the delay convolution of :func:`_probe_rows`, which carries the last
-  ``len(taps) - 1`` spun rows from block to block, then |.|^2, dB and the
-  profile.
-
-Everything else in a block runs on a worker.  The noise pass holds the
-white noise, as one float64 array of up to 2^22 entries (the budget of a
-spin operator's weights): as soon as a block's noise is drawn a worker
-filters it and writes its magnitudes over it in place.  Once all the noise
-is drawn, each block's phases come from the generator state after the
-noise, advanced by ``rows.start * n_bins`` outputs (a float64 uniform takes
-exactly one), and a worker phases the block and spins it.  At most
-``_IN_FLIGHT`` blocks run ahead of the convolution, and each is dropped once
-it has been read.  A larger map holds no noise: its noise pass only skips
-past the noise to reach the phases, recording the generator state at each
-block's start, and each block's worker redraws and filters its own noise
-from that state.  The size alone decides which way a draw goes, and the
-worker count changes no byte: on one worker, or when the map itself is
-drawn on a pool thread (the reverberation check's maps), every block runs
-inline.  :func:`probe_delay_map` streams the pipeline into float32 dB rows
-and the mean profile; :func:`gen_delay_azimuth_channel` (its blocks not
-spun) and :func:`band_limit` are its held case, with the same values.
+A map runs as a pipeline over its chunks, on the process's thread pool
+(:mod:`rfclutter.pool`): a worker draws, filters and phases a chunk and
+spins it, at most ``_IN_FLIGHT`` chunks ahead of the calling thread, which
+carries the delay convolution of :func:`_probe_rows` (the last
+``len(taps) - 1`` spun rows, from chunk to chunk), then |.|^2, dB and the
+profile, in chunk order.  Each chunk is dropped once it has been read.  On
+one worker, or when the map itself is drawn on a pool thread (the
+reverberation check's maps), every chunk runs inline, with the same bytes.
+:func:`probe_delay_map` streams the pipeline into float32 dB rows and the
+mean profile; :func:`gen_delay_azimuth_channel` (its chunks not spun) and
+:func:`band_limit` are its held case, with the same values.
 
 Discretization normalization
 ----------------------------
@@ -100,24 +90,28 @@ from .randomfields import (
     RandomStream,
     filter_field_rows,
     lognormal_mean_offset,
-    skip_field_rows,
 )
 
 TWO_PI = 2.0 * math.pi
 
 # row blocks of about 32k elements keep a block's temporaries in L2
 _BLOCK_ELEMENTS = 1 << 15
-# arrays of up to 2^22 entries are held whole: a spin operator's weights, a
-# map's magnitudes; larger ones are rebuilt block by block where they are used.
-# The kept spin operators hold at most as many entries in all.
+# a delay map's rows are drawn in chunks of about 32k entries, each from its
+# own stream.  The chunk is part of the data contract, so it is its own
+# constant: retuning _BLOCK_ELEMENTS moves no drawn value (only the last bits
+# of an off-grid spin, whose matrix products take _BLOCK_ELEMENTS rows)
+_CHUNK_ENTRIES = 1 << 15
+# arrays of up to 2^22 entries are held whole, a spin operator's weights;
+# larger ones are rebuilt block by block where they are used.  The kept spin
+# operators hold at most as many entries in all.
 _HELD_ENTRIES = 1 << 22
-# a map's blocks phased and spun ahead of the delay convolution that reads them
+# a map's chunks drawn and spun ahead of the delay convolution that reads them
 _IN_FLIGHT = 3
-_THREAD = threading.local()  # .generator: each thread's own, for _generator_at
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list:
-    step = max(1, _BLOCK_ELEMENTS // n_cols)
+def _row_blocks(n_rows: int, n_cols: int, entries: int | None = None) -> list:
+    """Row slices of about ``entries`` (by default ``_BLOCK_ELEMENTS``) entries."""
+    step = max(1, (entries or _BLOCK_ELEMENTS) // n_cols)
     return [slice(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
@@ -234,73 +228,32 @@ def _magnitudes(z, params, row_log):
     return np.exp(z, out=z)
 
 
-def _generator_at(state, outputs=0):
-    """This thread's own generator, set to the bit generator ``state`` and
-    advanced by ``outputs`` 64-bit outputs (one per float64 uniform)."""
-    gen = getattr(_THREAD, "generator", None)
-    if gen is None:
-        gen = _THREAD.generator = np.random.Generator(np.random.PCG64(0))
-    gen.bit_generator.state = state
-    if outputs:
-        gen.bit_generator.advance(outputs)
-    return gen
-
-
 def _draw_rows(room, params, grid, stream, scale_sq, envelope, spin=None):
     """Draw rows r of magnitude sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10))
-    and uniform phases; return (P_v, p0, blocks), where ``blocks`` yields
-    (rows, complex rows) in row order, in the blocks of ``_row_blocks``,
-    each block spun by ``spin`` when one is given.
+    and uniform phases; return (P_v, p0, chunks), where ``chunks`` yields
+    (rows, complex rows) in row order, in the chunks of ``_CHUNK_ENTRIES``,
+    each chunk spun by ``spin`` when one is given.
 
-    The noise pass runs here; the blocks are phased (and spun) on the pool,
-    at most ``_IN_FLIGHT`` ahead of the reader.  The magnitudes are held up
-    to ``_HELD_ENTRIES`` and redrawn block by block beyond it.
+    P_v is the first draw of ``stream``; each chunk draws its white noise,
+    then its phases, from ``stream.child(f"rows/{first row}")``, on the pool,
+    at most ``_IN_FLIGHT`` ahead of the reader.
     """
     corr_bins = params.field_params.corr_bins(grid)
-    rng = stream.generator()
-    p_v_db = _location_level_db(params, rng)
+    p_v_db = _location_level_db(params, stream.generator())
     p0 = _backscatter_ratio(room, params)
     row_log = _row_log(params, p_v_db, scale_sq * p0 * envelope)
-    blocks = _row_blocks(envelope.size, grid.n_bins)
 
-    def magnitudes(white, rows):
-        return _magnitudes(filter_field_rows(white, corr_bins), params, row_log[rows])
-
-    if envelope.size * grid.n_bins <= _HELD_ENTRIES:
-        # each block's noise, overwritten by its magnitudes as soon as it is
-        # drawn: in_order takes the next block (drawing its noise) while the
-        # pool filters the ones before it
-        held = np.empty((envelope.size, grid.n_bins))
-        def drawn():
-            for rows in blocks:
-                rng.standard_normal(out=held[rows])
-                yield rows
-        def fill(rows):
-            held[rows] = magnitudes(held[rows], rows)
-        collections.deque(in_order(fill, drawn()), maxlen=0)
-        def block_magnitudes(i, rows):
-            return held[rows]
-    else:
-        # too many to hold: skip past the noise to the phases, keeping the
-        # generator state at each block's start to redraw its noise from
-        starts = []
-        for rows in blocks:
-            starts.append(rng.bit_generator.state)
-            skip_field_rows(rng, rows.stop - rows.start, grid.n_bins)
-        def block_magnitudes(i, rows):
-            white = _generator_at(starts[i]).standard_normal((rows.stop - rows.start, grid.n_bins))
-            return magnitudes(white, rows)
-    phases = rng.bit_generator.state  # where every row's uniform phases begin
-
-    def phased(block):
-        i, rows = block
-        mag = block_magnitudes(i, rows)
-        # uniform(0, 2 pi) / 2 pi, one 64-bit output per value
-        gen = _generator_at(phases, rows.start * grid.n_bins)
-        a = _unit_phasors(gen.random((rows.stop - rows.start, grid.n_bins))) * mag
+    def drawn(rows):
+        rng = stream.child(f"rows/{rows.start}").generator()
+        shape = (rows.stop - rows.start, grid.n_bins)
+        mag = _magnitudes(
+            filter_field_rows(rng.standard_normal(shape), corr_bins), params, row_log[rows]
+        )
+        a = _unit_phasors(rng.random(shape)) * mag  # uniform(0, 2 pi) / 2 pi
         return rows, a if spin is None else spin(a)
 
-    return p_v_db, p0, in_order(phased, enumerate(blocks), ahead=_IN_FLIGHT)
+    chunks = _row_blocks(envelope.size, grid.n_bins, _CHUNK_ENTRIES)
+    return p_v_db, p0, in_order(drawn, chunks, ahead=_IN_FLIGHT)
 
 
 def gen_azimuth_channels(
@@ -592,7 +545,7 @@ class DelayAzimuthField:
 
 def _delay_rows(room, params, dgrid, agrid, stream, spin=None):
     """The draw of :func:`gen_delay_azimuth_channel` as (onset row, P_v, p0,
-    blocks of :func:`_draw_rows` over the rows from the onset row on, spun
+    chunks of :func:`_draw_rows` over the rows from the onset row on, spun
     by ``spin`` when one is given)."""
     if abs(dgrid.onset_s - room.onset_s) > 1e-15:
         raise ConfigurationError("delay grid onset is inconsistent with the room")
@@ -616,8 +569,8 @@ def gen_delay_azimuth_channel(
     power following the reverberant decay envelope.  Delay bins are
     independent: delay correlation enters physically through the probing
     waveform.  This is the held case of the draw that :func:`probe_delay_map`
-    streams: the complex row blocks of the phase pass fill a zero map.  The
-    draw order, the blocks and the two passes are in the module docstring.
+    streams: its complex chunks fill a zero map.  The streams, the draw
+    order and the chunks are in the module docstring.
     """
     amplitudes = np.zeros((dgrid.n_bins, agrid.n_bins), dtype=complex)
     onset, p_v_db, p0, blocks = _delay_rows(room, params, dgrid, agrid, stream)
@@ -748,11 +701,11 @@ def band_limit(
     in delay with the waveform, returning |.|^2 per (delay, pointing).
 
     This is the held case of the pipeline that :func:`probe_delay_map`
-    streams.  The map's rows from its grid's onset bin on go, in row blocks
-    of about 32k elements, through one :func:`spin_operator` and a direct,
-    not FFT, delay convolution: each waveform tap adds its multiple of the
-    spun rows into zeros, and the last ``len(taps) - 1`` spun rows of a
-    block are carried into the next.  The map must be zero before the onset
+    streams.  The map's rows from its grid's onset bin on go, in the chunks
+    a map is drawn in, through one :func:`spin_operator` and a direct, not
+    FFT, delay convolution: each waveform tap adds its multiple of the spun
+    rows into zeros, and the last ``len(taps) - 1`` spun rows of a chunk are
+    carried into the next.  The map must be zero before the onset
     bin, as a drawn map is; those bins are never computed and stay exactly 0.
     """
     pointings, delays, spin, taps = _probe(
@@ -760,7 +713,8 @@ def band_limit(
     )
     lead = field.dgrid.onset_bin
     live = field.amplitudes[lead:]
-    blocks = ((rows, spin(live[rows])) for rows in _row_blocks(live.shape[0], field.agrid.n_bins))
+    chunks = _row_blocks(live.shape[0], field.agrid.n_bins, _CHUNK_ENTRIES)
+    blocks = ((rows, spin(live[rows])) for rows in chunks)
     power = np.zeros((delays.size, pointings.size))
     for rows, p in _probe_rows(blocks, taps):
         power[lead + rows.start : lead + rows.stop] = p
@@ -785,11 +739,9 @@ def probe_delay_map(
     The values are those of ``band_limit(gen_delay_azimuth_channel(...))``:
     its ``power_db`` cast to float32 and its ``mean_profile()``, byte for
     byte, for any worker count.  The map is drawn, spun and convolved one
-    row block at a time, on the pipeline of the module docstring, so neither
-    the complex map nor the complex output is held whole; what is held is the
-    float32 map, the profile, up to ``_IN_FLIGHT`` spun blocks and, up to
-    2^22 entries, the map's magnitudes (beyond that the noise pass only
-    skips the noise, and each block redraws its own).
+    chunk at a time, on the pipeline of the module docstring, so neither the
+    complex map nor the complex output is held whole; what is held is the
+    float32 map, the profile and up to ``_IN_FLIGHT`` chunks in flight.
     """
     pointings, delays, spin, taps = _probe(
         dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg

@@ -2,12 +2,13 @@
 
 Three fan-outs share it: ``reverberation_decay`` spreads its delay maps over
 it, ``lognormal_unit_mean`` its field chunks, and a delay map drawn off the
-pool its row blocks (see :mod:`rfclutter.clutter`).  Each runs through
-:func:`in_order`, which hands results back in item order, so no draw and no
-sum changes order and the bytes do not depend on the worker count.
+pool its row chunks (see :mod:`rfclutter.clutter`).  In each, an item draws
+from its own stream, and :func:`in_order` hands the results back in item
+order, so no draw and no sum changes order and the bytes do not depend on
+the worker count.
 
 Work that runs on a pool thread fans out no further: a delay map drawn by a
-``reverberation_decay`` worker runs its blocks inline, so the pool's threads
+``reverberation_decay`` worker runs its chunks inline, so the pool's threads
 never wait on one another.  With one worker (one core in the affinity mask)
 everything runs inline on the calling thread.  The pool is built at the
 first fan-out, never at import.
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-# Each thread in flight holds a delay map's block temporaries or a field
+# Each thread in flight holds a delay map's chunk temporaries or a field
 # chunk, and may keep freed heap in its own malloc arena; peak memory and
 # throughput were measured with two threads only, so no more than two run.
 MAX_WORKERS = 2
@@ -71,9 +72,8 @@ def in_order(fn, items, ahead=math.inf):
     """Yield ``fn(item)`` for each of ``items``, in item order.
 
     On the pool, items are taken and submitted one by one while fewer than
-    ``ahead`` results wait to be read, so taking an item may do work of its
-    own on the calling thread (the white noise of a map block).  With one
-    worker, or on a pool thread, ``fn`` runs inline as each result is read.
+    ``ahead`` results wait to be read.  With one worker, or on a pool
+    thread, ``fn`` runs inline as each result is read.
     Results not read when the reader stops are cancelled if not started.
     """
     if workers() < 2 or getattr(_THREAD, "on_pool", False):

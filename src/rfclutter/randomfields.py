@@ -165,12 +165,6 @@ def gaussian_field_rows(
     return filter_field_rows(rng.standard_normal((n_rows, n_bins)), corr_bins)
 
 
-def skip_field_rows(rng: np.random.Generator, n_rows: int, n_bins: int) -> None:
-    """Move ``rng`` past the draws of ``gaussian_field_rows(rng, n_rows,
-    n_bins, ...)`` without filtering them: its white noise is all it draws."""
-    rng.standard_normal((n_rows, n_bins))
-
-
 def check_coherence_resolved(coherence_time_s: float, sample_rate_hz: float) -> None:
     """Raise unless samples at ``sample_rate_hz`` resolve the coherence time."""
     if coherence_time_s < 2.0 / sample_rate_hz:

@@ -13,7 +13,7 @@ pool (:mod:`rfclutter.pool`: one thread per core in the affinity mask, at
 most two, the count measured).  Each map or chunk draws from its own stream
 and the results are reduced in index order, so no draw and no sum changes
 order and the report's bytes do not depend on the worker count; a map drawn
-on a pool thread runs its own row blocks inline.  A chunk is held whole,
+on a pool thread runs its own row chunks inline.  A chunk is held whole,
 above the mmap threshold of :func:`_settle_heap`, so the memory it took on
 a worker thread goes back when it is freed.
 
@@ -133,10 +133,9 @@ class ValidationReport:
 
 
 # glibc's mallopt parameters, and the block size from which malloc maps each
-# block on its own: above a reverberation map's 5.9 MB of magnitudes and a
-# 250-draw block's 7.2 MB of amplitudes, which the checks allocate and free
-# over and over, and below the 14.4 MB field chunks, the spin weights and the
-# fluctuation series
+# block on its own: above a 250-draw block's 7.2 MB of amplitudes, which the
+# checks allocate and free over and over, and below the 14.4 MB field chunks,
+# the spin weights and the fluctuation series
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 8 << 20

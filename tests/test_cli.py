@@ -34,9 +34,9 @@ PINNED_DIGESTS = {
         "azimuth_spectra.csv": "88c3da15d94d29012905ba8ba2b0a93a3c6fff1fe4a66dd33eaa64efd0da8729",
     },
     "synth-delay --seed 5": {
-        "delay_azimuth_map.f32": "f61242e66853f089d84c6ec2f6efa3637262f074ada244b000aea3a2c5c6a9ff",
+        "delay_azimuth_map.f32": "49c0eab2ac4c49d807d3ef79a42bc3d0d6200ce4492641c33464b9dd81e81055",
         "delay_azimuth_map.json": "2fdb2835b360d71c38fb8bc16e2f5fca8fa5db9e814da8a377ccde8fe96b2bd7",
-        "delay_profile.csv": "1258adb8ca849d96e84b32e437b3a2cd109e0f5fc5daf16fd6b391bc7817b236",
+        "delay_profile.csv": "3323a6a5f556a2ff80def60d45a1f086375c1c9d07a6dea4ef7e665c238fc574",
     },
     "synth-azimuth --seed 42 --ensemble 2 --config p360": {
         "azimuth_spectra.csv": "502570d08a2c7cc5815a79f6e49313d7b5f2c43084eb64f49ac1a46414d0fa1c",

@@ -31,9 +31,7 @@ from rfclutter.antennas import AntennaPattern
 from rfclutter.clutter import AzimuthField, DelayAzimuthField, spin_operator
 from rfclutter.config import load_config_tree, resolve_config
 from rfclutter.core import SPEED_OF_LIGHT, average_backscatter_ratio
-from rfclutter.randomfields import (
-    filter_field_rows, gaussian_field_rows, lognormal_mean_offset, skip_field_rows,
-)
+from rfclutter.randomfields import gaussian_field_rows, lognormal_mean_offset
 
 DEFAULTS = resolve_config(load_config_tree(None))
 CARRIER = CarrierSpec(28e9)
@@ -469,18 +467,28 @@ def test_clutter_params_build_their_field_params_once():
 
 
 def _reference_delay_map(room, params, dgrid, agrid, stream):
-    """The delay-azimuth draw written out over the whole map at once."""
-    rng = stream.generator()
+    """The delay-azimuth draw written out chunk by chunk: P_v is the first
+    draw of ``stream``; each chunk of max(1, 2^15 // n_bins) live rows draws
+    its field rows, then its uniform(0, 2 pi) phases, from the child stream
+    ``rows/<its first live row>``."""
     p_v_db = (
         lognormal_mean_offset(params.sigma_v_db)
-        + params.sigma_v_db * rng.standard_normal()
+        + params.sigma_v_db * stream.generator().standard_normal()
     )
     live = dgrid.taus_s >= dgrid.onset_s
+    n_live = int(np.count_nonzero(live))
+    step = max(1, 2**15 // agrid.n_bins)
     fp = params.field_params
-    fields_db = fp.mu_db + fp.sigma_db * gaussian_field_rows(
-        rng, int(np.count_nonzero(live)), agrid.n_bins, fp.phi_rms_deg / agrid.delta_phi_deg
-    )
-    phases = rng.uniform(0.0, 2.0 * math.pi, fields_db.shape)
+    fields, phases = [], []
+    for start in range(0, n_live, step):
+        rng = stream.child(f"rows/{start}").generator()
+        n_rows = min(step, n_live - start)
+        fields.append(gaussian_field_rows(
+            rng, n_rows, agrid.n_bins, fp.phi_rms_deg / agrid.delta_phi_deg
+        ))
+        phases.append(rng.uniform(0.0, 2.0 * math.pi, (n_rows, agrid.n_bins)))
+    fields_db = fp.mu_db + fp.sigma_db * np.concatenate(fields)
+    phases = np.concatenate(phases)
     p0 = average_backscatter_ratio(
         room.distance_to_wall_m, params.carrier.wavelength_m, room.gamma_sq
     )
@@ -496,7 +504,7 @@ def test_delay_map_draws_match_whole_map_reference():
     agrid = AzimuthGrid(360)
     dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     n_live = int(np.count_nonzero(dgrid.taus_s >= dgrid.onset_s))
-    assert n_live % (clutter._BLOCK_ELEMENTS // agrid.n_bins) != 0  # a partial last block
+    assert n_live % 91 != 0  # 91-row chunks of 360 bins, the last one partial
     stream = derive_stream(17, "pin")
     field = gen_delay_azimuth_channel(ROOM, _params(), dgrid, agrid, stream)
     expected, p_v_db = _reference_delay_map(ROOM, _params(), dgrid, agrid, stream)
@@ -691,56 +699,12 @@ def test_streamed_delay_map_of_zero_reflectivity_room_is_minus_inf_without_warni
     assert np.all(streamed[1] == -np.inf) and np.all(streamed[2] == 0.0)
 
 
-def test_delay_map_redrawn_magnitudes_reproduce_held_ones(monkeypatch):
-    # 922 live rows of 360 bins are 11 blocks of 91 rows; a budget of two
-    # blocks makes the noise pass skip the noise and each block redraw its own
-    agrid = AzimuthGrid(360)
-    dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
-    rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(40.0, agrid)
-    probe = make_probe_waveform(4e9, 80e9, "hamming")
-    args = (ROOM, _params(), dgrid, agrid, derive_stream(32, "redraw"), probe,
-            rx, tx, uniform_pointings(148) + 0.1, 20.0)
-    held_field = gen_delay_azimuth_channel(*args[:5])
-    held = clutter.probe_delay_map(*args)
-    monkeypatch.setattr(clutter, "_HELD_ENTRIES", 2 * 91 * agrid.n_bins)
-    events = []
-    def filtered(white, corr_bins):
-        events.append(("filter", white.shape[0]))
-        return filter_field_rows(white, corr_bins)
-    def skipped(rng, n_rows, n_bins):
-        events.append(("skip", n_rows))
-        skip_field_rows(rng, n_rows, n_bins)
-    monkeypatch.setattr(clutter, "filter_field_rows", filtered)
-    monkeypatch.setattr(clutter, "skip_field_rows", skipped)
-
-    def assert_skipped_then_redrawn(workers):
-        # the calling thread skips every block's noise in order before any
-        # block redraws and filters its own: in order on one worker
-        blocks = [n for kind, n in events if kind == "skip"]
-        assert len(blocks) >= 3
-        assert events[: len(blocks)] == [("skip", n) for n in blocks]
-        redrawn = events[len(blocks) :]
-        assert sorted(redrawn) == sorted(("filter", n) for n in blocks)
-        if workers == 1:
-            assert redrawn == [("filter", n) for n in blocks]
-        events.clear()
-
-    for workers in (1, 2):
-        monkeypatch.setattr(pool, "workers", lambda: workers)
-        streamed = clutter.probe_delay_map(*args)
-        assert_skipped_then_redrawn(workers)
-        _assert_same_map(streamed, held)
-        # a held map over the budget skips and redraws its noise the same way
-        redrawn = gen_delay_azimuth_channel(*args[:5])
-        assert_skipped_then_redrawn(workers)
-        assert np.array_equal(redrawn.amplitudes, held_field.amplitudes)
-        assert redrawn.p_v_db == held_field.p_v_db
-
-
 @pytest.mark.parametrize("held", [True, False], ids=["held", "redrawn"])
 def test_delay_map_bytes_do_not_depend_on_the_worker_count(monkeypatch, held):
-    # 183 live rows of 1800 bins are ten blocks of 18 rows and one of 3, and
-    # the 41 taps of a 0.25 GHz probe carry 40 spun rows, across three blocks
+    # 183 live rows of 1800 bins are ten chunks of 18 rows and one of 3, and
+    # the 41 taps of a 0.25 GHz probe carry 40 spun rows, across three chunks.
+    # The spin operator holds its 148 weight rows, or, over a budget of two
+    # chunks, rebuilds them block by block on every call.
     agrid = AzimuthGrid(1800)
     dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, 18.35e-9)
     assert dgrid.n_bins - dgrid.onset_bin == 183
@@ -748,6 +712,7 @@ def test_delay_map_bytes_do_not_depend_on_the_worker_count(monkeypatch, held):
     assert probe.samples.size == 41
     if not held:
         monkeypatch.setattr(clutter, "_HELD_ENTRIES", 2 * 18 * agrid.n_bins)
+    clutter.clear_spin_operators()
     args = (ROOM, _params(), dgrid, agrid, derive_stream(36, "workers"), probe,
             gaussian_horn(10.0, agrid), omni(agrid), uniform_pointings(148), 0.0)
     maps, fields = [], []
@@ -760,15 +725,45 @@ def test_delay_map_bytes_do_not_depend_on_the_worker_count(monkeypatch, held):
     _assert_same_map(maps[1], _held_delay_map(*args))
 
 
-def test_phases_drawn_through_advance_equal_the_sequential_draw():
-    rng = derive_stream(35, "advance").generator()
-    rng.standard_normal(1001)  # the ziggurat takes a varying number of outputs
-    after_noise = rng.bit_generator.state
-    blocks = clutter._row_blocks(183, 1800)
-    sequential = [rng.random((rows.stop - rows.start, 1800)) for rows in blocks]
-    for rows, u in reversed(list(zip(blocks, sequential))):
-        gen = clutter._generator_at(after_noise, rows.start * 1800)
-        assert gen.random(u.shape).tobytes() == u.tobytes()
+@pytest.mark.parametrize(
+    "knob, value",
+    [("_BLOCK_ELEMENTS", 1 << 13), ("_BLOCK_ELEMENTS", 1 << 17), ("_IN_FLIGHT", 1), ("_IN_FLIGHT", 8)],
+    ids=["blocks-8k", "blocks-128k", "in-flight-1", "in-flight-8"],
+)
+def test_delay_map_bytes_do_not_depend_on_blocks_or_chunks_in_flight(monkeypatch, knob, value):
+    # 922 live rows of 360 bins are ten chunks of 91 rows and one of 12; the
+    # sweep of 72 bin centers spins each row on its own (an off-grid spin's
+    # matrix product moves in its last bits with the rows it is given, and
+    # so with _BLOCK_ELEMENTS)
+    monkeypatch.setattr(pool, "workers", lambda: 2)
+    agrid = AzimuthGrid(360)
+    args = (ROOM, _params(), DelayGrid.for_room(ROOM, DELTA_TAU_S, None), agrid,
+            derive_stream(38, "knobs"), DEFAULTS.probe, gaussian_horn(10.0, agrid),
+            omni(agrid), uniform_pointings(72), 0.0)
+    before = clutter.probe_delay_map(*args), gen_delay_azimuth_channel(*args[:5]).amplitudes
+    monkeypatch.setattr(clutter, knob, value)
+    after = clutter.probe_delay_map(*args), gen_delay_azimuth_channel(*args[:5]).amplitudes
+    _assert_same_map(after[0], before[0])
+    assert after[1].tobytes() == before[1].tobytes()
+
+
+def test_delay_map_chunks_do_not_depend_on_the_map_size():
+    # the 20 ns span has 200 live rows: two full chunks of 91 rows of 360
+    # bins, which the 40 ns span draws from the same streams
+    agrid = AzimuthGrid(360)
+    stream = derive_stream(39, "span")
+    short, long = (
+        gen_delay_azimuth_channel(
+            ROOM, _params(), DelayGrid.for_room(ROOM, DELTA_TAU_S, span), agrid, stream
+        )
+        for span in (20e-9, 40e-9)
+    )
+    onset = short.dgrid.onset_bin
+    assert short.dgrid.n_bins - onset == 200 and long.dgrid.n_bins > short.dgrid.n_bins
+    full = onset + 2 * 91
+    assert short.p_v_db == long.p_v_db
+    assert short.amplitudes[:full].tobytes() == long.amplitudes[:full].tobytes()
+    assert not np.array_equal(short.amplitudes[full:], long.amplitudes[full : short.dgrid.n_bins])
 
 
 def test_delay_map_on_a_pool_thread_submits_nothing_to_the_pool(monkeypatch):
@@ -783,7 +778,7 @@ def test_delay_map_on_a_pool_thread_submits_nothing_to_the_pool(monkeypatch):
             derive_stream(37, "nested"), DEFAULTS.probe, gaussian_horn(10.0, agrid),
             omni(agrid), uniform_pointings(148), 0.0)
     direct = clutter.probe_delay_map(*args)
-    assert len(submitted) == 2 * 11  # 11 blocks filtered, then phased and spun
+    assert len(submitted) == 11  # 11 chunks, each drawn and spun in one submission
     submitted.clear()
     on_pool = submit(clutter.probe_delay_map, *args).result(timeout=60)
     assert submitted == []

@@ -21,7 +21,6 @@ from rfclutter.randomfields import (
     _field_filter,
     _wrapped_gaussian_kernel,
     gaussian_field_rows,
-    skip_field_rows,
 )
 
 
@@ -144,14 +143,6 @@ def test_gaussian_field_rows_unit_variance():
     rng = derive_stream(6, "v").generator()
     rows = gaussian_field_rows(rng, 2000, 720, 5.0)
     assert rows.var() == pytest.approx(1.0, abs=0.02)
-
-
-def test_skip_field_rows_leaves_the_generator_where_the_draw_does():
-    drawn, skipped = derive_stream(7, "skip").generator(), derive_stream(7, "skip").generator()
-    gaussian_field_rows(drawn, 13, 720, 5.0)
-    skip_field_rows(skipped, 13, 720)
-    assert drawn.bit_generator.state == skipped.bit_generator.state
-    assert drawn.random(5).tobytes() == skipped.random(5).tobytes()
 
 
 def test_series_unit_power_and_coherence():
