@@ -26,6 +26,7 @@ from .clutter import (
     make_probe_waveform,
     pdp_envelope,
     spin_response,
+    spun_channels,
     uniform_pointings,
 )
 from .core import (

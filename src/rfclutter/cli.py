@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .clutter import gen_azimuth_channel, probe_delay_map, spin_response, uniform_pointings
+from .clutter import probe_delay_map, spin_operator, spun_channels, uniform_pointings
 from .config import RunConfig, load_config_tree, resolve_config
 from .core import ConfigurationError, power_db
 from .randomfields import derive_stream
@@ -157,13 +157,10 @@ def _predict(cfg: RunConfig, survey=None) -> tuple:
 
 def _synth_azimuth(cfg: RunConfig) -> tuple:
     pointings = uniform_pointings(cfg.pointings_per_rotation)
-    spectra_db = []
-    for k in range(cfg.ensemble):
-        field = gen_azimuth_channel(
-            cfg.room, cfg.clutter, cfg.grid, derive_stream(cfg.seed, f"azimuth/{k}")
-        )
-        spec = spin_response(field, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
-        spectra_db.append(spec.power_db)
+    spin = spin_operator(cfg.grid, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
+    streams = (derive_stream(cfg.seed, f"azimuth/{k}") for k in range(cfg.ensemble))
+    blocks = spun_channels(cfg.room, cfg.clutter, cfg.grid, streams, spin)
+    spectra_db = [power_db(np.abs(y) ** 2).ravel() for y, _, _ in blocks]
     summary = f"synth-azimuth: {cfg.ensemble} spectra x {pointings.size} pointings"
     return {"azimuth_spectra.csv": _csv(
         "seed_index,pointing_deg,power_db", "%d,%.9g,%.9g",

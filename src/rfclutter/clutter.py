@@ -24,11 +24,11 @@ magnitudes with :func:`_magnitudes` and gives them uniform phases with
 rows, so neither the block size nor the thread that runs a block changes a
 draw.
 
-Azimuth channels are drawn many streams at a time by
-:func:`gen_azimuth_channels`: each stream's P_v, noise row and phase row are
-drawn from its own generator in that order, and the arithmetic then runs
-over the stacked rows in blocks of about 32k elements, so a block's
-temporaries stay in L2.  :func:`gen_azimuth_channel` is its one-stream case.
+Azimuth channels are drawn and spun by :func:`spun_channels`, one
+:func:`gen_azimuth_channels` call and one spin per ``_DRAW_BLOCK`` streams.
+A drawn row is the same bits in any block, a spun one is not, so the block
+is part of the data contract.  :func:`gen_azimuth_channel` and
+:func:`spin_response` are the one-stream case, kept for library use.
 
 A delay-azimuth map, drawn by :func:`_draw_rows`, has one P_v, the first
 draw of its stream.  Its rows from the echo onset on are drawn in chunks of
@@ -67,6 +67,7 @@ synthesized spectra to the closed-form room average.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -94,13 +95,15 @@ from .randomfields import (
 
 TWO_PI = 2.0 * math.pi
 
-# row blocks of about 32k elements keep a block's temporaries in L2
+# row blocks of _BLOCK_ELEMENTS // n_bins rows fix the row count, and so the
+# last bits, of every off-grid spin product: part of the byte contract of
+# synth-delay, reverberation_decay and every block of spun_channels
 _BLOCK_ELEMENTS = 1 << 15
 # a delay map's rows are drawn in chunks of about 32k entries, each from its
-# own stream.  The chunk is part of the data contract, so it is its own
-# constant: retuning _BLOCK_ELEMENTS moves no drawn value (only the last bits
-# of an off-grid spin, whose matrix products take _BLOCK_ELEMENTS rows)
+# own stream: a constant of its own, so retuning _BLOCK_ELEMENTS moves no draw
 _CHUNK_ENTRIES = 1 << 15
+# streams drawn and spun together by spun_channels: part of the data contract
+_DRAW_BLOCK = 250
 # arrays of up to 2^22 entries are held whole, a spin operator's weights;
 # larger ones are rebuilt block by block where they are used.  The kept spin
 # operators hold at most as many entries in all.
@@ -292,6 +295,16 @@ def gen_azimuth_channels(
     return amplitudes, p_v_db, p0
 
 
+def spun_channels(room, params, grid, streams, spin, block=_DRAW_BLOCK):
+    """Draw ``streams`` (any iterable) ``block`` at a time, one
+    :func:`gen_azimuth_channels` call each, and yield (spin(amplitudes), P_v,
+    p0) per block; ``spin`` is a :func:`spin_operator` or ends in one."""
+    streams = iter(streams)
+    while chunk := list(itertools.islice(streams, block)):
+        amplitudes, p_v_db, p0 = gen_azimuth_channels(room, params, grid, chunk)
+        yield spin(amplitudes), p_v_db, p0
+
+
 def gen_azimuth_channel(
     room: RoomSpec,
     params: ClutterParams,
@@ -332,7 +345,7 @@ def spin_operator(
     :func:`~rfclutter.antennas.omni` turn into a value), within 2^22 array
     entries in all: the least recently used go first, and
     :func:`clear_spin_operators` drops them all.  An operator applies itself
-    in row blocks of about 32k elements, on one OpenBLAS thread
+    to ``_BLOCK_ELEMENTS // n_bins`` rows at a time, on one OpenBLAS thread
     (:func:`~rfclutter.pool.one_blas_thread` says why).
 
     The sweep of bin centers 0, d, 2d, ... around the whole grid, in that

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antennas import AntennaPattern
-from .clutter import ClutterParams, gen_azimuth_channel, spin_operator
+from .clutter import ClutterParams, gen_azimuth_channels, spin_operator, spun_channels
 from .core import CarrierSpec, RoomSpec, power_db
 from .randomfields import RandomStream, check_coherence_resolved, complex_gaussian_series
 
@@ -225,10 +225,10 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
 
     The clutter channel is drawn on the receive pattern's grid and held
     static for the scene unless regenerated per rotation.  When a rotation
-    is a whole number of samples, every draw is spun over the first
-    rotation's pointings once, through one kept operator, and sample i reads
-    column i % samples-per-rotation; otherwise each draw is spun over its
-    own samples' pointings.  The target echo,
+    is a whole number of samples, :func:`~rfclutter.clutter.spun_channels`
+    spins every draw over the first rotation's pointings, and sample i reads
+    row rotation(i), column i % samples-per-rotation; otherwise each draw is
+    spun over its own samples' pointings.  The target echo,
     sqrt(:func:`target_response`) times the fluctuation xi (1 for the
     constant model), is added coherently with the two-way geometric phase
     -2 (2 pi / lambda) R(t); |.|^2 is recorded per sample.
@@ -248,13 +248,18 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     regenerate = spec.regenerate_clutter_per_rotation
     rotation = np.floor(np.arange(n) / per_rotation) if regenerate else np.zeros(n)
     starts = np.flatnonzero(np.diff(rotation, prepend=-1.0)).tolist()
-    y_clut = np.empty(n, dtype=complex)
-    for rot, (start, stop) in enumerate(zip(starts, [*starts[1:], n])):
-        sub = clutter_stream.child(f"rotation/{rot}") if regenerate else clutter_stream
-        fld = gen_azimuth_channel(spec.room, spec.clutter, grid, sub)
-        rows = pointings[:spr] if spr else pointings[start:stop]
-        y = spin_operator(grid, spec.rx, spec.tx, rows, spec.tx_pointing_deg)(fld.amplitudes)
-        y_clut[start:stop] = y[np.arange(start, stop) % spr] if spr else y
+    subs = (clutter_stream.child(f"rotation/{r}") for r in range(len(starts)))
+    streams = list(subs) if regenerate else [clutter_stream]
+    if spr:  # row r is rotation r's draw
+        spin = spin_operator(grid, spec.rx, spec.tx, pointings[:spr], spec.tx_pointing_deg)
+        blocks = spun_channels(spec.room, spec.clutter, grid, streams, spin)
+        y_clut = np.concatenate([y for y, _, _ in blocks])[rotation.astype(int), np.arange(n) % spr]
+    else:
+        amplitudes, _, _ = gen_azimuth_channels(spec.room, spec.clutter, grid, streams)
+        y_clut = np.concatenate([
+            spin_operator(grid, spec.rx, spec.tx, pointings[a:b], spec.tx_pointing_deg)(row)
+            for row, a, b in zip(amplitudes, starts, [*starts[1:], n])
+        ])
 
     # the fluctuation has a child stream of its own, so skipping it for the
     # constant model moves no other draw

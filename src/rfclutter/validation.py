@@ -18,11 +18,12 @@ above the mmap threshold of :func:`_settle_heap`, so the memory it took on
 a worker thread goes back when it is freed.
 
 The ensemble checks draw through :func:`_spun_ensemble` on the calling
-thread, in blocks of 250 (or 25) streams drawn together by
-:func:`~rfclutter.clutter.gen_azimuth_channels`.  The block sizes stay
-fixed: the off-grid spin is one matrix product per block, and its last bits
-depend on how many rows go into it.  The blocks stay off the pool: their
-few-MB arrays are under the mmap threshold, and a worker thread's malloc
+thread, 250 (or 25) streams drawn and spun together by
+:func:`~rfclutter.clutter.spun_channels`.  The block sizes stay fixed: a
+block's spin products take ``_BLOCK_ELEMENTS // n_bins`` of its rows, and
+their last bits follow that row count, so the block decides where the
+last, partial product falls.  The blocks stay off the pool: their few-MB
+arrays are under the mmap threshold, and a worker thread's malloc
 arena keeps such blocks resident after they are freed; threaded, they
 raised the suite's peak RSS from about 220 MB to 230-244 MB.
 
@@ -51,14 +52,13 @@ from scipy import stats as spstats
 
 from .antennas import HPBW_TO_RMS, _wrap_deg, gaussian_horn, omni, pattern_autocorrelation
 from .clutter import (
+    _DRAW_BLOCK,
     _row_blocks,
     clear_spin_operators,
-    gen_azimuth_channel,
-    gen_azimuth_channels,
     location_phase,
     probe_delay_map,
-    spin_amplitudes,
     spin_operator,
+    spun_channels,
     uniform_pointings,
 )
 from .config import RunConfig, load_config_tree, resolve_config
@@ -174,28 +174,22 @@ def _defaults() -> RunConfig:
     return resolve_config(load_config_tree(None))
 
 
-def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=250):
+def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=_DRAW_BLOCK):
     """Default-room azimuth channels, draw i from stream ``{label}/{i}``, in
-    blocks of at most ``block`` draws, spun over ``pointings``: yields
-    (|Y|^2, p0 * 10^(P_v/10) per draw).  |Y|^2 is (draws, n_pointings), or
-    (draws, n_locations, n_pointings) with each draw, drawn at the origin,
-    moved to each of ``locations`` by its :func:`location_phase`.  A block
-    is drawn by one :func:`gen_azimuth_channels` call and spun as one
-    product, so ``block`` sets the spin's last bits."""
+    the blocks of ``block`` draws of :func:`~rfclutter.clutter.spun_channels`,
+    spun over ``pointings``: yields (|Y|^2, p0 * 10^(P_v/10) per draw).  |Y|^2
+    is (draws, n_pointings), or (draws, n_locations, n_pointings) with each
+    draw moved to each of ``locations`` by its :func:`location_phase`."""
     cfg = _defaults()
-    spin = spin_operator(cfg.grid, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
+    at_origin = spin = spin_operator(cfg.grid, cfg.rx, cfg.tx, pointings, cfg.tx_pointing_deg)
     if locations is not None:
         wavelength_m = cfg.clutter.carrier.wavelength_m
         phases = np.stack([location_phase(cfg.grid, wavelength_m, x) for x in locations])
-    for start in range(0, n_draws, block):
-        streams = [
-            derive_stream(seed, f"{label}/{i}") for i in range(start, min(start + block, n_draws))
-        ]
-        amplitudes, p_v_db, p0 = gen_azimuth_channels(cfg.room, cfg.clutter, cfg.grid, streams)
-        if locations is not None:
-            amplitudes = amplitudes[:, None, :] * phases
+        spin = lambda amplitudes: at_origin(amplitudes[:, None, :] * phases)  # noqa: E731
+    streams = (derive_stream(seed, f"{label}/{i}") for i in range(n_draws))
+    for y, p_v_db, p0 in spun_channels(cfg.room, cfg.clutter, cfg.grid, streams, spin, block):
         levels = np.array([p0 * 10.0 ** (p_v / 10.0) for p_v in p_v_db.tolist()])
-        yield np.abs(spin(amplitudes)) ** 2, levels
+        yield np.abs(y) ** 2, levels
 
 
 def check_survey_prediction_rms(seed: int) -> tuple[bool, float, str, dict]:
@@ -457,8 +451,8 @@ def check_scene_composition(seed: int) -> tuple[bool, float, str, dict]:
     # rotation's spin, sample i reading column i % spr, as the scene spins it
     grid = spec.rx.grid
     spr = map_t.samples_per_rotation
-    fld = gen_azimuth_channel(spec.room, spec.clutter, grid, stream.child("clutter"))
-    y = spin_amplitudes(fld, spec.rx, spec.tx, map_0.pointing_deg[:spr], spec.tx_pointing_deg)
+    spin = spin_operator(grid, spec.rx, spec.tx, map_0.pointing_deg[:spr], spec.tx_pointing_deg)
+    y = next(spun_channels(spec.room, spec.clutter, grid, [stream.child("clutter")], spin))[0][0]
     identity = bool(np.array_equal(np.abs(y[np.arange(map_0.power.size) % spr]) ** 2, map_0.power))
 
     # the moving target leaves a bearing-following (triangular) trace

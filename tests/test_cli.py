@@ -33,6 +33,11 @@ PINNED_DIGESTS = {
     "synth-azimuth --seed 42 --ensemble 20": {
         "azimuth_spectra.csv": "88c3da15d94d29012905ba8ba2b0a93a3c6fff1fe4a66dd33eaa64efd0da8729",
     },
+    # 300 draws cross the 250-stream block of clutter.spun_channels; within a
+    # block, the 148-pointing off-grid spin takes 18 rows at a time
+    "synth-azimuth --seed 42 --ensemble 300": {
+        "azimuth_spectra.csv": "483405693df9283d90a8fe47e00cb18d26e5b6a5413e8f7b26bc78b27cc15ce4",
+    },
     "synth-delay --seed 5": {
         "delay_azimuth_map.f32": "49c0eab2ac4c49d807d3ef79a42bc3d0d6200ce4492641c33464b9dd81e81055",
         "delay_azimuth_map.json": "2fdb2835b360d71c38fb8bc16e2f5fca8fa5db9e814da8a377ccde8fe96b2bd7",

@@ -638,6 +638,29 @@ def test_many_stream_draw_is_each_stream_drawn_alone(n_streams):
         assert p_v_db[i] == field.p_v_db and p0 == field.p0
 
 
+@pytest.mark.parametrize("n_streams, block, sizes", [
+    (7, 3, [3, 3, 1]), (6, 3, [3, 3]), (260, clutter._DRAW_BLOCK, [250, 10]),
+])
+def test_spun_channels_spins_each_block_of_streams_once(n_streams, block, sizes):
+    streams = [derive_stream(30, f"spun/{i}") for i in range(n_streams)]
+    seen = []
+
+    def spin(amplitudes):
+        seen.append(amplitudes.shape[0])
+        return 2.0 * amplitudes
+
+    # any iterable of streams, read a block at a time
+    blocks = clutter.spun_channels(ROOM, _params(), GRID, iter(streams), spin, block)
+    start = 0
+    for y, p_v_db, p0 in blocks:
+        stop = start + y.shape[0]
+        drawn = clutter.gen_azimuth_channels(ROOM, _params(), GRID, streams[start:stop])
+        assert np.array_equal(y, 2.0 * drawn[0])
+        assert np.array_equal(p_v_db, drawn[1]) and p0 == drawn[2]
+        start = stop
+    assert seen == sizes and start == n_streams
+
+
 def test_zero_reflectivity_room_draws_exact_zeros_without_warning():
     room = replace(ROOM, gamma_sq=0.0)
     agrid = AzimuthGrid(360)

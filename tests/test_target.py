@@ -14,6 +14,7 @@ from rfclutter import (
     derive_stream,
     gaussian_horn,
     gen_azimuth_channel,
+    gen_azimuth_channels,
     omni,
     target_response,
     trajectory_state,
@@ -326,13 +327,21 @@ def test_regenerated_clutter_is_redrawn_where_the_rotation_index_changes():
         per_rotation = spr or spec.spin_period_s * spec.sample_rate_hz
         rotation = np.floor(np.arange(tmap.power.size) / per_rotation)
         assert rotation[-1] == last
-        for r in range(last + 1):
+        subs = [stream.child("clutter").child(f"rotation/{r}") for r in range(last + 1)]
+        if spr is not None:
+            # the rotations drawn together and spun as one block over the
+            # first rotation's pointings, a short last rotation reading its
+            # first samples
+            amplitudes, _, _ = gen_azimuth_channels(spec.room, spec.clutter, GRID, subs)
+            block = clutter.spin_operator(GRID, spec.rx, spec.tx, tmap.pointing_deg[:spr], 0.0)
+            spun = block(amplitudes)
+        for r, sub in enumerate(subs):
             sel = rotation == r
-            sub = stream.child("clutter").child(f"rotation/{r}")
-            field = gen_azimuth_channel(spec.room, spec.clutter, GRID, sub)
-            # a whole rotation's spin, a short last rotation reading its first samples
-            spun = tmap.pointing_deg[sel] if spr is None else tmap.pointing_deg[:spr]
-            y = spin_amplitudes(field, spec.rx, spec.tx, spun, 0.0)[: np.count_nonzero(sel)]
+            if spr is None:  # each draw spun over its own samples' pointings
+                field = gen_azimuth_channel(spec.room, spec.clutter, GRID, sub)
+                y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg[sel], 0.0)
+            else:
+                y = spun[r, : np.count_nonzero(sel)]
             assert np.array_equal(tmap.power[sel], np.abs(y) ** 2)
         # the folded map's rows start where the clutter is redrawn
         rot_times, _, image = tmap.folded()

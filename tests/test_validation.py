@@ -19,13 +19,7 @@ import pytest
 
 from rfclutter import pool, randomfields, validation
 from rfclutter.antennas import gaussian_horn, omni
-from rfclutter.clutter import (
-    AzimuthField,
-    gen_azimuth_channels,
-    probe_delay_map,
-    spin_response,
-    uniform_pointings,
-)
+from rfclutter.clutter import probe_delay_map, spin_operator, spun_channels, uniform_pointings
 from rfclutter.randomfields import AzimuthGrid, derive_stream, gaussian_field_rows
 from rfclutter.target import compose_scene
 
@@ -203,11 +197,12 @@ def _delay_map(cfg):
 
 
 def _spun_block(cfg):
-    # 18 draws spun as one block through the default 148 off-grid pointings
-    streams = [derive_stream(4, f"blas/{k}") for k in range(18)]
-    amplitudes, p_v_db, p0 = gen_azimuth_channels(cfg.room, cfg.clutter, cfg.grid, streams)
-    field = AzimuthField(cfg.grid, amplitudes, p_v_db, p0)
-    return [spin_response(field, cfg.rx, cfg.tx, uniform_pointings(148), 0.0).power]
+    # 260 draws through the default 148 off-grid pointings: a block of 250
+    # streams and one of 10, each spun by one call of the operator
+    spin = spin_operator(cfg.grid, cfg.rx, cfg.tx, uniform_pointings(148), 0.0)
+    streams = [derive_stream(4, f"blas/{k}") for k in range(260)]
+    blocks = spun_channels(cfg.room, cfg.clutter, cfg.grid, streams, spin)
+    return [np.abs(y) ** 2 for y, _, _ in blocks]
 
 
 def _scene(regenerate):
