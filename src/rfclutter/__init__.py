@@ -23,7 +23,6 @@ from .clutter import (
     gen_azimuth_channels,
     gen_delay_azimuth_channel,
     location_phase,
-    make_probe_waveform,
     pdp_envelope,
     spin_response,
     spun_channels,

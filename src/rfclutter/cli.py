@@ -43,6 +43,8 @@ from .stats import load_room_survey, survey_report
 from .target import compose_scene
 
 UNITS_COMMENT = "# units: angles deg, power dB re transmit, delay ns\n"
+# CSV rows formatted by one % at a time
+_CSV_ROWS = 1 << 14
 
 
 def _json(obj) -> bytes:
@@ -84,11 +86,17 @@ def _json_text(obj, newline: str) -> str:
 
 def _csv(header: str, line: str, *columns) -> bytes:
     """The units comment, then ``header``, then ``line`` (a %-format) filled
-    from each row of the equal-length ``columns``.  All rows are formatted
-    by one ``%`` over Python values, where ``%.9g`` reads as ``f"{x:.9g}"``."""
-    values = [np.asarray(column).tolist() for column in columns]
-    body = (f"{line}\n" * len(values[0])) % tuple(itertools.chain.from_iterable(zip(*values)))
-    return (UNITS_COMMENT + f"{header}\n" + body).encode("utf-8")
+    from each row of the equal-length ``columns``.  Each block of
+    ``_CSV_ROWS`` rows is formatted by one ``%`` over Python values, where
+    ``%.9g`` reads as ``f"{x:.9g}"``, so only one block is held as Python
+    objects."""
+    columns = [np.asarray(column) for column in columns]
+    parts = [(UNITS_COMMENT + f"{header}\n").encode("utf-8")]
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        values = [column[start : start + _CSV_ROWS].tolist() for column in columns]
+        text = (f"{line}\n" * len(values[0])) % tuple(itertools.chain.from_iterable(zip(*values)))
+        parts.append(text.encode("utf-8"))
+    return b"".join(parts)
 
 
 def _axis(values) -> list:

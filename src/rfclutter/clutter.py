@@ -41,6 +41,11 @@ chunk's rows: not on the map's size, the worker count or
 zeros in the map and stay exact zeros through the spin and the direct delay
 convolution.
 
+A map is probed with a pulse of duration T = 1/bandwidth, sampled on the
+delay grid itself (:meth:`ProbeWaveform.taps`): its taps are the pulse at
+0, dtau, ... up to T, so no pulse is built at a rate of its own or
+resampled, and the probed map runs floor(T/dtau) rows past the drawn one.
+
 A map runs as a pipeline over its chunks, on the process's thread pool
 (:mod:`rfclutter.pool`): a worker draws, filters and phases a chunk and
 spins it, at most ``_IN_FLIGHT`` chunks ahead of the calling thread, which
@@ -594,37 +599,36 @@ def gen_delay_azimuth_channel(
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProbeWaveform:
-    """Unit-energy probing pulse: sum(|x|^2) * dt = 1."""
+    """Probing pulse of duration T = 1/bandwidth, ``hamming`` or ``rect``."""
 
-    samples: np.ndarray
-    delta_t_s: float
     bandwidth_hz: float
+    shape: str
 
-    def check_resolved_by(self, delta_tau_s: float) -> None:
-        """Raise unless delay bins of ``delta_tau_s`` are no wider than a sample."""
-        if self.delta_t_s > delta_tau_s * (1.0 + 1e-9):
-            raise ConfigurationError("waveform sample interval must not exceed the delay bin width")
+    def __post_init__(self):
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz} Hz")
+        if self.shape not in ("hamming", "rect"):
+            raise ValueError(f"unknown waveform shape {self.shape!r}")
 
-
-def make_probe_waveform(bandwidth_hz: float, sample_rate_hz: float, shape: str) -> ProbeWaveform:
-    """Probing waveform of duration 1/bandwidth, normalized to unit energy.
-
-    ``shape`` is ``hamming`` or ``rect``; the sample rate must be at least
-    10x the bandwidth.
-    """
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    if sample_rate_hz < 10.0 * bandwidth_hz:
-        raise ConfigurationError("waveform under-resolved: need sample_rate >= 10*bandwidth")
-    if shape not in ("hamming", "rect"):
-        raise ValueError(f"unknown waveform shape {shape!r}")
-    dt = 1.0 / sample_rate_hz
-    n = int(round(sample_rate_hz / bandwidth_hz)) + 1  # (n-1)*dt == 1/bandwidth
-    x = np.hamming(n).astype(complex) if shape == "hamming" else np.ones(n, dtype=complex)
-    energy = float(np.sum(np.abs(x) ** 2) * dt)
-    return ProbeWaveform(samples=x / math.sqrt(energy), delta_t_s=dt, bandwidth_hz=bandwidth_hz)
+    def taps(self, dgrid: DelayGrid) -> np.ndarray:
+        """The delay convolution's taps on ``dgrid``: the pulse sampled at
+        t = k dtau for k = 0 ... floor(T/dtau), scaled to unit energy on that
+        grid (sum x^2 dtau = 1) and multiplied by dtau.  A pulse longer than
+        the grid raises ConfigurationError."""
+        duration, dtau = 1.0 / self.bandwidth_hz, dgrid.delta_tau_s
+        if duration > dgrid.tau_max_s:
+            raise ConfigurationError(
+                f"pulse of 1/bandwidth = {duration * 1e9:g} ns is longer than the delay "
+                f"grid's {dgrid.tau_max_s * 1e9:g} ns"
+            )
+        t = np.arange(int(duration / dtau + 1e-9) + 1) * dtau
+        if self.shape == "hamming":
+            x = 0.54 - 0.46 * np.cos(TWO_PI * t * self.bandwidth_hz)
+        else:
+            x = np.ones(t.size)
+        return x / math.sqrt(float(np.sum(x**2) * dtau)) * dtau
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,28 +648,14 @@ class DelayAzimuthResponse:
         return self.power.mean(axis=1)
 
 
-def _resample_waveform(waveform: ProbeWaveform, delta_tau_s: float) -> np.ndarray:
-    """Waveform samples on the delay grid, renormalized to unit energy."""
-    waveform.check_resolved_by(delta_tau_s)
-    if abs(waveform.delta_t_s - delta_tau_s) <= 1e-15:
-        return waveform.samples.copy()
-    t_old = np.arange(waveform.samples.size) * waveform.delta_t_s
-    t_new = np.arange(0.0, t_old[-1] + 0.5 * delta_tau_s, delta_tau_s)
-    x = np.interp(t_new, t_old, waveform.samples.real) + 1j * np.interp(
-        t_new, t_old, waveform.samples.imag
-    )
-    energy = float(np.sum(np.abs(x) ** 2) * delta_tau_s)
-    return x / math.sqrt(energy)
-
-
 def _probe(dgrid, agrid, waveform, rx, tx, pointings_deg, tx_pointing_deg):
     """Probing a map on (dgrid, agrid): return (pointings, output delays,
     spin, taps): the :func:`spin_operator`, which spins each block on one
-    BLAS thread whichever thread runs it, and the waveform's taps on the
-    delay grid, for :func:`_probe_rows`."""
+    BLAS thread whichever thread runs it, and the pulse sampled on the delay
+    grid, :meth:`ProbeWaveform.taps`, for :func:`_probe_rows`."""
     pointings = np.atleast_1d(np.asarray(pointings_deg, dtype=float))
     spin = spin_operator(agrid, rx, tx, pointings, tx_pointing_deg)
-    taps = _resample_waveform(waveform, dgrid.delta_tau_s) * dgrid.delta_tau_s
+    taps = waveform.taps(dgrid)
     delays = np.arange(dgrid.n_bins + taps.size - 1) * dgrid.delta_tau_s
     return pointings, delays, spin, taps
 

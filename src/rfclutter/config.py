@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .antennas import AntennaPattern, gaussian_horn, load_pattern_csv, omni
-from .clutter import ClutterParams, DelayGrid, ProbeWaveform, make_probe_waveform
+from .clutter import ClutterParams, DelayGrid, ProbeWaveform
 from .core import (
     CarrierSpec, ConfigurationError, RoomSpec, average_backscatter_ratio, from_db,
     material_reflectivity,
@@ -60,7 +60,7 @@ def _is_number(v) -> bool:
 # the bounds a number may have, as its error message states them
 _BOUNDS = {
     "": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
-    ">= 10": lambda v: v >= 10, "in (0, 180)": lambda v: 0 < v < 180,
+    "in (0, 180)": lambda v: 0 < v < 180,
 }
 
 
@@ -145,7 +145,6 @@ SCHEMA = {
     "probe": {
         "bandwidth_ghz": _number(1.0, "> 0"),
         "shape": _choice("hamming", "hamming", "rect"),
-        "oversample": _number(20, ">= 10"),
     },
     "spin": {
         "period_s": _number(0.2, "> 0"),
@@ -296,8 +295,8 @@ def resolve_config(tree: dict) -> RunConfig:
     """Check every leaf of a merged config tree, then build the simulator
     objects from it, the material and the waypoints once each and the scene
     spec included, so that a rule across keys fails every command alike: the
-    room's p0 names ``room``, a beam against the grid its ``hpbw_deg``, the
-    probe against the delay grid ``probe``, the scene's rules ``scene``."""
+    room's p0 names ``room``, a beam against the grid its ``hpbw_deg``, a
+    pulse longer than the delay grid ``probe``, the scene's rules ``scene``."""
     _check_tree(SCHEMA, tree)
     room_t, delay_t, probe_t, spin = tree["room"], tree["delay"], tree["probe"], tree["spin"]
     scn, target = tree["scene"], tree["scene"]["target"]
@@ -322,12 +321,9 @@ def resolve_config(tree: dict) -> RunConfig:
             delta_tau_s=float(delay_t["delta_tau_ns"]) * 1e-9,
             span_after_onset_s=None if span_ns is None else float(span_ns) * 1e-9,
         )
-    bandwidth = float(probe_t["bandwidth_ghz"]) * 1e9
     with _naming("probe"):
-        probe = make_probe_waveform(
-            bandwidth, float(probe_t["oversample"]) * bandwidth, probe_t["shape"]
-        )
-        probe.check_resolved_by(delay_grid.delta_tau_s)
+        probe = ProbeWaveform(float(probe_t["bandwidth_ghz"]) * 1e9, probe_t["shape"])
+        probe.taps(delay_grid)  # a pulse longer than the delay grid fails here
     rx = _pattern(tree["antennas"]["rx"], grid, "antennas.rx")
     tx = _pattern(tree["antennas"]["tx"], grid, "antennas.tx")
     tx_pointing_deg = float(tree["antennas"]["tx_pointing_deg"])

@@ -180,6 +180,31 @@ def test_synth_delay_outputs_sidecar(tmp_path):
     assert (out / "delay_profile.csv").exists()
 
 
+@pytest.mark.parametrize("block", [1, 3, 10, 16])
+def test_csv_blocks_write_what_one_format_writes(monkeypatch, block):
+    labels = [f"r{i}" for i in range(10)]
+    values = np.random.default_rng(3).standard_normal(10) * 1e3
+    whole = ("%d,%s,%.9g\n" * 10) % tuple(
+        x for row in zip(range(10), labels, values.tolist()) for x in row
+    )
+    monkeypatch.setattr(cli, "_CSV_ROWS", block)
+    text = cli._csv("i,label,x", "%d,%s,%.9g", np.arange(10), labels, values).decode()
+    assert text == cli.UNITS_COMMENT + "i,label,x\n" + whole
+
+
+def test_synth_delay_probes_below_half_a_gigahertz(tmp_path):
+    # a 4 ns pulse is 41 taps on the default 0.1 ns delay bins
+    out = tmp_path / "d"
+    assert run(["synth-delay", "--seed", "5", "--bandwidth-ghz", "0.25", "--out", str(out)]) == 0
+    dgrid = config.resolve_config(config.load_config_tree(None)).delay_grid
+    sidecar = json.loads((out / "delay_azimuth_map.json").read_text())
+    assert sidecar["shape"] == [dgrid.n_bins + 40, 148]
+    data = np.fromfile(out / "delay_azimuth_map.f32", dtype=np.float32)
+    data = data.reshape(sidecar["shape"])
+    assert np.all(data[: dgrid.onset_bin] == -np.inf)
+    assert np.all(np.isfinite(data[dgrid.onset_bin :]))
+
+
 def test_scene_outputs(tmp_path):
     out = tmp_path / "s"
     assert run(["scene", "--seed", "5", "--duration", "1.0", "--out", str(out)]) == 0

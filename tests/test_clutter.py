@@ -20,7 +20,6 @@ from rfclutter import (
     gen_azimuth_channel,
     gen_delay_azimuth_channel,
     location_phase,
-    make_probe_waveform,
     omni,
     pdp_envelope,
     spin_response,
@@ -46,11 +45,25 @@ def _params(**kw):
     return replace(DEFAULTS.clutter, **kw)
 
 
-def _unit_energy_probe(samples, bandwidth_hz, delta_t_s=0.1e-9):
-    """A probe of arbitrary complex samples, scaled to unit energy."""
+def _unit_energy_taps(samples, delta_tau_s):
+    """Delay taps of a pulse of arbitrary complex samples on bins of
+    ``delta_tau_s``, as ProbeWaveform.taps scales its pulse: unit energy,
+    times the bin width."""
     x = np.asarray(samples, dtype=complex)
-    x = x / math.sqrt(float(np.sum(np.abs(x) ** 2) * delta_t_s))
-    return ProbeWaveform(samples=x, delta_t_s=delta_t_s, bandwidth_hz=bandwidth_hz)
+    return x / math.sqrt(float(np.sum(np.abs(x) ** 2) * delta_tau_s)) * delta_tau_s
+
+
+def _probed_power(field, taps, rx, tx, pointings, tx_pointing):
+    """band_limit's power with any taps: the field's rows from its onset bin
+    on, spun in the chunks a map is drawn in, through _probe_rows."""
+    spin = spin_operator(field.agrid, rx, tx, pointings, tx_pointing)
+    lead = field.dgrid.onset_bin
+    live = field.amplitudes[lead:]
+    chunks = clutter._row_blocks(live.shape[0], field.agrid.n_bins, clutter._CHUNK_ENTRIES)
+    power = np.zeros((field.dgrid.n_bins + taps.size - 1, pointings.size))
+    for rows, p in clutter._probe_rows(((rows, spin(live[rows])) for rows in chunks), taps):
+        power[lead + rows.start : lead + rows.stop] = p
+    return power
 
 
 def test_channel_without_variation_has_flat_magnitude():
@@ -394,17 +407,53 @@ def test_delay_map_checks_onset_consistency():
 
 
 def test_probe_waveform_normalization():
-    probe = DEFAULTS.probe
-    assert probe.samples.size == 21
-    duration = (probe.samples.size - 1) * probe.delta_t_s
-    assert duration == pytest.approx(1e-9, rel=1e-12)
-    energy = np.sum(np.abs(probe.samples) ** 2) * probe.delta_t_s
-    assert energy == pytest.approx(1.0, abs=1e-9)
+    dtau = DEFAULTS.delay_grid.delta_tau_s
+    x = DEFAULTS.probe.taps(DEFAULTS.delay_grid) / dtau
+    # the 1 ns pulse on 0.1 ns bins, both ends included
+    assert x.size == 11 and x.dtype == float
+    assert np.sum(x**2) * dtau == pytest.approx(1.0, rel=1e-12)
+    assert x[[0, 10]] / x[5] == pytest.approx([0.08, 0.08], rel=1e-12)
 
 
 def test_probe_waveform_scale_invariant_and_guarded():
-    with pytest.raises(ConfigurationError):
-        make_probe_waveform(1e9, 5e9, "hamming")
+    dgrid = DelayGrid(0.1e-9, 5e-9, onset_s=1e-9)
+    for shape in ("hamming", "rect"):
+        # a pulse as long as the grid is sampled on all of it, one past the
+        # last bin; a longer one is not
+        assert ProbeWaveform(0.2e9, shape).taps(dgrid).size == dgrid.n_bins + 1
+        with pytest.raises(ConfigurationError, match="longer than the delay grid"):
+            ProbeWaveform(0.19e9, shape).taps(dgrid)
+    # unit energy on any grid: n rect taps of dtau / sqrt(n dtau)
+    for dtau, n in ((0.1e-9, 11), (0.05e-9, 21)):
+        taps = ProbeWaveform(1e9, "rect").taps(DelayGrid(dtau, 5e-9, onset_s=1e-9))
+        assert taps == pytest.approx(np.full(n, dtau / math.sqrt(n * dtau)), rel=1e-12)
+    for bandwidth_hz in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bandwidth"):
+            ProbeWaveform(bandwidth_hz, "hamming")
+    with pytest.raises(ValueError, match="shape"):
+        ProbeWaveform(1e9, "gauss")
+
+
+@pytest.mark.parametrize("shape", ["hamming", "rect"])
+@pytest.mark.parametrize(
+    "bandwidth_hz, n_taps",
+    # 0.7 GHz is off the 0.1 ns lattice; at 1.5 and 3.7 GHz the pulse ends
+    # past the middle of a bin, which adds no tap past its end; a pulse far
+    # shorter than a bin is one tap
+    [(1e9, 11), (4e9, 3), (0.25e9, 41), (0.7e9, 15), (1.5e9, 7), (3.7e9, 3), (0.6e9, 17),
+     (1e308, 1)],
+)
+def test_probe_taps_sample_the_pulse_on_the_delay_grid(bandwidth_hz, n_taps, shape):
+    dgrid = DEFAULTS.delay_grid
+    dtau = dgrid.delta_tau_s
+    taps = ProbeWaveform(bandwidth_hz, shape).taps(dgrid)
+    assert taps.size == n_taps
+    t = np.arange(n_taps) * dtau
+    assert t[-1] <= 1.0 / bandwidth_hz * (1 + 1e-9) < t[-1] + dtau
+    pulse = 0.54 - 0.46 * np.cos(2 * np.pi * t * bandwidth_hz) if shape == "hamming" else 1.0
+    x = taps / dtau
+    assert x == pytest.approx(pulse * x.max() / np.max(pulse), rel=1e-12)
+    assert np.sum(x**2) * dtau == pytest.approx(1.0, rel=1e-12)
 
 
 def test_band_limit_impulse_reproduces_waveform():
@@ -418,18 +467,19 @@ def test_band_limit_impulse_reproduces_waveform():
     field = DelayAzimuthField(
         dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=0.0, p0=1.0
     )
-    probe = make_probe_waveform(1e9, 10e9, "hamming")  # dt == delta_tau
+    probe = ProbeWaveform(1e9, "hamming")
+    taps = probe.taps(dgrid)
     rx, tx = omni(agrid), omni(agrid)
     resp = band_limit(field, probe, rx, tx, [agrid.centers_deg[k_phi]], 0.0)
     profile = resp.power[:, 0]
     expected = np.zeros_like(profile)
-    expected[k_tau : k_tau + probe.samples.size] = np.abs(probe.samples) ** 2
+    expected[k_tau : k_tau + taps.size] = taps**2
     scale = profile.max() / expected.max()
     assert np.allclose(profile, expected * scale, rtol=1e-9, atol=profile.max() * 1e-12)
     # peak lands at the impulse delay plus the waveform center
-    center_s = 0.5 * (probe.samples.size - 1) * probe.delta_t_s
+    center_s = 0.5 * (taps.size - 1) * dgrid.delta_tau_s
     peak_delay = resp.delays_s[np.argmax(profile)]
-    assert abs(peak_delay - (dgrid.taus_s[k_tau] + center_s)) <= probe.delta_t_s
+    assert abs(peak_delay - (dgrid.taus_s[k_tau] + center_s)) <= dgrid.delta_tau_s
 
 
 def test_band_limit_profile_peaks_at_onset_and_decays():
@@ -447,15 +497,6 @@ def test_band_limit_profile_peaks_at_onset_and_decays():
     # (where the window first covers the decay start), so allow two durations
     peak_delay = resp.delays_s[np.argmax(profile)]
     assert dgrid.onset_s <= peak_delay <= dgrid.onset_s + 2.0 / probe.bandwidth_hz
-
-
-def test_band_limit_rejects_coarse_waveform():
-    agrid = AzimuthGrid(360)
-    slow = make_probe_waveform(1e9, 1e9 * 10, "hamming")  # dt = 0.1 ns
-    fine = DelayGrid.for_room(ROOM, 0.05e-9, None)
-    fine_field = gen_delay_azimuth_channel(ROOM, _params(), fine, agrid, derive_stream(10, "cw"))
-    with pytest.raises(ConfigurationError):
-        band_limit(fine_field, slow, omni(agrid), omni(agrid), agrid.centers_deg, 0.0)
 
 
 def test_clutter_params_build_their_field_params_once():
@@ -535,7 +576,7 @@ def _explicit_band_limit(field, taps, rx, tx, pointings, tx_pointing):
     w = rx.field_at(phi[None, :] - pointings[:, None]) * tx.field_at(phi - tx_pointing)
     y = field.agrid.delta_phi_rad * (field.amplitudes @ w.T)
     y_bl = np.stack([np.convolve(y[:, j], taps) for j in range(pointings.size)], axis=1)
-    return np.abs(y_bl * field.dgrid.delta_tau_s) ** 2
+    return np.abs(y_bl) ** 2
 
 
 @pytest.mark.parametrize(
@@ -547,17 +588,19 @@ def test_band_limit_matches_explicit_reference(pointings):
     agrid = AzimuthGrid(360)
     dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     field = gen_delay_azimuth_channel(ROOM, _params(), dgrid, agrid, derive_stream(19, "bl"))
-    # a complex probe sampled on the delay grid, so its taps are its samples
+    # an asymmetric complex chirp on the delay grid, which no ProbeWaveform
+    # makes, so its taps go to _probe_rows directly
     t = np.linspace(-1.0, 1.0, 11)
-    probe = _unit_energy_probe(
-        np.hamming(11) * (1.0 + 0.3 * t) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)), 1e9
+    taps = _unit_energy_taps(
+        np.hamming(11) * (1.0 + 0.3 * t) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)),
+        dgrid.delta_tau_s,
     )
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(60.0, agrid)
-    resp = band_limit(field, probe, rx, tx, pointings, tx_pointing_deg=20.0)
-    expected = _explicit_band_limit(field, probe.samples, rx, tx, pointings, 20.0)
-    assert resp.power.shape == expected.shape
-    assert np.max(np.abs(resp.power - expected)) <= 1e-12 * np.max(expected)
-    assert np.all(resp.power[resp.delays_s < dgrid.onset_s] == 0.0)
+    power = _probed_power(field, taps, rx, tx, pointings, 20.0)
+    expected = _explicit_band_limit(field, taps, rx, tx, pointings, 20.0)
+    assert power.shape == expected.shape
+    assert np.max(np.abs(power - expected)) <= 1e-12 * np.max(expected)
+    assert np.all(power[: dgrid.onset_bin] == 0.0)
 
 
 def test_band_limit_builds_streamed_weights_once(monkeypatch):
@@ -699,7 +742,7 @@ def test_streamed_delay_map_equals_held(n_pointings, tx_hpbw, tx_pointing, bandw
     dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, None)
     rx = gaussian_horn(10.0, agrid)
     tx = omni(agrid) if tx_hpbw is None else gaussian_horn(tx_hpbw, agrid)
-    probe = make_probe_waveform(bandwidth_hz, 20 * bandwidth_hz, "hamming")
+    probe = ProbeWaveform(bandwidth_hz, "hamming")
     args = (ROOM, _params(), dgrid, agrid, derive_stream(30, "stream"),
             probe, rx, tx, uniform_pointings(n_pointings), tx_pointing)
     streamed = clutter.probe_delay_map(*args)
@@ -731,8 +774,8 @@ def test_delay_map_bytes_do_not_depend_on_the_worker_count(monkeypatch, held):
     agrid = AzimuthGrid(1800)
     dgrid = DelayGrid.for_room(ROOM, DELTA_TAU_S, 18.35e-9)
     assert dgrid.n_bins - dgrid.onset_bin == 183
-    probe = make_probe_waveform(0.25e9, 10e9, "hamming")
-    assert probe.samples.size == 41
+    probe = ProbeWaveform(0.25e9, "hamming")
+    assert probe.taps(dgrid).size == 41
     if not held:
         monkeypatch.setattr(clutter, "_HELD_ENTRIES", 2 * 18 * agrid.n_bins)
     clutter.clear_spin_operators()
@@ -840,13 +883,13 @@ def test_band_limit_with_more_taps_than_block_rows_matches_explicit_reference():
     amplitudes[dgrid.taus_s < dgrid.onset_s] = 0.0
     field = DelayAzimuthField(dgrid=dgrid, agrid=agrid, amplitudes=amplitudes, p_v_db=0.0, p0=1.0)
     t = np.linspace(-1.0, 1.0, 41)
-    probe = _unit_energy_probe(
-        np.hamming(41) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)), 0.25e9
+    taps = _unit_energy_taps(
+        np.hamming(41) * np.exp(2j * np.pi * (0.7 * t**2 + 0.2 * t)), dgrid.delta_tau_s
     )
     rx, tx = gaussian_horn(10.0, agrid), gaussian_horn(60.0, agrid)
     pointings = uniform_pointings(1440)
-    resp = band_limit(field, probe, rx, tx, pointings, tx_pointing_deg=20.0)
-    expected = _explicit_band_limit(field, probe.samples, rx, tx, pointings, 20.0)
-    assert resp.power.shape == expected.shape
-    assert np.max(np.abs(resp.power - expected)) <= 1e-12 * np.max(expected)
-    assert np.all(resp.power[resp.delays_s < dgrid.onset_s] == 0.0)
+    power = _probed_power(field, taps, rx, tx, pointings, 20.0)
+    expected = _explicit_band_limit(field, taps, rx, tx, pointings, 20.0)
+    assert power.shape == expected.shape
+    assert np.max(np.abs(power - expected)) <= 1e-12 * np.max(expected)
+    assert np.all(power[: dgrid.onset_bin] == 0.0)

@@ -47,7 +47,6 @@ INVALID = {
         _not_a_number(optional=True), NON_FINITE, _below(0, limit_valid=False)
     ),
     "a finite number >= 0": st.one_of(_not_a_number(), NON_FINITE, _below(0, limit_valid=True)),
-    "a finite number >= 10": st.one_of(_not_a_number(), NON_FINITE, _below(10, limit_valid=True)),
     "a finite number in (0, 180)": st.one_of(
         _not_a_number(), NON_FINITE, _below(0, limit_valid=False),
         st.floats(min_value=180, allow_nan=False, allow_infinity=False),
@@ -173,9 +172,10 @@ def test_invalid_leaf_exits_2_naming_its_key(key, data):
         ({"antennas": {"rx": {"kind": "csv", "path": "no-such-pattern.csv"}}}, "antennas.rx.path"),
         ({"room": {"width_m": -1}}, "room.width_m"),
         ({"delay": {"span_after_onset_ns": -1}}, "delay.span_after_onset_ns"),
-        ({"probe": {"oversample": 0.5}}, "probe.oversample"),
+        # the probe is sampled on the delay grid, and has no rate of its own
+        ({"probe": {"oversample": 20}}, "probe"),
         ({"scene": {"duration_s": 100}}, "scene"),
-        # samples of 50 ns against 0.1 ns delay bins
+        # a pulse of 1000 ns, longer than the 102 ns delay grid
         ({"probe": {"bandwidth_ghz": 0.001}}, "probe"),
         # 0.74 samples per coherence time at 740 Hz
         ({"scene": {"target": {"coherence_time_s": 0.001}}}, "scene"),
@@ -201,6 +201,8 @@ def test_invalid_leaf_exits_2_naming_its_key(key, data):
         # the default walk (0.43 m) below about 1.7e-154 GHz
         ({"scene": {"waypoints": [[0.0, 1e-80, 0.0], [4.0, 1e-80, 1e-80]]}}, "scene"),
         ({"carrier": {"frequency_ghz": 1.6e-154}}, "scene"),
+        # 1e300 GHz overflows to an infinite bandwidth in Hz
+        ({"probe": {"bandwidth_ghz": 1e300}}, "probe"),
     ],
 )
 @pytest.mark.parametrize("command", ["predict", "synth-azimuth", "synth-delay", "scene"])
@@ -220,6 +222,18 @@ def test_bad_flag_value_names_its_key(tmp_path):
     assert not (tmp_path / "o").exists() and not (tmp_path / "v").exists()
 
 
+def test_run_meta_that_sets_probe_oversample_exits_2(tmp_path):
+    # the probe is its pulse sampled on the delay grid, with no sample rate
+    # of its own: a run_meta.json that sets one is rejected, not migrated
+    tree = config.load_config_tree(None)
+    tree["probe"]["oversample"] = 20
+    meta, out = tmp_path / "run_meta.json", tmp_path / "o"
+    meta.write_text(json.dumps({"config": tree, "versions": {}}))
+    rc, err = _run(["synth-delay", "--config", str(meta), "--out", str(out)])
+    assert rc == 2 and "config probe: unknown key(s) ['oversample']" in err
+    assert not out.exists()
+
+
 def test_flags_merge_over_the_config_file(tmp_path):
     pattern = tmp_path / "pattern.csv"
     pattern.write_text("azimuth_deg,gain_db\n0,0\n90,-20\n180,-30\n270,-20\n")
@@ -237,7 +251,8 @@ def test_flags_merge_over_the_config_file(tmp_path):
     tree = json.loads((out / "run_meta.json").read_text())["config"]
     assert tree["room"]["material"] == "gamma:0.5" and tree["room"]["width_m"] == 5.0
     assert tree["antennas"]["rx"] == {"kind": "gaussian", "hpbw_deg": 20.0}
-    assert tree["probe"]["oversample"] == 20 and isinstance(tree["probe"]["oversample"], int)
+    assert tree["spin"]["pointings_per_rotation"] == 148
+    assert isinstance(tree["spin"]["pointings_per_rotation"], int)
 
 
 def test_a_loaded_tree_shares_no_node_with_the_defaults_or_the_overrides(tmp_path):
@@ -276,7 +291,7 @@ SCHEMA_PARAMETERS = [
     (target.TargetSpec, ["sigma0_dbsm", "coherence_time_s", "model"]),
     (clutter.uniform_pointings, ["n"]),
     (clutter.DelayGrid.for_room, ["delta_tau_s", "span_after_onset_s"]),
-    (clutter.make_probe_waveform, ["sample_rate_hz", "shape"]),
+    (clutter.ProbeWaveform, ["bandwidth_hz", "shape"]),
     (clutter.spin_operator, ["tx_pointing_deg"]),
     (clutter.spin_amplitudes, ["tx_pointing_deg"]),
     (clutter.spin_response, ["tx_pointing_deg"]),
