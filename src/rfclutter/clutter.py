@@ -17,29 +17,29 @@ sample off it.
 
 Channel draws
 -------------
-A draw filters white noise into dB field rows with
-:func:`~rfclutter.randomfields.filter_field_rows`, turns them into
-magnitudes with :func:`_magnitudes` and gives them uniform phases with
-:func:`_unit_phasors`.  Each row's values are the same bits in any block of
-rows, so neither the block size nor the thread that runs a block changes a
-draw.
+Every draw and every spin runs on blocks of about 2^15 entries,
+``max(1, 2^15 // n_bins)`` rows (:func:`_row_blocks`): 18 on the 0.2 degree
+grid, 91 on the 1 degree grid.  :func:`_amplitudes` turns a block's white
+noise and uniforms into complex amplitudes: field rows filtered by
+:func:`~rfclutter.randomfields.filter_field_rows`, their magnitudes and the
+phasors of :func:`_unit_phasors`.  A drawn row is the same bits in any
+block and on any thread, but the block is part of the data contract: it
+keys a delay map's chunk streams, and an off-grid spin's last bits follow
+the row count of its matrix product.
 
 Azimuth channels are drawn and spun by :func:`spun_channels`, one
-:func:`gen_azimuth_channels` call and one spin per ``_DRAW_BLOCK`` streams.
-A drawn row is the same bits in any block, a spun one is not, so the block
-is part of the data contract.  :func:`gen_azimuth_channel` and
-:func:`spin_response` are the one-stream case, kept for library use.
+:func:`gen_azimuth_channels` call and one spin per block of streams.
+:func:`gen_azimuth_channel` and :func:`spin_response` are the one-stream
+case, kept for library use.
 
 A delay-azimuth map, drawn by :func:`_draw_rows`, has one P_v, the first
-draw of its stream.  Its rows from the echo onset on are drawn in chunks of
-``_CHUNK_ENTRIES`` (about 32k) entries, 91 rows on the 1 degree grid and 18
-on the 0.2 degree grid.  Each chunk draws its noise, then its phases, from
-its own child stream ``rows/<first row>``, rows counted from the onset.  So
-a chunk's values depend on nothing but the map's stream, P_v and the
-chunk's rows: not on the map's size, the worker count or
-``_BLOCK_ELEMENTS``.  Rows before the onset are never drawn: they are exact
-zeros in the map and stay exact zeros through the spin and the direct delay
-convolution.
+draw of its stream.  Its rows from the echo onset on are drawn a block (a
+chunk) at a time, each chunk's noise, then its phases, from its own child
+stream ``rows/<first row>``, rows counted from the onset.  So a chunk's
+values depend on nothing but the map's stream, P_v and the chunk's rows:
+not on the map's size or the worker count.  Rows before the onset are
+never drawn: they are exact zeros in the map and stay exact zeros through
+the spin and the direct delay convolution.
 
 A map is probed with a pulse of duration T = 1/bandwidth, sampled on the
 delay grid itself (:meth:`ProbeWaveform.taps`): its taps are the pulse at
@@ -72,7 +72,6 @@ synthesized spectra to the closed-form room average.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -100,15 +99,8 @@ from .randomfields import (
 
 TWO_PI = 2.0 * math.pi
 
-# row blocks of _BLOCK_ELEMENTS // n_bins rows fix the row count, and so the
-# last bits, of every off-grid spin product: part of the byte contract of
-# synth-delay, reverberation_decay and every block of spun_channels
-_BLOCK_ELEMENTS = 1 << 15
-# a delay map's rows are drawn in chunks of about 32k entries, each from its
-# own stream: a constant of its own, so retuning _BLOCK_ELEMENTS moves no draw
-_CHUNK_ENTRIES = 1 << 15
-# streams drawn and spun together by spun_channels: part of the data contract
-_DRAW_BLOCK = 250
+# the entries of every block of rows, drawn or spun: part of the data contract
+_BLOCK_ENTRIES = 1 << 15
 # arrays of up to 2^22 entries are held whole, a spin operator's weights;
 # larger ones are rebuilt block by block where they are used.  The kept spin
 # operators hold at most as many entries in all.
@@ -117,9 +109,9 @@ _HELD_ENTRIES = 1 << 22
 _IN_FLIGHT = 3
 
 
-def _row_blocks(n_rows: int, n_cols: int, entries: int | None = None) -> list:
-    """Row slices of about ``entries`` (by default ``_BLOCK_ELEMENTS``) entries."""
-    step = max(1, (entries or _BLOCK_ELEMENTS) // n_cols)
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    """Row slices of max(1, 2^15 // n_cols) rows, the last one perhaps fewer."""
+    step = max(1, _BLOCK_ENTRIES // n_cols)
     return [slice(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
@@ -229,17 +221,20 @@ def _row_log(params, p_v_db, power):
         return LN10_OVER_20 * (p_v_db + params.field_params.mu_db) + 0.5 * np.log(power)
 
 
-def _magnitudes(z, params, row_log):
-    """Magnitudes exp(c sigma z + row_log) of unit field rows ``z``, in place."""
+def _amplitudes(white, u, params, corr_bins, row_log):
+    """A block's complex amplitudes from its white noise rows and its
+    uniforms ``u`` in [0, 1): the noise filtered into unit field rows z,
+    magnitudes exp(c sigma z + row_log) and phases 2 pi u."""
+    z = filter_field_rows(white, corr_bins)
     z *= LN10_OVER_20 * params.sigma_db
     z += row_log[:, None]
-    return np.exp(z, out=z)
+    return _unit_phasors(u) * np.exp(z, out=z)
 
 
 def _draw_rows(room, params, grid, stream, scale_sq, envelope, spin=None):
     """Draw rows r of magnitude sqrt(scale_sq p0 envelope_r 10^((P_v + field_dB)/10))
     and uniform phases; return (P_v, p0, chunks), where ``chunks`` yields
-    (rows, complex rows) in row order, in the chunks of ``_CHUNK_ENTRIES``,
+    (rows, complex rows) in row order, in the blocks of :func:`_row_blocks`,
     each chunk spun by ``spin`` when one is given.
 
     P_v is the first draw of ``stream``; each chunk draws its white noise,
@@ -254,14 +249,11 @@ def _draw_rows(room, params, grid, stream, scale_sq, envelope, spin=None):
     def drawn(rows):
         rng = stream.child(f"rows/{rows.start}").generator()
         shape = (rows.stop - rows.start, grid.n_bins)
-        mag = _magnitudes(
-            filter_field_rows(rng.standard_normal(shape), corr_bins), params, row_log[rows]
-        )
-        a = _unit_phasors(rng.random(shape)) * mag  # uniform(0, 2 pi) / 2 pi
+        white = rng.standard_normal(shape)  # the noise first, then the phases
+        a = _amplitudes(white, rng.random(shape), params, corr_bins, row_log[rows])
         return rows, a if spin is None else spin(a)
 
-    chunks = _row_blocks(envelope.size, grid.n_bins, _CHUNK_ENTRIES)
-    return p_v_db, p0, in_order(drawn, chunks, ahead=_IN_FLIGHT)
+    return p_v_db, p0, in_order(drawn, _row_blocks(envelope.size, grid.n_bins), ahead=_IN_FLIGHT)
 
 
 def gen_azimuth_channels(
@@ -276,9 +268,9 @@ def gen_azimuth_channels(
     sqrt(2*pi/dphi) * sqrt(p0 * 10^(P_v/10) * 10^(P(phi)/10)).
 
     Each stream's generator draws P_v, its noise row and its phase row, in
-    that order; the filter, the magnitudes and the phasors then run over the
-    stacked rows in the blocks of ``_row_blocks``.  Row i is the bits that
-    ``streams[i]`` drawn alone gives.
+    that order; :func:`_amplitudes` then turns the stacked rows into
+    amplitudes in one pass.  Row i is the bits that ``streams[i]`` drawn
+    alone gives.
     """
     corr_bins = params.field_params.corr_bins(grid)
     p0 = _backscatter_ratio(room, params)
@@ -293,20 +285,16 @@ def gen_azimuth_channels(
     # one row of unit envelope: the power a one-row map would have
     scale_sq = TWO_PI / grid.delta_phi_rad
     row_log = _row_log(params, p_v_db, scale_sq * p0 * np.ones(1))
-    amplitudes = np.empty((n, grid.n_bins), dtype=complex)
-    for block in _row_blocks(n, grid.n_bins):
-        mag = _magnitudes(filter_field_rows(white[block], corr_bins), params, row_log[block])
-        amplitudes[block] = _unit_phasors(u[block]) * mag
-    return amplitudes, p_v_db, p0
+    return _amplitudes(white, u, params, corr_bins, row_log), p_v_db, p0
 
 
-def spun_channels(room, params, grid, streams, spin, block=_DRAW_BLOCK):
-    """Draw ``streams`` (any iterable) ``block`` at a time, one
-    :func:`gen_azimuth_channels` call each, and yield (spin(amplitudes), P_v,
-    p0) per block; ``spin`` is a :func:`spin_operator` or ends in one."""
-    streams = iter(streams)
-    while chunk := list(itertools.islice(streams, block)):
-        amplitudes, p_v_db, p0 = gen_azimuth_channels(room, params, grid, chunk)
+def spun_channels(room, params, grid, streams, spin):
+    """Draw ``streams`` (any iterable) in the blocks of :func:`_row_blocks`,
+    one :func:`gen_azimuth_channels` call each, and yield (spin(amplitudes),
+    P_v, p0) per block; ``spin`` is a :func:`spin_operator` or ends in one."""
+    streams = list(streams)
+    for rows in _row_blocks(len(streams), grid.n_bins):
+        amplitudes, p_v_db, p0 = gen_azimuth_channels(room, params, grid, streams[rows])
         yield spin(amplitudes), p_v_db, p0
 
 
@@ -350,8 +338,8 @@ def spin_operator(
     :func:`~rfclutter.antennas.omni` turn into a value), within 2^22 array
     entries in all: the least recently used go first, and
     :func:`clear_spin_operators` drops them all.  An operator applies itself
-    to ``_BLOCK_ELEMENTS // n_bins`` rows at a time, on one OpenBLAS thread
-    (:func:`~rfclutter.pool.one_blas_thread` says why).
+    to the rows it is given in one matrix product or FFT pass, on one
+    OpenBLAS thread (:func:`~rfclutter.pool.one_blas_thread` says why).
 
     The sweep of bin centers 0, d, 2d, ... around the whole grid, in that
     order, with d >= 1 dividing n_bins, is one FFT read: the product
@@ -401,10 +389,9 @@ def _build_spin_operator(grid, rx, tx, pointings, tx_pointing_deg):
         # of its spectrum folded to n_bins / d bins, divided by d
         kernel = np.fft.fft(np.roll(rx.field_at(centers)[::-1], 1) * grid.delta_phi_rad)
         def spin_rows(a, out):
-            for r in _row_blocks(a.shape[0], grid.n_bins):
-                spectrum = np.fft.fft(a[r] * txf, axis=-1) * kernel
-                spectrum = spectrum.reshape(-1, d, pointings.size).sum(axis=1)
-                out[r] = np.fft.ifft(spectrum, axis=-1) / d
+            spectrum = np.fft.fft(a * txf, axis=-1) * kernel
+            spectrum = spectrum.reshape(-1, d, pointings.size).sum(axis=1)
+            out[:] = np.fft.ifft(spectrum, axis=-1) / d
         return _on_rows(spin_rows, grid.n_bins, pointings.size), txf.size + kernel.size
 
     # one row dphi f_R(phi_i - p) f_T(phi_i - tx_pointing) per pointing p, in
@@ -440,14 +427,13 @@ def _build_spin_operator(grid, rx, tx, pointings, tx_pointing_deg):
             held[block] = weights(block)
         windows = None  # the held rows replace the kernels
     def spin_rows(a, out):
+        # real and imaginary parts stacked: one real product with w
+        stacked, n = np.concatenate([a.real, a.imag]), a.shape[0]
         for block in [slice(None)] if held is not None else blocks:
             w = held if held is not None else weights(block)
-            for r in _row_blocks(a.shape[0], grid.n_bins):
-                # real and imaginary parts stacked: one real product with w
-                n = r.stop - r.start
-                parts = np.concatenate([a[r].real, a[r].imag]) @ w.T
-                out.real[r, block] = parts[:n]
-                out.imag[r, block] = parts[n:]
+            parts = stacked @ w.T
+            out.real[:, block] = parts[:n]
+            out.imag[:, block] = parts[n:]
     entries = txf.size
     if held is not None:
         entries += held.size
@@ -716,8 +702,7 @@ def band_limit(
     )
     lead = field.dgrid.onset_bin
     live = field.amplitudes[lead:]
-    chunks = _row_blocks(live.shape[0], field.agrid.n_bins, _CHUNK_ENTRIES)
-    blocks = ((rows, spin(live[rows])) for rows in chunks)
+    blocks = ((rows, spin(live[rows])) for rows in _row_blocks(live.shape[0], field.agrid.n_bins))
     power = np.zeros((delays.size, pointings.size))
     for rows, p in _probe_rows(blocks, taps):
         power[lead + rows.start : lead + rows.stop] = p

@@ -165,11 +165,24 @@ def gaussian_field_rows(
     return filter_field_rows(rng.standard_normal((n_rows, n_bins)), corr_bins)
 
 
-def check_coherence_resolved(coherence_time_s: float, sample_rate_hz: float) -> None:
-    """Raise unless samples at ``sample_rate_hz`` resolve the coherence time."""
+def check_coherence_resolved(
+    coherence_time_s: float, sample_rate_hz: float, n_samples: float | None = None
+) -> None:
+    """Raise unless samples at ``sample_rate_hz`` resolve the coherence time
+    and, given ``n_samples``, the padded array of
+    :func:`complex_gaussian_series`, n + 4 ceil(6 w) samples for a kernel w
+    samples wide, fits one NumPy array (its bytes are counted in intp)."""
     if coherence_time_s < 2.0 / sample_rate_hz:
         raise ConfigurationError(
             "coherence time under-resolved: need coherence_time >= 2 / sample_rate"
+        )
+    if n_samples is None:
+        return
+    w = coherence_time_s / math.sqrt(2.0) * sample_rate_hz
+    if not n_samples + 4.0 * np.ceil(6.0 * w) <= np.iinfo(np.intp).max // 16:
+        raise ConfigurationError(
+            f"a coherence time of {coherence_time_s:g} s pads the target fluctuation series "
+            f"of {n_samples:.6g} samples by 4 ceil(6 x {w:.4g}), more than an array can index"
         )
 
 
@@ -224,7 +237,7 @@ def complex_gaussian_series(
         raise ValueError("sample rate and coherence time must be positive")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    check_coherence_resolved(coherence_time_s, sample_rate_hz)
+    check_coherence_resolved(coherence_time_s, sample_rate_hz, n_samples)
     dt = 1.0 / sample_rate_hz
     w = (coherence_time_s / math.sqrt(2.0)) / dt  # kernel RMS, samples
     m = int(math.ceil(6.0 * w))

@@ -178,7 +178,9 @@ class SceneSpec:
                 f"the target path passes through the radar (origin), or so near it that its echo "
                 f"at the peak gains overflows, in the scene: it comes within {nearest:.4g} m"
             )
-        check_coherence_resolved(self.target.coherence_time_s, self.sample_rate_hz)
+        # the length of the fluctuation series, which only Swerling I draws
+        n = self.duration_s * self.sample_rate_hz if self.target.model == "swerling1" else None
+        check_coherence_resolved(self.target.coherence_time_s, self.sample_rate_hz, n)
 
     @property
     def _rotation_samples(self) -> float:
@@ -211,9 +213,9 @@ class TimeAzimuthMap:
     def folded(self):
         """(rotation start times, pointing bins, power image) of the complete
         rotations; empty unless a rotation is a whole number of samples, as
-        rows would drift off the first rotation's pointings."""
+        rows would drift off the first rotation's pointings, and one fits."""
         spr = self.samples_per_rotation
-        if spr is None:
+        if spr is None or spr > self.power.size:
             return np.empty(0), np.empty(0), np.empty((0, 0))
         n_rot = self.power.size // spr
         image = self.power[: n_rot * spr].reshape(n_rot, spr)
@@ -235,11 +237,12 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     """
     n = int(round(spec.duration_s * spec.sample_rate_hz))
     times = np.arange(n) / spec.sample_rate_hz
-    # i % samples-per-rotation (exact) keeps pointings in [0, 360) and, for a
-    # whole number, bitwise the same in every rotation
+    # i % samples-per-rotation (exact, in floats: past int64 too) keeps
+    # pointings in [0, 360) and, for a whole number, bitwise the same in every rotation
     spr = spec.samples_per_rotation
-    per_rotation = spr or spec._rotation_samples
-    pointings = np.arange(n) % per_rotation / per_rotation * 360.0
+    per_rotation = float(spr or spec._rotation_samples)
+    column = np.arange(n) % per_rotation
+    pointings = column / per_rotation * 360.0
 
     grid = spec.rx.grid
     clutter_stream = stream.child("clutter")
@@ -253,7 +256,7 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     if spr:  # row r is rotation r's draw
         spin = spin_operator(grid, spec.rx, spec.tx, pointings[:spr], spec.tx_pointing_deg)
         blocks = spun_channels(spec.room, spec.clutter, grid, streams, spin)
-        y_clut = np.concatenate([y for y, _, _ in blocks])[rotation.astype(int), np.arange(n) % spr]
+        y_clut = np.concatenate([y for y, _, _ in blocks])[rotation.astype(int), column.astype(int)]
     else:
         amplitudes, _, _ = gen_azimuth_channels(spec.room, spec.clutter, grid, streams)
         y_clut = np.concatenate([

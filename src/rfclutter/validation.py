@@ -18,14 +18,10 @@ above the mmap threshold of :func:`_settle_heap`, so the memory it took on
 a worker thread goes back when it is freed.
 
 The ensemble checks draw through :func:`_spun_ensemble` on the calling
-thread, 250 (or 25) streams drawn and spun together by
-:func:`~rfclutter.clutter.spun_channels`.  The block sizes stay fixed: a
-block's spin products take ``_BLOCK_ELEMENTS // n_bins`` of its rows, and
-their last bits follow that row count, so the block decides where the
-last, partial product falls.  The blocks stay off the pool: their few-MB
-arrays are under the mmap threshold, and a worker thread's malloc
-arena keeps such blocks resident after they are freed; threaded, they
-raised the suite's peak RSS from about 220 MB to 230-244 MB.
+thread, 18 streams drawn and spun together at a time by
+:func:`~rfclutter.clutter.spun_channels`.  The blocks stay off the pool: a
+worker thread's malloc arena keeps freed blocks resident; threaded, blocks
+of 250 raised the suite's peak RSS from about 220 MB to 230-244 MB.
 
 Off-grid spins are matrix products whose last bits also depend on the BLAS
 thread count, so every spin pins itself to one thread of NumPy's bundled
@@ -52,7 +48,6 @@ from scipy import stats as spstats
 
 from .antennas import HPBW_TO_RMS, _wrap_deg, gaussian_horn, omni, pattern_autocorrelation
 from .clutter import (
-    _DRAW_BLOCK,
     _row_blocks,
     clear_spin_operators,
     location_phase,
@@ -133,9 +128,9 @@ class ValidationReport:
 
 
 # glibc's mallopt parameters, and the block size from which malloc maps each
-# block on its own: above a 250-draw block's 7.2 MB of amplitudes, which the
-# checks allocate and free over and over, and below the 14.4 MB field chunks,
-# the spin weights and the fluctuation series
+# block on its own: above a block of draws, which the checks allocate and free
+# over and over (the spatial check's 11 moved copies of 18 draws, 5.7 MB), and
+# below the 14.4 MB field chunks, the spin weights and the fluctuation series
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 8 << 20
@@ -174,9 +169,9 @@ def _defaults() -> RunConfig:
     return resolve_config(load_config_tree(None))
 
 
-def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=_DRAW_BLOCK):
+def _spun_ensemble(seed, label, n_draws, pointings, locations=None):
     """Default-room azimuth channels, draw i from stream ``{label}/{i}``, in
-    the blocks of ``block`` draws of :func:`~rfclutter.clutter.spun_channels`,
+    the blocks of draws of :func:`~rfclutter.clutter.spun_channels`,
     spun over ``pointings``: yields (|Y|^2, p0 * 10^(P_v/10) per draw).  |Y|^2
     is (draws, n_pointings), or (draws, n_locations, n_pointings) with each
     draw moved to each of ``locations`` by its :func:`location_phase`."""
@@ -187,7 +182,7 @@ def _spun_ensemble(seed, label, n_draws, pointings, locations=None, block=_DRAW_
         phases = np.stack([location_phase(cfg.grid, wavelength_m, x) for x in locations])
         spin = lambda amplitudes: at_origin(amplitudes[:, None, :] * phases)  # noqa: E731
     streams = (derive_stream(seed, f"{label}/{i}") for i in range(n_draws))
-    for y, p_v_db, p0 in spun_channels(cfg.room, cfg.clutter, cfg.grid, streams, spin, block):
+    for y, p_v_db, p0 in spun_channels(cfg.room, cfg.clutter, cfg.grid, streams, spin):
         levels = np.array([p0 * 10.0 ** (p_v / 10.0) for p_v in p_v_db.tolist()])
         yield np.abs(y) ** 2, levels
 
@@ -312,7 +307,7 @@ def check_spatial_decorrelation(seed: int) -> tuple[bool, float, str, dict]:
     locations = [(float(x), 0.0) for x in positions]
     n_seeds = 200
     rho_sum = 0.0
-    for power, _ in _spun_ensemble(seed, "spatial", n_seeds, pointings, locations, block=25):
+    for power, _ in _spun_ensemble(seed, "spatial", n_seeds, pointings, locations):
         for power_db in to_db(power):
             seps, rho = spatial_correlation(power_db, positions)
             rho_sum = rho_sum + rho

@@ -33,8 +33,8 @@ PINNED_DIGESTS = {
     "synth-azimuth --seed 42 --ensemble 20": {
         "azimuth_spectra.csv": "88c3da15d94d29012905ba8ba2b0a93a3c6fff1fe4a66dd33eaa64efd0da8729",
     },
-    # 300 draws cross the 250-stream block of clutter.spun_channels; within a
-    # block, the 148-pointing off-grid spin takes 18 rows at a time
+    # 300 draws on the 1800-bin grid are 16 blocks of 18 streams and one of
+    # 12, each block spun by one 148-pointing off-grid product
     "synth-azimuth --seed 42 --ensemble 300": {
         "azimuth_spectra.csv": "483405693df9283d90a8fe47e00cb18d26e5b6a5413e8f7b26bc78b27cc15ce4",
     },
@@ -78,6 +78,10 @@ PINNED_DIGESTS = {
         "scene_map.json": "5a2bf00ec2b6dc66aed2151be2ba499d047d0be547491a298e66bb4627ff186b",
         "scene_timeseries.csv": "cc0d3db386115cd3a92c3056d3b59ed880feff31f180ff6fe15890831b21b65b",
     },
+    # the 1 degree grid: 300 draws are 3 blocks of 91 streams and one of 27
+    "synth-azimuth --seed 42 --ensemble 300 --config deg1": {
+        "azimuth_spectra.csv": "dc38d09dae5236e8d59a53671db82bb4432bc0ce66c55da285b33c4191d79d7c",
+    },
     "scene --seed 42 --config tail": {
         "scene_map.f32": "50107d77adf7801d876ecf7e9b3d0d5b3f0945fb669337496b106a30b1c1a866",
         "scene_map.json": "a08bf3bd4079fdb4a92b66d369580a79c0f3ac2a19aec9d26f685ba81776c874",
@@ -89,7 +93,8 @@ PINNED_DIGESTS = {
 # the constant model draws no fluctuation, and eps45 is the object form of a
 # dielectric material; gamma:0 reflects nothing, so every power_db is -inf.
 # ongrid samples 360 grid-center pointings per rotation over five rotations;
-# tail redraws the clutter every rotation and ends on a tenth of one
+# tail redraws the clutter every rotation and ends on a tenth of one; deg1
+# draws on the 360-bin grid
 PINNED_CONFIGS = {
     "p360": {"spin": {"pointings_per_rotation": 360}},
     "regen": {"scene": {"regenerate_clutter_per_rotation": True}},
@@ -97,6 +102,7 @@ PINNED_CONFIGS = {
     "eps45": {"room": {"material": {"eps_r": 4.5}}},
     "ongrid": {"spin": {"sample_rate_hz": 1800}, "scene": {"duration_s": 1.0}},
     "tail": {"scene": {"duration_s": 1.1, "regenerate_clutter_per_rotation": True}},
+    "deg1": {"grid": {"delta_phi_deg": 1.0}},
 }
 
 
@@ -517,6 +523,48 @@ def test_bad_scene_config_exits_2_naming_key(tmp_path, capsys, tree, key):
     assert run(["scene", "--config", str(cfg), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coherence_time_s", [1e20, 1e300])
+def test_unindexable_fluctuation_series_exits_2_naming_scene(tmp_path, coherence_time_s):
+    # the series pads the scene's 2960 samples by 4 ceil(6 w) for a kernel
+    # w = 5.2e22 or 5.2e302 samples wide: more than a NumPy array can index.
+    # Run in a child limited to 2 GB of address space, timed inside it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene": {"target": {"coherence_time_s": coherence_time_s}}}))
+    out = tmp_path / "o"
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))\n"
+        "from rfclutter import cli\n"
+        "start = time.perf_counter()\n"
+        "rc = cli.main(['scene', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, time.perf_counter() - start)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(out)],
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+    )
+    rc, elapsed_s = child.stdout.split()
+    assert rc == "2" and float(elapsed_s) < 1.0
+    assert "config scene: " in child.stderr and "coherence time" in child.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("regenerate", [False, True], ids=["static", "regenerated"])
+@pytest.mark.parametrize("period_s", [1e16, 1e17, 1e300])
+def test_rotation_longer_than_int64_writes_no_scene_map(tmp_path, capsys, period_s, regenerate):
+    # at 740 Hz a rotation is 7.4e18 samples (inside int64), 7.4e19 or
+    # 7.4e302 (past it): the 2960-sample scene is shorter than a rotation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "spin": {"period_s": period_s, "sample_rate_hz": 740.0},
+        "scene": {"regenerate_clutter_per_rotation": regenerate},
+    }))
+    out = tmp_path / "o"
+    assert run(["scene", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "no scene_map: shorter than a rotation" in capsys.readouterr().out
+    assert sorted(path.name for path in out.iterdir()) == ["run_meta.json", "scene_timeseries.csv"]
 
 
 def test_scene_draws_on_the_config_grid(tmp_path, capsys):

@@ -59,7 +59,7 @@ def _probed_power(field, taps, rx, tx, pointings, tx_pointing):
     spin = spin_operator(field.agrid, rx, tx, pointings, tx_pointing)
     lead = field.dgrid.onset_bin
     live = field.amplitudes[lead:]
-    chunks = clutter._row_blocks(live.shape[0], field.agrid.n_bins, clutter._CHUNK_ENTRIES)
+    chunks = clutter._row_blocks(live.shape[0], field.agrid.n_bins)
     power = np.zeros((field.dgrid.n_bins + taps.size - 1, pointings.size))
     for rows, p in clutter._probe_rows(((rows, spin(live[rows])) for rows in chunks), taps):
         power[lead + rows.start : lead + rows.stop] = p
@@ -669,9 +669,7 @@ def test_azimuth_draw_matches_reference_recipe(location_m):
 
 @pytest.mark.parametrize("n_streams", [1, 2, 18, 19, 25, 250])
 def test_many_stream_draw_is_each_stream_drawn_alone(n_streams):
-    # 1800 bins make row blocks of 18 rows: 19, 25 and 250 streams end in a
-    # partial block
-    assert clutter._BLOCK_ELEMENTS // GRID.n_bins == 18
+    # the stacked rows are filtered and phased in one pass, whatever their count
     streams = [derive_stream(29, f"many/{i}") for i in range(n_streams)]
     amplitudes, p_v_db, p0 = clutter.gen_azimuth_channels(ROOM, _params(), GRID, streams)
     assert amplitudes.shape == (n_streams, GRID.n_bins) and p_v_db.shape == (n_streams,)
@@ -681,10 +679,11 @@ def test_many_stream_draw_is_each_stream_drawn_alone(n_streams):
         assert p_v_db[i] == field.p_v_db and p0 == field.p0
 
 
-@pytest.mark.parametrize("n_streams, block, sizes", [
-    (7, 3, [3, 3, 1]), (6, 3, [3, 3]), (260, clutter._DRAW_BLOCK, [250, 10]),
-])
-def test_spun_channels_spins_each_block_of_streams_once(n_streams, block, sizes):
+@pytest.mark.parametrize("n_streams, grid, sizes", [
+    (260, GRID, [18] * 14 + [8]), (100, AzimuthGrid(360), [91, 9]), (36, GRID, [18, 18]),
+], ids=["260-streams-1800-bins", "100-streams-360-bins", "36-streams-1800-bins"])
+def test_spun_channels_spins_each_block_of_streams_once(n_streams, grid, sizes):
+    # a block is max(1, 2^15 // n_bins) streams: 18 on 1800 bins, 91 on 360
     streams = [derive_stream(30, f"spun/{i}") for i in range(n_streams)]
     seen = []
 
@@ -693,11 +692,11 @@ def test_spun_channels_spins_each_block_of_streams_once(n_streams, block, sizes)
         return 2.0 * amplitudes
 
     # any iterable of streams, read a block at a time
-    blocks = clutter.spun_channels(ROOM, _params(), GRID, iter(streams), spin, block)
+    blocks = clutter.spun_channels(ROOM, _params(), grid, iter(streams), spin)
     start = 0
     for y, p_v_db, p0 in blocks:
         stop = start + y.shape[0]
-        drawn = clutter.gen_azimuth_channels(ROOM, _params(), GRID, streams[start:stop])
+        drawn = clutter.gen_azimuth_channels(ROOM, _params(), grid, streams[start:stop])
         assert np.array_equal(y, 2.0 * drawn[0])
         assert np.array_equal(p_v_db, drawn[1]) and p0 == drawn[2]
         start = stop
@@ -792,15 +791,11 @@ def test_delay_map_bytes_do_not_depend_on_the_worker_count(monkeypatch, held):
 
 
 @pytest.mark.parametrize(
-    "knob, value",
-    [("_BLOCK_ELEMENTS", 1 << 13), ("_BLOCK_ELEMENTS", 1 << 17), ("_IN_FLIGHT", 1), ("_IN_FLIGHT", 8)],
-    ids=["blocks-8k", "blocks-128k", "in-flight-1", "in-flight-8"],
+    "knob, value", [("_IN_FLIGHT", 1), ("_IN_FLIGHT", 8)], ids=["in-flight-1", "in-flight-8"],
 )
 def test_delay_map_bytes_do_not_depend_on_blocks_or_chunks_in_flight(monkeypatch, knob, value):
-    # 922 live rows of 360 bins are ten chunks of 91 rows and one of 12; the
-    # sweep of 72 bin centers spins each row on its own (an off-grid spin's
-    # matrix product moves in its last bits with the rows it is given, and
-    # so with _BLOCK_ELEMENTS)
+    # 922 live rows of 360 bins are ten chunks of 91 rows and one of 12, each
+    # drawn from its own stream and spun by the sweep of 72 bin centers
     monkeypatch.setattr(pool, "workers", lambda: 2)
     agrid = AzimuthGrid(360)
     args = (ROOM, _params(), DelayGrid.for_room(ROOM, DELTA_TAU_S, None), agrid,

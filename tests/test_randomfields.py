@@ -206,7 +206,7 @@ def _fftconvolve_series(n, sample_rate_hz, coherence_time_s, stream):
 
 
 def _default_scene_series_args():
-    spec = resolve_config(load_config_tree(None)).scene_spec()
+    spec = resolve_config(load_config_tree(None)).scene
     n = round(spec.duration_s * spec.sample_rate_hz)
     return n, spec.sample_rate_hz, spec.target.coherence_time_s
 

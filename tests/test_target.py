@@ -25,7 +25,7 @@ from rfclutter.clutter import clear_spin_operators, spin_amplitudes
 from rfclutter.config import load_config_tree, resolve_config
 
 DEFAULTS = resolve_config(load_config_tree(None))
-TARGET = DEFAULTS.scene_spec().target  # -8 dBsm, 0.1 s, Swerling I
+TARGET = DEFAULTS.scene.target  # -8 dBsm, 0.1 s, Swerling I
 CARRIER = CarrierSpec(28e9)
 GRID = AzimuthGrid(1800)
 OMNI = omni(GRID)

@@ -197,8 +197,8 @@ def _delay_map(cfg):
 
 
 def _spun_block(cfg):
-    # 260 draws through the default 148 off-grid pointings: a block of 250
-    # streams and one of 10, each spun by one call of the operator
+    # 260 draws through the default 148 off-grid pointings: 14 blocks of 18
+    # streams and one of 8, each spun by one call of the operator
     spin = spin_operator(cfg.grid, cfg.rx, cfg.tx, uniform_pointings(148), 0.0)
     streams = [derive_stream(4, f"blas/{k}") for k in range(260)]
     blocks = spun_channels(cfg.room, cfg.clutter, cfg.grid, streams, spin)
