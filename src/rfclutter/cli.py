@@ -38,6 +38,7 @@ from . import __version__
 from .clutter import probe_delay_map, spin_operator, spun_channels, uniform_pointings
 from .config import RunConfig, load_config_tree, resolve_config
 from .core import ConfigurationError, power_db
+from .pool import openblas_core
 from .randomfields import derive_stream
 from .stats import load_room_survey, survey_report
 from .target import compose_scene
@@ -204,10 +205,9 @@ def _scene(cfg: RunConfig) -> tuple:
         files.update(_grid("scene_map", power_db(image), {
             "rotation_start_s": _axis(rot_times), "pointing_deg": _axis(pointing_bins),
         }))
-    elif tmap.samples_per_rotation is None:
-        print("scene: no scene_map: spin.period_s x spin.sample_rate_hz is not a whole number")
     else:
-        print(f"scene: no scene_map: shorter than a rotation ({tmap.samples_per_rotation} samples)")
+        spr = tmap.samples_per_rotation
+        print(f"scene: no scene_map: shorter than a rotation ({spr:.6g} samples)")
     return files, f"scene: {tmap.power.size} samples, {image.shape[0]} rotations", 0
 
 
@@ -305,6 +305,7 @@ def main(argv=None) -> int:
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
                 "python": platform.python_version(),
+                "openblas_core": openblas_core(),  # the bytes' BLAS kernels
             },
         })}
         try:  # each file whole or absent, run_meta.json last

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -31,7 +32,8 @@ from .target import SceneSpec, TargetSpec, Trajectory
 class _Leaf(NamedTuple):
     """A config value: its default and its domain, in words and as a test;
     ``linear`` is (formula, x -> value) for a leaf that enters the arithmetic
-    as a linear value, which must be a positive finite double."""
+    as a linear value, which must be a positive finite double.  An error
+    shows an int of 21 digits or more as %.6g."""
 
     default: object
     expected: str
@@ -39,8 +41,9 @@ class _Leaf(NamedTuple):
     linear: tuple[str, Callable[[float], float]] | None = None
 
     def check(self, value, path: str) -> None:
+        got = f"{Decimal(value):.6g}" if type(value) is int and abs(value) >= 1e20 else repr(value)
         if not self.valid(value):
-            raise ConfigurationError(f"config {path}: expected {self.expected}, got {value!r}")
+            raise ConfigurationError(f"config {path}: expected {self.expected}, got {got}")
         try:
             in_range = self.linear is None or 0.0 < self.linear[1](value) < math.inf
         except OverflowError:
@@ -48,7 +51,7 @@ class _Leaf(NamedTuple):
         if not in_range:
             raise ConfigurationError(
                 f"config {path}: the linear value {self.linear[0]} must be a positive finite "
-                f"double, got x = {value!r}"
+                f"double, got x = {got}"
             )
 
 
@@ -79,8 +82,8 @@ _SPREAD = ("10^(mu/10), mu = -(ln 10 / 20) x^2,", lambda x: from_db(lognormal_me
 _WAVELENGTH = ("c / (x GHz)", lambda x: CarrierSpec(x * 1e9).wavelength_m)
 
 
-def _integer(default, expected: str, in_range) -> _Leaf:
-    return _Leaf(default, expected, lambda v: type(v) is int and in_range(v))
+def _integer(default, expected="a positive integer within float range", in_range=lambda v: v >= 1):
+    return _Leaf(default, expected, lambda v: type(v) is int and _is_number(v) and in_range(v))
 
 
 def _choice(default, *options) -> _Leaf:
@@ -147,9 +150,8 @@ SCHEMA = {
         "shape": _choice("hamming", "hamming", "rect"),
     },
     "spin": {
-        "period_s": _number(0.2, "> 0"),
         "sample_rate_hz": _number(740.0, "> 0"),
-        "pointings_per_rotation": _integer(148, "a positive integer", lambda v: v >= 1),
+        "pointings_per_rotation": _integer(148),
     },
     "scene": {
         "duration_s": _number(4.0, "> 0"),
@@ -168,7 +170,7 @@ SCHEMA = {
         "regenerate_clutter_per_rotation": _Leaf(False, "true or false", lambda v: type(v) is bool),
     },
     "seed": _integer(1234, "an integer in [0, 2**64)", lambda v: 0 <= v < 2**64),
-    "ensemble": _integer(1, "a positive integer", lambda v: v >= 1),
+    "ensemble": _integer(1),
 }
 
 
@@ -228,7 +230,7 @@ def load_config_tree(path=None, overrides=None) -> dict:
             tree = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, an int past 4300 digits
             raise ConfigurationError(f"{path}: {exc}") from None
         if isinstance(tree, dict) and "config" in tree and "versions" in tree:
             tree = tree["config"]
@@ -336,7 +338,7 @@ def resolve_config(tree: dict) -> RunConfig:
                 float(target["rcs_dbsm"]), float(target["coherence_time_s"]), target["model"]
             ),
             trajectory=trajectory,
-            spin_period_s=float(spin["period_s"]),
+            samples_per_rotation=spin["pointings_per_rotation"],
             sample_rate_hz=float(spin["sample_rate_hz"]),
             duration_s=float(scn["duration_s"]),
             tx_pointing_deg=tx_pointing_deg,

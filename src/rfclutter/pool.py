@@ -94,19 +94,35 @@ def in_order(fn, items, ahead=math.inf):
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that the NumPy wheels
-    bundle (``libscipy_openblas64_``), or None with any other BLAS."""
+def _openblas():
+    """NumPy's bundled OpenBLAS (``libscipy_openblas64_``), or None with any other BLAS."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     paths = sorted(libs.glob("libscipy_openblas64_*"))
     lib = ctypes.CDLL(str(paths[0])) if paths else None  # the copy NumPy loaded
-    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+    return lib if hasattr(lib, "scipy_openblas_set_num_threads64_") else None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the bundled OpenBLAS's thread count, or None."""
+    lib = _openblas()
+    if lib is None:
         return None
     get_threads = lib.scipy_openblas_get_num_threads64_
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads = lib.scipy_openblas_set_num_threads64_
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     return get_threads, set_threads
+
+
+@functools.cache
+def openblas_core() -> str | None:
+    """The CPU kernels the bundled OpenBLAS picked at load, or None."""
+    get_core = getattr(_openblas(), "scipy_openblas_get_corename64_", None)
+    if get_core is None:
+        return None
+    get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+    return get_core().decode("ascii")
 
 
 _BLAS_LOCK = threading.Lock()

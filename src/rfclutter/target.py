@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antennas import AntennaPattern
-from .clutter import ClutterParams, gen_azimuth_channels, spin_operator, spun_channels
+from .clutter import ClutterParams, spin_operator, spun_channels
 from .core import CarrierSpec, RoomSpec, power_db
 from .randomfields import RandomStream, check_coherence_resolved, complex_gaussian_series
 
@@ -139,7 +139,8 @@ def _distance_from_radar(a, b, ca, cb) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
-    """Everything needed to render a moving target against room clutter."""
+    """Everything needed to render a moving target against room clutter; a
+    rotation is ``samples_per_rotation`` samples, as ``synth-*`` pointings."""
 
     room: RoomSpec
     clutter: ClutterParams
@@ -147,15 +148,15 @@ class SceneSpec:
     trajectory: Trajectory
     rx: AntennaPattern
     tx: AntennaPattern
-    spin_period_s: float
+    samples_per_rotation: int
     sample_rate_hz: float
     duration_s: float
     tx_pointing_deg: float
     regenerate_clutter_per_rotation: bool
 
     def __post_init__(self):
-        if self.spin_period_s <= 0 or self.sample_rate_hz <= 0 or self.duration_s <= 0:
-            raise ValueError("spin period, sample rate and duration must be positive")
+        if self.samples_per_rotation < 1 or self.sample_rate_hz <= 0 or self.duration_s <= 0:
+            raise ValueError("samples per rotation, sample rate and duration must be positive")
         if not 1.5 <= self.duration_s * self.sample_rate_hz < math.inf:  # rounds to >= 2
             raise ValueError("scene needs a finite duration of at least two samples")
         t0, t1 = self.trajectory.span_s
@@ -182,16 +183,6 @@ class SceneSpec:
         n = self.duration_s * self.sample_rate_hz if self.target.model == "swerling1" else None
         check_coherence_resolved(self.target.coherence_time_s, self.sample_rate_hz, n)
 
-    @property
-    def _rotation_samples(self) -> float:
-        return self.spin_period_s * self.sample_rate_hz
-
-    @property
-    def samples_per_rotation(self) -> int | None:
-        """The samples in one rotation if a whole number (to 1e-9) of at least one, else None."""
-        spr = float(np.rint(self._rotation_samples))  # not round(): inf if the product overflows
-        return int(spr) if spr >= 1 and abs(self._rotation_samples - spr) <= 1e-9 else None
-
 
 @dataclass(frozen=True, eq=False)
 class TimeAzimuthMap:
@@ -204,7 +195,7 @@ class TimeAzimuthMap:
     times_s: np.ndarray
     pointing_deg: np.ndarray
     power: np.ndarray
-    samples_per_rotation: int | None  # that of the SceneSpec
+    samples_per_rotation: int  # that of the SceneSpec
 
     @property
     def power_db(self) -> np.ndarray:
@@ -212,10 +203,10 @@ class TimeAzimuthMap:
 
     def folded(self):
         """(rotation start times, pointing bins, power image) of the complete
-        rotations; empty unless a rotation is a whole number of samples, as
-        rows would drift off the first rotation's pointings, and one fits."""
+        rotations, one row each on the first rotation's pointings; empty if
+        the map is shorter than a rotation."""
         spr = self.samples_per_rotation
-        if spr is None or spr > self.power.size:
+        if spr > self.power.size:
             return np.empty(0), np.empty(0), np.empty((0, 0))
         n_rot = self.power.size // spr
         image = self.power[: n_rot * spr].reshape(n_rot, spr)
@@ -226,43 +217,32 @@ def compose_scene(spec: SceneSpec, stream: RandomStream) -> TimeAzimuthMap:
     """Render the spinning-antenna power map of clutter plus moving target.
 
     The clutter channel is drawn on the receive pattern's grid and held
-    static for the scene unless regenerated per rotation.  When a rotation
-    is a whole number of samples, :func:`~rfclutter.clutter.spun_channels`
-    spins every draw over the first rotation's pointings, and sample i reads
-    row rotation(i), column i % samples-per-rotation; otherwise each draw is
-    spun over its own samples' pointings.  The target echo,
-    sqrt(:func:`target_response`) times the fluctuation xi (1 for the
-    constant model), is added coherently with the two-way geometric phase
-    -2 (2 pi / lambda) R(t); |.|^2 is recorded per sample.
+    static for the scene unless regenerated per rotation;
+    :func:`~rfclutter.clutter.spun_channels` spins every draw over the first
+    rotation's pointings, and sample i reads row rotation(i), column
+    i % samples-per-rotation.  The target echo, sqrt(:func:`target_response`)
+    times the fluctuation xi (1 for the constant model), is added coherently
+    with the two-way geometric phase -2 (2 pi / lambda) R(t); |.|^2 is
+    recorded per sample.
     """
     n = int(round(spec.duration_s * spec.sample_rate_hz))
     times = np.arange(n) / spec.sample_rate_hz
-    # i % samples-per-rotation (exact, in floats: past int64 too) keeps
-    # pointings in [0, 360) and, for a whole number, bitwise the same in every rotation
     spr = spec.samples_per_rotation
-    per_rotation = float(spr or spec._rotation_samples)
-    column = np.arange(n) % per_rotation
-    pointings = column / per_rotation * 360.0
+    # i % and // min(spr, n) stay in int64 for any spr; pointings repeat bitwise
+    column = np.arange(n) % min(spr, n)
+    pointings = column / float(spr) * 360.0
 
     grid = spec.rx.grid
     clutter_stream = stream.child("clutter")
-    # static clutter is one draw for the whole scene; regenerated
-    # clutter is drawn anew wherever the rotation index changes
-    regenerate = spec.regenerate_clutter_per_rotation
-    rotation = np.floor(np.arange(n) / per_rotation) if regenerate else np.zeros(n)
-    starts = np.flatnonzero(np.diff(rotation, prepend=-1.0)).tolist()
-    subs = (clutter_stream.child(f"rotation/{r}") for r in range(len(starts)))
-    streams = list(subs) if regenerate else [clutter_stream]
-    if spr:  # row r is rotation r's draw
-        spin = spin_operator(grid, spec.rx, spec.tx, pointings[:spr], spec.tx_pointing_deg)
-        blocks = spun_channels(spec.room, spec.clutter, grid, streams, spin)
-        y_clut = np.concatenate([y for y, _, _ in blocks])[rotation.astype(int), column.astype(int)]
-    else:
-        amplitudes, _, _ = gen_azimuth_channels(spec.room, spec.clutter, grid, streams)
-        y_clut = np.concatenate([
-            spin_operator(grid, spec.rx, spec.tx, pointings[a:b], spec.tx_pointing_deg)(row)
-            for row, a, b in zip(amplitudes, starts, [*starts[1:], n])
-        ])
+    # static clutter is one draw for the whole scene; regenerated clutter is
+    # drawn anew each rotation, and row r of the spun block is rotation r's
+    rotation, streams = np.zeros(n, dtype=int), [clutter_stream]
+    if spec.regenerate_clutter_per_rotation:
+        rotation = np.arange(n) // min(spr, n)
+        streams = [clutter_stream.child(f"rotation/{r}") for r in range(rotation[-1] + 1)]
+    spin = spin_operator(grid, spec.rx, spec.tx, pointings[:spr], spec.tx_pointing_deg)
+    blocks = spun_channels(spec.room, spec.clutter, grid, streams, spin)
+    y_clut = np.concatenate([y for y, _, _ in blocks])[rotation, column]
 
     # the fluctuation has a child stream of its own, so skipping it for the
     # constant model moves no other draw

@@ -12,7 +12,7 @@ import scipy
 from hypothesis import example, given, settings, strategies as st
 
 import rfclutter
-from rfclutter import antennas, cli, clutter, config, validation
+from rfclutter import antennas, cli, clutter, config, pool, validation
 
 
 def run(args):
@@ -100,7 +100,10 @@ PINNED_CONFIGS = {
     "regen": {"scene": {"regenerate_clutter_per_rotation": True}},
     "constant": {"scene": {"target": {"model": "constant"}}},
     "eps45": {"room": {"material": {"eps_r": 4.5}}},
-    "ongrid": {"spin": {"sample_rate_hz": 1800}, "scene": {"duration_s": 1.0}},
+    "ongrid": {
+        "spin": {"sample_rate_hz": 1800, "pointings_per_rotation": 360},
+        "scene": {"duration_s": 1.0},
+    },
     "tail": {"scene": {"duration_s": 1.1, "regenerate_clutter_per_rotation": True}},
     "deg1": {"grid": {"delta_phi_deg": 1.0}},
 }
@@ -552,19 +555,86 @@ def test_unindexable_fluctuation_series_exits_2_naming_scene(tmp_path, coherence
 
 
 @pytest.mark.parametrize("regenerate", [False, True], ids=["static", "regenerated"])
-@pytest.mark.parametrize("period_s", [1e16, 1e17, 1e300])
-def test_rotation_longer_than_int64_writes_no_scene_map(tmp_path, capsys, period_s, regenerate):
-    # at 740 Hz a rotation is 7.4e18 samples (inside int64), 7.4e19 or
-    # 7.4e302 (past it): the 2960-sample scene is shorter than a rotation
+@pytest.mark.parametrize("spr", [10**16, 10**17, 10**300], ids=["1e+16", "1e+17", "1e+300"])
+def test_rotation_longer_than_int64_writes_no_scene_map(tmp_path, capsys, spr, regenerate):
+    # a rotation of 1e16 samples (inside int64), 1e17 or 1e300 (past it):
+    # the 2960-sample scene is shorter than a rotation
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "spin": {"period_s": period_s, "sample_rate_hz": 740.0},
+        "spin": {"pointings_per_rotation": spr},
         "scene": {"regenerate_clutter_per_rotation": regenerate},
     }))
     out = tmp_path / "o"
     assert run(["scene", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "no scene_map: shorter than a rotation" in capsys.readouterr().out
+    message = f"no scene_map: shorter than a rotation ({spr:.6g} samples)\n"
+    assert message in capsys.readouterr().out
     assert sorted(path.name for path in out.iterdir()) == ["run_meta.json", "scene_timeseries.csv"]
+
+
+def test_scene_spins_the_pointings_of_synth_azimuth(tmp_path):
+    # a rotation is spin.pointings_per_rotation samples in a scene and
+    # pointings in synth-*: 740 scene samples are two rotations of 360
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spin": {"pointings_per_rotation": 360}}))
+    argv = ["--config", str(cfg), "--out"]
+    assert run(["scene", "--duration", "1.0", *argv, str(tmp_path / "s")]) == 0
+    assert run(["synth-azimuth", *argv, str(tmp_path / "a")]) == 0
+    sidecar = json.loads((tmp_path / "s" / "scene_map.json").read_text())
+    assert sidecar["shape"] == [2, 360]
+    spectra = np.loadtxt(tmp_path / "a" / "azimuth_spectra.csv", delimiter=",", skiprows=2)
+    assert sidecar["axes"]["pointing_deg"] == spectra[:, 1].tolist()  # at 9 digits
+
+
+def test_integer_leaf_beyond_float_range_exits_2_in_bounded_memory(tmp_path):
+    # 10**400 pointings or draws: each run stops at resolve time, naming its
+    # key, in a child limited to 2 GB of address space
+    trees = {
+        "spin.pointings_per_rotation": {"spin": {"pointings_per_rotation": 10**400}},
+        "ensemble": {"ensemble": 10**400},
+    }
+    for key, tree in trees.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(tree))
+    runs = [
+        ("synth-azimuth", "spin.pointings_per_rotation"),
+        ("synth-delay", "spin.pointings_per_rotation"),
+        ("scene", "spin.pointings_per_rotation"),
+        ("synth-azimuth", "ensemble"),
+    ]
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))\n"
+        "from rfclutter import cli\n"
+        "for i, run in enumerate(sys.argv[2:]):\n"
+        "    command, key = run.split(':')\n"
+        "    cfg, out = f'{sys.argv[1]}/{key}.json', f'{sys.argv[1]}/out{i}'\n"
+        "    print(cli.main([command, '--config', cfg, '--out', out]), file=sys.stderr)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), *(f"{c}:{k}" for c, k in runs)],
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+    )
+    lines = child.stderr.splitlines()
+    assert len(lines) == 2 * len(runs), child.stderr
+    for (_, key), message, rc in zip(runs, lines[::2], lines[1::2]):
+        assert rc == "2"
+        assert message == (
+            f"config error: config {key}: expected a positive integer within float range, "
+            "got 1.00000e+400"
+        )
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_run_meta_records_the_openblas_core(tmp_path, monkeypatch):
+    cores = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run(["predict", "--out", str(out)]) == 0
+        cores.append(json.loads((out / "run_meta.json").read_text())["versions"]["openblas_core"])
+    assert cores[0] == cores[1] == pool.openblas_core()
+    assert pool.openblas_core.cache_info().misses == 1  # read once per process
+    if pool._openblas() is not None:  # NumPy's bundled OpenBLAS
+        assert isinstance(cores[0], str) and cores[0]
+    monkeypatch.setattr(pool, "_openblas", lambda: None)  # any other BLAS
+    assert pool.openblas_core.__wrapped__() is None
 
 
 def test_scene_draws_on_the_config_grid(tmp_path, capsys):

@@ -51,8 +51,9 @@ INVALID = {
         _not_a_number(), NON_FINITE, _below(0, limit_valid=False),
         st.floats(min_value=180, allow_nan=False, allow_infinity=False),
     ),
-    "a positive integer": st.one_of(
-        _not_a_number(), NON_FINITE, st.sampled_from([1.0, 2.5]), st.integers(max_value=0)
+    "a positive integer within float range": st.one_of(
+        _not_a_number(), NON_FINITE, st.sampled_from([1.0, 2.5]), st.integers(max_value=0),
+        st.integers(min_value=int(sys.float_info.max) + 1, max_value=10**400),
     ),
     "an integer in [0, 2**64)": st.one_of(
         _not_a_number(), NON_FINITE, st.sampled_from([1.0, 2.5]),
@@ -234,6 +235,32 @@ def test_run_meta_that_sets_probe_oversample_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_an_integer_past_the_digit_limit_exits_2_naming_the_file(tmp_path):
+    # Python parses no int of more than 4300 digits from text
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text('{"ensemble": 1' + "0" * 5000 + "}")
+    rc, err = _run(["synth-azimuth", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2 and f"config error: {cfg}: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth-azimuth", "scene"])
+def test_a_spin_period_exits_2(tmp_path, command):
+    # a rotation is spin.pointings_per_rotation samples, with no period of
+    # its own: a config or a run_meta.json that sets one is rejected, not migrated
+    tree = config.load_config_tree(None)
+    tree["spin"]["period_s"] = 0.2
+    for name, content in (
+        ("cfg.json", {"spin": {"period_s": 0.2}}),
+        ("run_meta.json", {"config": tree, "versions": {}}),
+    ):
+        cfg, out = tmp_path / name, tmp_path / "o"
+        cfg.write_text(json.dumps(content))
+        rc, err = _run([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2 and "config spin: unknown key(s) ['period_s']" in err
+        assert not out.exists()
+
+
 def test_flags_merge_over_the_config_file(tmp_path):
     pattern = tmp_path / "pattern.csv"
     pattern.write_text("azimuth_deg,gain_db\n0,0\n90,-20\n180,-30\n270,-20\n")
@@ -316,7 +343,7 @@ def test_validation_keeps_no_seed_of_its_own():
 
 def test_resolved_config_keeps_the_scene_it_checked():
     fields = {f.name for f in dataclasses.fields(config.RunConfig)}
-    assert not fields & {"spin_period_s", "sample_rate_hz"}
+    assert not fields & {"samples_per_rotation", "sample_rate_hz"}
     cfg = config.resolve_config(config.load_config_tree(None))
     assert cfg.scene_spec() is cfg.scene
 

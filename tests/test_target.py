@@ -30,8 +30,8 @@ CARRIER = CarrierSpec(28e9)
 GRID = AzimuthGrid(1800)
 OMNI = omni(GRID)
 NO_CLUTTER = replace(DEFAULTS.room, gamma_sq=0.0)
-# period x rate is 7.000000000000001: a rotation of 7 samples, to 1e-9
-SEVEN_SAMPLES = {"spin_period_s": 0.07, "sample_rate_hz": 100.0}
+# a 0.07 s rotation of 7 samples
+SEVEN_SAMPLES = {"samples_per_rotation": 7, "sample_rate_hz": 100.0}
 
 
 def test_trajectory_interpolation():
@@ -85,7 +85,7 @@ def _demo_scene(**overrides):
         ),
         rx=gaussian_horn(10.0, GRID),
         tx=OMNI,
-        spin_period_s=0.2,
+        samples_per_rotation=148,
         sample_rate_hz=740.0,
         duration_s=2.0,
         tx_pointing_deg=0.0,
@@ -259,12 +259,14 @@ def test_scene_pointings_stay_below_360_and_repeat_per_rotation():
             assert np.array_equal(rotations[r], rotations[0])
 
 
-@pytest.mark.parametrize("rate_hz", [745.0, 743.7])
-def test_scene_pointings_follow_the_spin_at_any_rate(rate_hz):
-    # 743.7 Hz puts 148.74 samples in a 0.2 s rotation
-    spec = _demo_scene(sample_rate_hz=rate_hz)
+@pytest.mark.parametrize("rate_hz, spr", [
+    pytest.param(745.0, 149, id="745.0"), pytest.param(100.0, 7, id="100.0"),
+])
+def test_scene_pointings_follow_the_spin_at_any_rate(rate_hz, spr):
+    # a 0.2 s rotation of 149 samples, and one of 0.07 s
+    spec = _demo_scene(sample_rate_hz=rate_hz, samples_per_rotation=spr)
     tmap = compose_scene(spec, derive_stream(32, "pointings"))
-    expected = (tmap.times_s / spec.spin_period_s * 360.0) % 360.0
+    expected = (tmap.times_s / (spr / rate_hz) * 360.0) % 360.0
     diff = (tmap.pointing_deg - expected + 180.0) % 360.0 - 180.0
     assert np.max(np.abs(diff)) <= 1e-9
     assert np.all((tmap.pointing_deg >= 0.0) & (tmap.pointing_deg < 360.0))
@@ -296,13 +298,9 @@ def test_regenerated_scene_builds_the_spin_operator_once(monkeypatch):
 
 @pytest.mark.parametrize("spin, rotations", [
     pytest.param({"sample_rate_hz": 740.0}, 10, id="740.0"),
-    pytest.param({"sample_rate_hz": 743.7}, 0, id="743.7"),
     pytest.param(SEVEN_SAMPLES, 28, id="0.07s-100Hz"),
-    pytest.param({"spin_period_s": 1e306}, 0, id="period-x-rate-overflows"),
 ])
 def test_folded_rows_sit_on_their_pointing_labels(spin, rotations):
-    # at 743.7 Hz a rotation is 148.74 samples: rows cut every 149 samples
-    # would drift further off the first rotation's pointings, row by row
     tmap = compose_scene(_demo_scene(**spin), derive_stream(34, "fold"))
     _, pointing_bins, image = tmap.folded()
     n_rot, spr = image.shape
@@ -313,37 +311,25 @@ def test_folded_rows_sit_on_their_pointing_labels(spin, rotations):
 
 
 def test_regenerated_clutter_is_redrawn_where_the_rotation_index_changes():
-    for spin, last in (({"sample_rate_hz": 743.7}, 4), (SEVEN_SAMPLES, 14)):
-        spec = _demo_scene(
-            duration_s=1.0,
-            target=replace(TARGET, sigma0_dbsm=-math.inf),
-            regenerate_clutter_per_rotation=True,
-            **spin,
-        )
-        stream = derive_stream(35, "regen")
-        tmap = compose_scene(spec, stream)
-        # 148.74 samples are not a whole rotation: the index is then floor(i / 148.74)
-        spr = spec.samples_per_rotation
-        per_rotation = spr or spec.spin_period_s * spec.sample_rate_hz
-        rotation = np.floor(np.arange(tmap.power.size) / per_rotation)
-        assert rotation[-1] == last
-        subs = [stream.child("clutter").child(f"rotation/{r}") for r in range(last + 1)]
-        if spr is not None:
-            # the rotations drawn together and spun as one block over the
-            # first rotation's pointings, a short last rotation reading its
-            # first samples
-            amplitudes, _, _ = gen_azimuth_channels(spec.room, spec.clutter, GRID, subs)
-            block = clutter.spin_operator(GRID, spec.rx, spec.tx, tmap.pointing_deg[:spr], 0.0)
-            spun = block(amplitudes)
-        for r, sub in enumerate(subs):
-            sel = rotation == r
-            if spr is None:  # each draw spun over its own samples' pointings
-                field = gen_azimuth_channel(spec.room, spec.clutter, GRID, sub)
-                y = spin_amplitudes(field, spec.rx, spec.tx, tmap.pointing_deg[sel], 0.0)
-            else:
-                y = spun[r, : np.count_nonzero(sel)]
-            assert np.array_equal(tmap.power[sel], np.abs(y) ** 2)
-        # the folded map's rows start where the clutter is redrawn
-        rot_times, _, image = tmap.folded()
-        starts = np.flatnonzero(np.diff(rotation, prepend=-1.0))
-        assert np.array_equal(rot_times, tmap.times_s[starts[: image.shape[0]]])
+    spec = _demo_scene(
+        duration_s=1.0,
+        target=replace(TARGET, sigma0_dbsm=-math.inf),
+        regenerate_clutter_per_rotation=True,
+        **SEVEN_SAMPLES,
+    )
+    stream = derive_stream(35, "regen")
+    tmap = compose_scene(spec, stream)
+    # 100 samples are 14 rotations of 7 and the first 2 samples of a 15th
+    rotation = np.arange(tmap.power.size) // 7
+    assert rotation[-1] == 14
+    subs = [stream.child("clutter").child(f"rotation/{r}") for r in range(15)]
+    # the rotations drawn together and spun as one block over the first
+    # rotation's pointings, a short last rotation reading its first samples
+    amplitudes, _, _ = gen_azimuth_channels(spec.room, spec.clutter, GRID, subs)
+    spun = clutter.spin_operator(GRID, spec.rx, spec.tx, tmap.pointing_deg[:7], 0.0)(amplitudes)
+    for r in range(15):
+        sel = rotation == r
+        assert np.array_equal(tmap.power[sel], np.abs(spun[r, : np.count_nonzero(sel)]) ** 2)
+    # the folded map's rows start where the clutter is redrawn
+    rot_times, _, image = tmap.folded()
+    assert np.array_equal(rot_times, tmap.times_s[::7][: image.shape[0]])

@@ -209,8 +209,8 @@ def _scene(regenerate):
     # 500 off-grid pointings a rotation: then even one draw's spin moves
     # with the thread count
     def scene(cfg):
-        spec = replace(cfg.scene, sample_rate_hz=2500.0, duration_s=1.0,
-                       regenerate_clutter_per_rotation=regenerate)
+        spec = replace(cfg.scene, sample_rate_hz=2500.0, samples_per_rotation=500,
+                       duration_s=1.0, regenerate_clutter_per_rotation=regenerate)
         return [compose_scene(spec, derive_stream(4, "blas")).power]
     return scene
 
