@@ -89,6 +89,7 @@ from .core import (
 )
 from .pool import in_order, one_blas_thread
 from .randomfields import (
+    _BLOCK_ENTRIES,
     LN10_OVER_20,
     AzimuthGrid,
     LognormalFieldParams,
@@ -99,8 +100,6 @@ from .randomfields import (
 
 TWO_PI = 2.0 * math.pi
 
-# the entries of every block of rows, drawn or spun: part of the data contract
-_BLOCK_ENTRIES = 1 << 15
 # arrays of up to 2^22 entries are held whole, a spin operator's weights;
 # larger ones are rebuilt block by block where they are used.  The kept spin
 # operators hold at most as many entries in all.

@@ -19,6 +19,15 @@ from .core import ConfigurationError
 
 LN10_OVER_20 = math.log(10.0) / 20.0
 
+# the entries of every block, drawn, spun or filtered: rows of a channel draw
+# (:func:`rfclutter.clutter._row_blocks`) and samples of a fluctuation series.
+# Part of the data contract
+_BLOCK_ENTRIES = 1 << 15
+# the most samples a fluctuation series may pad to, n + 4 ceil(6 w): 4 GiB of
+# complex values.  A fixed count, not the machine's memory, so a config is
+# valid or not on every machine alike
+_MAX_SERIES_SAMPLES = 1 << 28
+
 
 @dataclass(frozen=True)
 class RandomStream:
@@ -169,9 +178,9 @@ def check_coherence_resolved(
     coherence_time_s: float, sample_rate_hz: float, n_samples: float | None = None
 ) -> None:
     """Raise unless samples at ``sample_rate_hz`` resolve the coherence time
-    and, given ``n_samples``, the padded array of
-    :func:`complex_gaussian_series`, n + 4 ceil(6 w) samples for a kernel w
-    samples wide, fits one NumPy array (its bytes are counted in intp)."""
+    and, given ``n_samples``, the series of :func:`complex_gaussian_series`
+    padded by 4 ceil(6 w) samples for a kernel w samples wide, the longest
+    array it allocates, is at most ``_MAX_SERIES_SAMPLES`` (2^28) samples."""
     if coherence_time_s < 2.0 / sample_rate_hz:
         raise ConfigurationError(
             "coherence time under-resolved: need coherence_time >= 2 / sample_rate"
@@ -179,10 +188,11 @@ def check_coherence_resolved(
     if n_samples is None:
         return
     w = coherence_time_s / math.sqrt(2.0) * sample_rate_hz
-    if not n_samples + 4.0 * np.ceil(6.0 * w) <= np.iinfo(np.intp).max // 16:
+    if not n_samples + 4.0 * np.ceil(6.0 * w) <= _MAX_SERIES_SAMPLES:
         raise ConfigurationError(
             f"a coherence time of {coherence_time_s:g} s pads the target fluctuation series "
-            f"of {n_samples:.6g} samples by 4 ceil(6 x {w:.4g}), more than an array can index"
+            f"of {n_samples:.6g} samples by 4 ceil(6 x {w:.4g}), more than the "
+            f"{_MAX_SERIES_SAMPLES} samples a series may pad to"
         )
 
 
@@ -209,6 +219,18 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _kernel_spectrum(kernel: np.ndarray, length: int) -> np.ndarray:
+    """The complex spectrum of the real ``kernel`` zero-padded to ``length``:
+    its rfft, the upper half by conjugate symmetry.  A complex transform of
+    the kernel differs in the last bits."""
+    kf = np.fft.rfft(kernel, length)
+    h = kf.size
+    spectrum = np.empty(length, dtype=complex)
+    spectrum[:h] = kf
+    spectrum[h:] = kf[length - h : 0 : -1].conj()
+    return spectrum
+
+
 def complex_gaussian_series(
     n_samples: int,
     sample_rate_hz: float,
@@ -220,18 +242,30 @@ def complex_gaussian_series(
 
     Normalized autocorrelation exp(-dt^2 / (2 Tc^2)) with Tc the coherence
     time; built by convolving complex white noise with a Gaussian kernel of
-    RMS width Tc/sqrt(2), discarding one kernel support of warm-up at each
-    end of the padded sequence.
+    RMS width Tc/sqrt(2) and 2m + 1 taps, discarding m samples of warm-up at
+    each end of the noise.
 
-    The values are those of ``fftconvolve(white, kernel, mode="same")``
-    trimmed by the support and scaled, byte for byte, with its FFT steps
-    run in place: the noise is drawn into one zero-padded complex array,
-    which becomes its spectrum, the product and the series in turn.  The
-    peak is that array, the kernel's half spectrum and the zero-padded real
-    kernel: about 2 complex arrays of the series' length, 64 MB traced by
-    ``tracemalloc`` for 2M samples, where a full complex kernel spectrum
-    took 80 MB and the out-of-place steps 160 MB.  ``numpy.fft`` keeps no
-    plan for the length once the call returns.
+    The noise, n_samples + 2m samples, is drawn into one complex array,
+    every real part and then every imaginary part, a block of
+    ``_BLOCK_ENTRIES`` at a time through one small buffer: the same bits as
+    one draw of each.  The series is filtered by overlap-save in blocks of
+    ``_BLOCK_ENTRIES`` output samples, or of 4m when the kernel is wider, so
+    that the overlap never makes a full block's transform much more than
+    twice the block.  Each block is ``fftconvolve(window, kernel,
+    mode="same")`` on its window of block + 2m noise samples, trimmed by m
+    at each end and scaled: the window is zero-padded to the transform
+    length, multiplied by the kernel's spectrum (built once per length) and
+    transformed back, and the block is written over noise no later window
+    reads.  A series of one block is that recipe on all its noise.  The
+    bytes equal SciPy's at the lengths the tests pin; with a kernel wider
+    than a block they differ in the last bits.
+
+    What is held is the noise array, which becomes the series, and one
+    block's buffers: the draw buffer, the transform and the kernel
+    spectrum.  For 2M samples that is 32 MB and 1.3 MB, a 34.7 MB peak
+    traced by ``tracemalloc``, which does not see pocketfft's plan and
+    scratch; the process's peak RSS grows by 35 MB.  One transform of the
+    whole series grew it by 109 MB, against a 65 MB traced peak.
     """
     if sample_rate_hz <= 0 or coherence_time_s <= 0:
         raise ValueError("sample rate and coherence time must be positive")
@@ -242,26 +276,33 @@ def complex_gaussian_series(
     w = (coherence_time_s / math.sqrt(2.0)) / dt  # kernel RMS, samples
     m = int(math.ceil(6.0 * w))
     rng = stream.generator()
-    # noise of n_samples + 2m samples, zero-padded to the FFT length of the
-    # full linear convolution with the 2m + 1 kernel taps
     size = n_samples + 2 * m
-    L = _fast_len(size + 2 * m)
-    x = np.zeros(L, dtype=complex)
-    x.real[:size] = rng.standard_normal(size)
-    x.imag[:size] = rng.standard_normal(size)
-    x[:size] /= math.sqrt(2.0)
+    x = np.empty(size, dtype=complex)
+    drawn = np.empty(min(size, _BLOCK_ENTRIES))
+    for part in (x.real, x.imag):
+        for start in range(0, size, drawn.size):
+            chunk = drawn[: size - start]
+            rng.standard_normal(out=chunk)
+            part[start : start + chunk.size] = chunk
+    x /= math.sqrt(2.0)
     j = np.arange(-m, m + 1, dtype=float)
     kernel = np.exp(-0.5 * (j / w) ** 2)
-    # the real kernel's spectrum is its rfft, the upper half by conjugate
-    # symmetry: a complex transform of the kernel differs in the last bits
-    kf = np.fft.rfft(kernel, L)
-    h = len(kf)
-    np.fft.fft(x, out=x)
-    x[:h] *= kf
-    x[h:] *= kf[L - h : 0 : -1].conj()
-    del kf
-    np.fft.ifft(x, out=x)
-    # "same" mode starts m into the full convolution; the warm-up m more
-    series = x[2 * m : 2 * m + n_samples]
-    series /= math.sqrt(float(np.sum(kernel**2)))
-    return series
+    norm = math.sqrt(float(np.sum(kernel**2)))
+    # the window of each block is zero-padded to the FFT length of its full
+    # linear convolution with the kernel; "same" mode starts m into it, and
+    # the warm-up m more
+    block = min(n_samples, max(_BLOCK_ENTRIES, 4 * m))
+    work = np.empty(_fast_len(block + 4 * m), dtype=complex)
+    spectrum = None
+    for start in range(0, n_samples, block):
+        k = min(block, n_samples - start)
+        buf = work if k == block else work[: _fast_len(k + 4 * m)]
+        if spectrum is None or spectrum.size != buf.size:
+            spectrum = _kernel_spectrum(kernel, buf.size)
+        buf[: k + 2 * m] = x[start : start + k + 2 * m]
+        buf[k + 2 * m :] = 0.0
+        np.fft.fft(buf, out=buf)
+        buf *= spectrum
+        np.fft.ifft(buf, out=buf)
+        np.divide(buf[2 * m : 2 * m + k], norm, out=x[start : start + k])
+    return x[:n_samples]

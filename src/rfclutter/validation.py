@@ -66,6 +66,7 @@ from .core import (
 )
 from .pool import in_order, one_blas_thread
 from .randomfields import (
+    _BLOCK_ENTRIES,
     AzimuthGrid,
     LognormalFieldParams,
     complex_gaussian_series,
@@ -130,7 +131,8 @@ class ValidationReport:
 # glibc's mallopt parameters, and the block size from which malloc maps each
 # block on its own: above a block of draws, which the checks allocate and free
 # over and over (the spatial check's 11 moved copies of 18 draws, 5.7 MB), and
-# below the 14.4 MB field chunks, the spin weights and the fluctuation series
+# below the 14.4 MB field chunks, the spin weights and the 32 MB fluctuation
+# series (whose 0.5 MB filter blocks and sums stay under it)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 8 << 20
@@ -408,13 +410,19 @@ def check_target_fluctuation(seed: int) -> tuple[bool, float, str, dict]:
     rate, t_c = 40.0, 0.1
     n = 2_000_000
     xi = complex_gaussian_series(n, rate, t_c, derive_stream(seed, "fluct"))
-    power = np.abs(xi) ** 2
-    mean_power = float(power.mean())
-    sub = power[::20]  # 0.5 s spacing: 5 coherence times, effectively independent
-    ks = spstats.kstest(sub, "expon")
     lag = int(round(t_c * rate))
-    num = np.abs(np.sum(xi[:-lag] * np.conj(xi[lag:])))
-    rho = float(num / (power.size - lag) / mean_power)
+    # the power and lag sums over fixed blocks, added in block order: no
+    # temporary of the series' length
+    power_sum, lag_sum = 0.0, 0.0j
+    for start in range(0, n, _BLOCK_ENTRIES):
+        block = xi[start : start + _BLOCK_ENTRIES]
+        power_sum += float(np.sum(np.abs(block) ** 2))
+        head = xi[start : min(start + _BLOCK_ENTRIES, n - lag)]
+        lag_sum += complex(np.sum(head * np.conj(xi[start + lag : start + lag + head.size])))
+    mean_power = power_sum / n
+    sub = np.abs(xi[::20]) ** 2  # 0.5 s spacing: 5 coherence times, effectively independent
+    ks = spstats.kstest(sub, "expon")
+    rho = abs(lag_sum) / (n - lag) / mean_power
     passed = (
         abs(mean_power - 1.0) <= 0.02
         and ks.pvalue >= 0.01

@@ -528,11 +528,13 @@ def test_bad_scene_config_exits_2_naming_key(tmp_path, capsys, tree, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("coherence_time_s", [1e20, 1e300])
-def test_unindexable_fluctuation_series_exits_2_naming_scene(tmp_path, coherence_time_s):
+@pytest.mark.parametrize("coherence_time_s", [1e6, 1e20, 1e300])
+def test_oversized_fluctuation_series_exits_2_naming_scene(tmp_path, coherence_time_s):
     # the series pads the scene's 2960 samples by 4 ceil(6 w) for a kernel
-    # w = 5.2e22 or 5.2e302 samples wide: more than a NumPy array can index.
-    # Run in a child limited to 2 GB of address space, timed inside it
+    # w = 5.2e8, 5.2e22 or 5.2e302 samples wide: past the 2^28 samples a
+    # series may pad to (1e6 s would allocate 187 GiB; the others more than
+    # a NumPy array can index).  Run in a child limited to 2 GB of address
+    # space, timed inside it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scene": {"target": {"coherence_time_s": coherence_time_s}}}))
     out = tmp_path / "o"

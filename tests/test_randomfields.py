@@ -17,6 +17,7 @@ from rfclutter import (
 )
 from rfclutter.config import load_config_tree, resolve_config
 from rfclutter.randomfields import (
+    _BLOCK_ENTRIES,
     _fast_len,
     _field_filter,
     _wrapped_gaussian_kernel,
@@ -191,8 +192,8 @@ def test_field_filter_is_read_only_and_rows_match_the_inline_recipe():
     assert _field_filter(720, 5.0)[0] is kf
 
 
-def _fftconvolve_series(n, sample_rate_hz, coherence_time_s, stream):
-    """The out-of-place recipe that complex_gaussian_series runs in place."""
+def _noise_and_kernel(n, sample_rate_hz, coherence_time_s, stream):
+    """The series' complex white noise, n + 2m samples, and its kernel."""
     w = (coherence_time_s / math.sqrt(2.0)) * sample_rate_hz
     m = int(math.ceil(6.0 * w))
     rng = stream.generator()
@@ -200,9 +201,37 @@ def _fftconvolve_series(n, sample_rate_hz, coherence_time_s, stream):
         rng.standard_normal(n + 2 * m) + 1j * rng.standard_normal(n + 2 * m)
     ) / math.sqrt(2.0)
     j = np.arange(-m, m + 1, dtype=float)
-    kernel = np.exp(-0.5 * (j / w) ** 2)
+    return white, np.exp(-0.5 * (j / w) ** 2)
+
+
+def _fftconvolve_series(n, sample_rate_hz, coherence_time_s, stream):
+    """The out-of-place recipe that complex_gaussian_series runs in place."""
+    white, kernel = _noise_and_kernel(n, sample_rate_hz, coherence_time_s, stream)
+    m = kernel.size // 2
     filtered = fftconvolve(white, kernel, mode="same")[m : m + n]
     return filtered / math.sqrt(float(np.sum(kernel**2)))
+
+
+def _blocked_fftconvolve_series(n, sample_rate_hz, coherence_time_s, stream):
+    """The recipe of :func:`_fftconvolve_series` run on each block's window
+    of block + 2m noise samples, blocks of 2^15 samples (4m for a wider
+    kernel), as complex_gaussian_series runs it in place."""
+    white, kernel = _noise_and_kernel(n, sample_rate_hz, coherence_time_s, stream)
+    m = kernel.size // 2
+    norm = math.sqrt(float(np.sum(kernel**2)))
+    block = max(_BLOCK_ENTRIES, 4 * m)
+    blocks = []
+    for start in range(0, n, block):
+        k = min(block, n - start)
+        window = white[start : start + k + 2 * m]
+        blocks.append(fftconvolve(window, kernel, mode="same")[m : m + k] / norm)
+    return np.concatenate(blocks)
+
+
+def _reference_series(args, seed):
+    """One fftconvolve for a series of one block; one per block beyond."""
+    recipe = _fftconvolve_series if args[0] <= _BLOCK_ENTRIES else _blocked_fftconvolve_series
+    return recipe(*args, derive_stream(seed, "fluct"))
 
 
 def _default_scene_series_args():
@@ -219,7 +248,7 @@ def _default_scene_series_args():
 @pytest.mark.parametrize("seed", [3, 1234])
 def test_series_bytes_equal_the_fftconvolve_recipe(args, seed):
     xi = complex_gaussian_series(*args, derive_stream(seed, "fluct"))
-    ref = _fftconvolve_series(*args, derive_stream(seed, "fluct"))
+    ref = _reference_series(args, seed)
     assert xi.shape == ref.shape
     assert xi.tobytes() == ref.tobytes()
 
@@ -233,12 +262,50 @@ def test_series_bytes_equal_the_fftconvolve_recipe(args, seed):
         # conjugate half has no Nyquist bin
         *(((120, 40.0, 0.1), seed) for seed in (3, 42, 1234)),
         *(((3700, 740.0, 0.2), seed) for seed in (3, 42, 1234)),
+        # exactly one block, and one block and one sample: a last block of
+        # one sample on its own transform length
+        ((_BLOCK_ENTRIES, 40.0, 0.1), 42),
+        ((_BLOCK_ENTRIES + 1, 40.0, 0.1), 42),
     ],
 )
 def test_series_bytes_equal_the_fftconvolve_recipe_at_more_seeds_and_lengths(args, seed):
     xi = complex_gaussian_series(*args, derive_stream(seed, "fluct"))
-    ref = _fftconvolve_series(*args, derive_stream(seed, "fluct"))
+    ref = _reference_series(args, seed)
     assert xi.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (3 * _BLOCK_ENTRIES + 7, 40.0, 0.1),
+        # a kernel of m = 10183 taps a side, so blocks of 4m: two of 40732
+        # samples and one of 18536
+        (100_000, 40.0, 60.0),
+    ],
+    ids=["narrow-kernel", "wide-kernel"],
+)
+def test_blocked_series_equals_one_filter_to_rounding(args):
+    # blocks change the transform lengths, so the last bits, and nothing more
+    xi = complex_gaussian_series(*args, derive_stream(5, "fluct"))
+    ref = _fftconvolve_series(*args, derive_stream(5, "fluct"))
+    np.testing.assert_allclose(xi, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 1, 3 * _BLOCK_ENTRIES + 5])
+def test_noise_drawn_in_blocks_equals_one_draw(size):
+    # complex_gaussian_series draws its noise a block at a time through one
+    # buffer, all real parts and then all imaginary parts
+    rng = derive_stream(5, "chunks").generator()
+    drawn = np.empty(min(size, _BLOCK_ENTRIES))
+    parts = np.empty((2, size))
+    for part in parts:
+        for start in range(0, size, drawn.size):
+            chunk = drawn[: size - start]
+            rng.standard_normal(out=chunk)
+            part[start : start + chunk.size] = chunk
+    whole = derive_stream(5, "chunks").generator()
+    assert parts[0].tobytes() == whole.standard_normal(size).tobytes()
+    assert parts[1].tobytes() == whole.standard_normal(size).tobytes()
 
 
 def test_fast_len_equals_scipy_next_fast_len():
@@ -255,5 +322,6 @@ def test_series_peak_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the out-of-place steps peaked at 160 MB; the series itself is 32 MB
-    assert peak < 100e6
+    # 34.7 MB: the 32 MB series and one block's buffers.  One transform of
+    # the whole series peaked at 64 MB traced, the out-of-place steps at 160 MB
+    assert peak < 36e6
